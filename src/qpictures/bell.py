@@ -67,7 +67,8 @@ def chsh(setting: ChshSetting) -> ChshResult:
     e_a_prime_b = correlation(setting.a_prime, setting.b)
     e_a_prime_b_prime = correlation(setting.a_prime, setting.b_prime)
     s = e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime
-    assert abs(s) <= TSIRELSON + 1e-9, "CHSH value exceeded the quantum bound"
+    if not abs(s) <= TSIRELSON + 1e-9:
+        raise AssertionError("CHSH value exceeded the quantum bound")
     return ChshResult(
         setting,
         e_ab,
@@ -86,7 +87,9 @@ class ScanResult:
     evaluated: int
 
 
-def _scan_grid(resolution: float) -> list[float]:
+def scan_grid(resolution: float) -> list[float]:
+    """Analyzer angles of a CHSH scan: the multiples of ``resolution`` in
+    [0, 2pi).  ``resolution`` must be positive and divide pi."""
     if resolution <= 0:
         raise ValueError("scan resolution must be positive")
     ratio = math.pi / resolution
@@ -101,7 +104,7 @@ def _scan_grid(resolution: float) -> list[float]:
 def scan_rows(resolution: float):
     """Yield (a, a', b, b', S) for every setting on the scan grid, in
     lexicographic angle order."""
-    angles = _scan_grid(resolution)
+    angles = scan_grid(resolution)
     # Only pairwise correlations enter S: tabulate those once, then
     # combine for every four-angle setting.
     corr = {(x, y): correlation(x, y) for x, y in product(angles, repeat=2)}

@@ -20,7 +20,7 @@ import math
 import re
 import sys
 
-from .bell import ChshSetting, TSIRELSON, chsh, chsh_scan, scan_rows
+from .bell import ChshSetting, TSIRELSON, chsh, chsh_scan, scan_grid, scan_rows
 from .experiment import (
     ExperimentConfig,
     descriptors_at_t2,
@@ -36,14 +36,19 @@ import numpy as np
 
 _PI_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$", re.IGNORECASE)
 
+_CHSH_CSV_HEADER = ["a", "a_prime", "b", "b_prime", "S", "violation"]
+
 
 def parse_angle(text: str) -> float:
-    """Parse a float or a pi expression like ``pi``, ``-pi/3``, ``3pi/4``."""
+    """Parse a finite float or a pi expression like ``pi``, ``-pi/3``,
+    ``3pi/4``."""
     text = text.strip()
     m = _PI_RE.match(text)
-    if m:
-        coeff_text = m.group(1)
-        try:
+    try:
+        if m is None:
+            value = float(text)
+        else:
+            coeff_text = m.group(1)
             if coeff_text in ("", "+"):
                 coeff = 1.0
             elif coeff_text == "-":
@@ -53,13 +58,11 @@ def parse_angle(text: str) -> float:
             value = coeff * math.pi
             if m.group(2):
                 value /= float(m.group(2))
-            return value
-        except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
-    try:
-        return float(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle {text!r} is not finite")
+    return value
 
 
 def _json_floats(obj):
@@ -189,16 +192,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_chsh(args) -> int:
     if args.scan is not None:
-        result = chsh_scan(_scale(args.scan, args.degrees))
-        best = result.best
+        resolution = _scale(args.scan, args.degrees)
         if args.format == "csv":
-            header = ["a", "a_prime", "b", "b_prime", "S", "violation"]
             rows = [
                 [a, ap, b, bp, s, int(abs(s) > 2.0 + 1e-12)]
-                for a, ap, b, bp, s in scan_rows(result.resolution)
+                for a, ap, b, bp, s in scan_rows(resolution)
             ]
-            _emit(_csv_text(header, rows), args.out)
+            _emit(_csv_text(_CHSH_CSV_HEADER, rows), args.out)
             return 0
+        result = chsh_scan(resolution)
+        best = result.best
         payload = {
             "resolution": result.resolution,
             "evaluated": result.evaluated,
@@ -232,9 +235,8 @@ def cmd_chsh(args) -> int:
     a, ap, b, bp = (_scale(v, args.degrees) for v in args.angles)
     result = chsh(ChshSetting(a, ap, b, bp))
     if args.format == "csv":
-        header = ["a", "a_prime", "b", "b_prime", "S", "violation"]
         rows = [[a, ap, b, bp, result.s, int(result.violates)]]
-        _emit(_csv_text(header, rows), args.out)
+        _emit(_csv_text(_CHSH_CSV_HEADER, rows), args.out)
     elif args.format == "json":
         payload = {
             "a": a,
@@ -336,6 +338,11 @@ def main(argv=None) -> int:
             parser.error("provide four angles (a a' b b') or --scan STEP")
         if args.scan is not None and args.angles:
             parser.error("--scan does not take positional angles")
+        if args.scan is not None:
+            try:
+                scan_grid(_scale(args.scan, args.degrees))
+            except ValueError as exc:
+                parser.error(str(exc))
     if args.command == "picture-check":
         if not 2 <= args.qubits <= 5:
             parser.error("qubits must be in 2..5")

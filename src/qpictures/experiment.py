@@ -187,7 +187,8 @@ def _linear_terms(ds_by_step) -> tuple[float, float]:
 def _p_diff(cfg, state_by_step, ds_by_step) -> BothPictures:
     heis = 0.5 - 0.5 * _zz_product(ds_by_step[3], RECORD_A, RECORD_B)
     direct = 0.5 + 0.5 * descriptor_expectation(ds_by_step[4].z(RECORD_A))
-    assert abs(heis - direct) <= 1e-12, "record-product and direct descriptor routes split"
+    if not abs(heis - direct) <= 1e-12:
+        raise AssertionError("record-product and direct descriptor routes split")
     schro = joint_probability(state_by_step[4], {RECORD_A: 1})
     closed = math.sin(cfg.difference / 2) ** 2
     return BothPictures(closed, heis, schro)

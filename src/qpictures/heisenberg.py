@@ -14,7 +14,9 @@ rewrites the descriptors of the qubits it acts on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import product
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -27,6 +29,7 @@ from .pauli import (
     OperatorSum,
     PauliString,
     expectation_in_all_zeros,
+    linear_combination,
 )
 
 # Evolution aborts once any descriptor would exceed this many terms.
@@ -111,6 +114,9 @@ class DescriptorSet:
         return self._descriptors.items()
 
 
+# The step-0 set is immutable and depends only on the width, so every
+# evolution starts from one shared copy.
+@lru_cache(maxsize=MAX_WIDTH)
 def init_descriptors(width: int) -> DescriptorSet:
     """Step-0 descriptors: each axis is its own single-qubit Pauli."""
     if not 1 <= width <= MAX_WIDTH:
@@ -125,15 +131,19 @@ def init_descriptors(width: int) -> DescriptorSet:
 
 def _substitute(image: OperatorSum, operands: tuple[int, ...], ds: DescriptorSet) -> OperatorSum:
     """Replace each local axis in ``image`` by the operand qubit's current
-    descriptor and multiply out."""
-    acc = OperatorSum.zero(ds.width)
+    descriptor, multiply out the non-identity factors of each term and
+    sum the scaled products with one merge."""
+    parts = []
     for string, coeff in image.iter_terms():
-        term = coeff * OperatorSum.identity(ds.width)
-        for slot, code in enumerate(string.axes):
-            if code != Axis.I:
-                term = term * ds.descriptor(operands[slot], Axis(int(code)))
-        acc = acc + term
-    return acc
+        # Axis is an IntEnum, so a plain axis code finds the (qubit, Axis) key.
+        factors = [
+            ds._descriptors[(operands[slot], code)]
+            for slot, code in enumerate(string.axes)
+            if code != Axis.I
+        ]
+        term = reduce(mul, factors) if factors else OperatorSum.identity(ds.width)
+        parts.append((coeff, term))
+    return linear_combination(ds.width, parts)
 
 
 def evolve(ds: DescriptorSet, gate: Gate) -> DescriptorSet:
@@ -166,7 +176,8 @@ def descriptor_expectation(expr: OperatorSum, atol: float = 1e-12) -> float:
     if not expr.is_hermitian(atol):
         raise ValueError("descriptor expectation requires a Hermitian operator")
     value = expectation_in_all_zeros(expr)
-    assert abs(value.imag) <= atol
+    if not abs(value.imag) <= atol:
+        raise AssertionError("Hermitian descriptor expectation came out complex")
     return float(value.real)
 
 

@@ -1,7 +1,10 @@
 """Phased Pauli strings and weighted sums of Pauli strings.
 
-The algebra is exact up to floating-point coefficients: strings multiply
-through a per-qubit lookup table, sums merge duplicate strings and drop
+The algebra is exact up to floating-point coefficients.  An operator sum
+stores each phase-free string as one packed integer with two bits per
+qubit, so a string product is an XOR of packed words and its phase comes
+from popcounts of the words' x and z bit masks (the symplectic form of
+Aaronson and Gottesman).  Sums merge duplicate strings and drop
 coefficients below ``PRUNE_TOL``.
 
 Conventions used throughout the package:
@@ -30,8 +33,9 @@ MAX_WIDTH = 20
 class Axis(IntEnum):
     """Single-qubit Pauli axis, two bits per qubit.
 
-    The codes are chosen so that XOR of two codes is the code of their
-    product axis; the scalar phase is tracked separately.
+    The high bit is the z bit and the low bit is x XOR z, so XOR of two
+    codes is the code of their product axis and sorting codes orders the
+    axes I < X < Y < Z; the scalar phase is tracked separately.
     """
 
     I = 0
@@ -45,16 +49,8 @@ _AXIS_NAMES = "IXYZ"
 # i**k for k = 0..3
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
-# _PHASE_EXP[a, b] = k such that sigma_a sigma_b = i**k sigma_(a XOR b)
-_PHASE_EXP = np.array(
-    [
-        [0, 0, 0, 0],
-        [0, 0, 1, 3],
-        [0, 3, 0, 1],
-        [0, 1, 3, 0],
-    ],
-    dtype=np.int64,
-)
+# The low bit of every qubit's pair in a packed key.
+_LOW_BITS = int("01" * MAX_WIDTH, 2)
 
 _TOKEN_RE = re.compile(r"^([IXYZ])(\d+)$")
 
@@ -127,16 +123,53 @@ class PauliString:
         return f"{sign}{_tokens(self.axes)}"
 
 
+def _pack(axes: Iterable[int]) -> int:
+    """Packed key of an axis tuple: qubit 1 is the most significant pair of
+    bits, so sorting keys gives the canonical term order."""
+    key = 0
+    for code in axes:
+        key = (key << 2) | code
+    return key
+
+
+def _unpack(key: int, width: int) -> tuple[int, ...]:
+    return tuple((key >> (2 * (width - q))) & 3 for q in range(1, width + 1))
+
+
+def _x_z(keys):
+    """x and z bit masks of packed keys, on the low bit of each pair."""
+    z = (keys >> 1) & _LOW_BITS
+    return (keys ^ z) & _LOW_BITS, z
+
+
+def _string_products(keys_a, keys_b):
+    """Keys and phase exponents of the products of phase-free strings:
+    P_a P_b = i**k P_(a XOR b), elementwise with broadcasting.
+
+    With Y = i X Z, k = |x_a z_a| + |x_b z_b| + 2 |z_a x_b| - |x z| mod 4,
+    where |.| counts set bits and x, z are the masks of the product.
+    """
+    xa, za = _x_z(keys_a)
+    xb, zb = _x_z(keys_b)
+    keys = keys_a ^ keys_b
+    x, z = xa ^ xb, za ^ zb
+    # -|x z| is added as 3|x z| so the uint8 popcounts never go negative.
+    exponents = (
+        np.bitwise_count(xa & za)
+        + np.bitwise_count(xb & zb)
+        + 2 * np.bitwise_count(za & xb)
+        + 3 * np.bitwise_count(x & z)
+    ) & 3
+    return keys, exponents
+
+
 def multiply_strings(a: PauliString, b: PauliString) -> PauliString:
     """Group product a*b with the accumulated phase."""
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} != {b.width}")
-    phase = a.phase_power + b.phase_power
-    axes = []
-    for ax_a, ax_b in zip(a.axes, b.axes):
-        phase += int(_PHASE_EXP[ax_a, ax_b])
-        axes.append(ax_a ^ ax_b)
-    return PauliString(a.width, tuple(axes), phase % 4)
+    key, exponent = _string_products(_pack(a.axes), _pack(b.axes))
+    phase = a.phase_power + b.phase_power + int(exponent)
+    return PauliString(a.width, _unpack(key, a.width), phase % 4)
 
 
 def _tokens(axes: Iterable[int]) -> str:
@@ -150,23 +183,24 @@ def _fmt_coeff(c: complex) -> str:
     return f"({c.real:+.6f}{c.imag:+.6f}j)"
 
 
-def _encode(axes: np.ndarray, width: int) -> np.ndarray:
-    """Pack axis codes into one integer key per string (qubit 1 is the
-    most significant pair of bits), giving the canonical term order."""
-    shifts = 2 * (width - 1 - np.arange(width, dtype=np.int64))
-    return (axes.astype(np.int64) << shifts).sum(axis=1)
+def _prune(keys: np.ndarray, coeffs: np.ndarray):
+    """Drop coefficients below ``PRUNE_TOL``.  Adding +0.0 turns a -0.0
+    component into +0.0, as summing into a zeroed accumulator does, so a
+    merged and an unmerged path give bitwise-equal coefficients."""
+    keep = np.abs(coeffs) >= PRUNE_TOL
+    return keys[keep], coeffs[keep] + 0.0
 
 
-def _merge(width: int, axes: np.ndarray, coeffs: np.ndarray):
-    """Merge duplicate strings, prune tiny coefficients, sort canonically."""
-    if len(coeffs) == 0:
-        return axes.reshape(0, width).astype(np.uint8), coeffs.astype(complex)
-    keys = _encode(axes, width)
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    acc = np.zeros(len(uniq), dtype=complex)
-    np.add.at(acc, inverse, coeffs)
-    keep = np.abs(acc) >= PRUNE_TOL
-    return axes[first[keep]].astype(np.uint8), acc[keep]
+def _merge(keys: np.ndarray, coeffs: np.ndarray):
+    """Merge duplicate strings, prune tiny coefficients, sort canonically.
+
+    The sort is stable, so equal keys are summed in a fixed order."""
+    if len(keys) <= 1:
+        return _prune(keys, coeffs)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return _prune(keys[starts], np.add.reduceat(coeffs[order], starts))
 
 
 # Pair-product chunking bound: keeps the intermediate broadcast arrays small.
@@ -182,40 +216,39 @@ class OperatorSum:
     returns new values.
     """
 
-    __slots__ = ("_width", "_axes", "_coeffs")
+    __slots__ = ("_width", "_keys", "_coeffs")
 
     def __init__(self, width: int, terms: Iterable[tuple[PauliString | str, complex]] = ()):
         _check_width(width)
-        axes_rows = []
+        keys = []
         coeffs = []
         for string, coeff in terms:
             if isinstance(string, str):
                 string = PauliString.from_ops(width, string)
             if string.width != width:
                 raise ValueError(f"width mismatch: {string.width} != {width}")
-            axes_rows.append(string.axes)
+            keys.append(_pack(string.axes))
             coeffs.append(complex(coeff) * string.phase)
-        axes = np.array(axes_rows, dtype=np.uint8).reshape(len(axes_rows), width)
-        merged_axes, merged_coeffs = _merge(width, axes, np.array(coeffs, dtype=complex))
-        self._init_raw(width, merged_axes, merged_coeffs)
+        merged = _merge(np.array(keys, dtype=np.int64), np.array(coeffs, dtype=complex))
+        self._init_raw(width, *merged)
 
-    def _init_raw(self, width: int, axes: np.ndarray, coeffs: np.ndarray) -> None:
-        axes = np.ascontiguousarray(axes, dtype=np.uint8)
+    def _init_raw(self, width: int, keys: np.ndarray, coeffs: np.ndarray) -> None:
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
         coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-        axes.setflags(write=False)
+        keys.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "_width", width)
-        object.__setattr__(self, "_axes", axes)
+        object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorSum is immutable")
 
     @classmethod
-    def _raw(cls, width: int, axes: np.ndarray, coeffs: np.ndarray) -> "OperatorSum":
+    def _raw(cls, width: int, keys: np.ndarray, coeffs: np.ndarray) -> "OperatorSum":
         """Internal: wrap already-merged canonical arrays."""
         out = cls.__new__(cls)
-        out._init_raw(width, axes, coeffs)
+        out._init_raw(width, keys, coeffs)
         return out
 
     @classmethod
@@ -243,8 +276,8 @@ class OperatorSum:
 
     def iter_terms(self) -> Iterator[tuple[PauliString, complex]]:
         """Yield (phase-free string, coefficient) in canonical order."""
-        for row, coeff in zip(self._axes, self._coeffs):
-            yield PauliString(self._width, tuple(int(a) for a in row)), complex(coeff)
+        for key, coeff in zip(self._keys.tolist(), self._coeffs.tolist()):
+            yield PauliString(self._width, _unpack(key, self._width)), coeff
 
     def coefficient(self, string: PauliString | str) -> complex:
         """Coefficient of ``string`` (0 if absent); phases are divided out."""
@@ -252,10 +285,9 @@ class OperatorSum:
             string = PauliString.from_ops(self._width, string)
         if string.width != self._width:
             raise ValueError(f"width mismatch: {string.width} != {self._width}")
-        key = _encode(np.array([string.axes], dtype=np.uint8), self._width)[0]
-        keys = _encode(self._axes, self._width)
-        pos = np.searchsorted(keys, key)
-        if pos < len(keys) and keys[pos] == key:
+        key = _pack(string.axes)
+        pos = np.searchsorted(self._keys, key)
+        if pos < len(self._keys) and self._keys[pos] == key:
             return complex(self._coeffs[pos] / string.phase)
         return 0.0 + 0.0j
 
@@ -263,8 +295,8 @@ class OperatorSum:
         """Qubits (1-based) on which any term acts non-trivially."""
         if self.is_zero:
             return frozenset()
-        mask = (self._axes != Axis.I).any(axis=0)
-        return frozenset(int(q) + 1 for q in np.nonzero(mask)[0])
+        occupied = _unpack(int(np.bitwise_or.reduce(self._keys)), self._width)
+        return frozenset(q for q, code in enumerate(occupied, start=1) if code)
 
     def is_hermitian(self, atol: float = 1e-12) -> bool:
         if self.is_zero:
@@ -274,17 +306,13 @@ class OperatorSum:
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if not isinstance(other, OperatorSum):
             return NotImplemented
-        if other._width != self._width:
-            raise ValueError(f"width mismatch: {self._width} != {other._width}")
-        axes = np.concatenate([self._axes, other._axes], axis=0)
-        coeffs = np.concatenate([self._coeffs, other._coeffs])
-        return OperatorSum._raw(self._width, *_merge(self._width, axes, coeffs))
+        return linear_combination(self._width, [(1.0, self), (1.0, other)])
 
     def __sub__(self, other: "OperatorSum") -> "OperatorSum":
         return self + (-other)
 
     def __neg__(self) -> "OperatorSum":
-        return OperatorSum._raw(self._width, self._axes, -self._coeffs)
+        return OperatorSum._raw(self._width, self._keys, -self._coeffs)
 
     def __mul__(self, other):
         if isinstance(other, OperatorSum):
@@ -293,7 +321,7 @@ class OperatorSum:
             c = complex(other)
             if abs(c) < PRUNE_TOL:
                 return OperatorSum.zero(self._width)
-            return OperatorSum._raw(self._width, self._axes, self._coeffs * c)
+            return OperatorSum._raw(self._width, self._keys, self._coeffs * c)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -305,7 +333,7 @@ class OperatorSum:
         """Exact termwise equality (same strings, bitwise-equal coefficients)."""
         return (
             self._width == other._width
-            and np.array_equal(self._axes, other._axes)
+            and np.array_equal(self._keys, other._keys)
             and np.array_equal(self._coeffs, other._coeffs)
         )
 
@@ -315,13 +343,33 @@ class OperatorSum:
         if self.is_zero:
             return "0"
         lines = [
-            f"{_fmt_coeff(coeff)} * {_tokens(row)}"
-            for row, coeff in zip(self._axes, self._coeffs)
+            f"{_fmt_coeff(coeff)} * {_tokens(_unpack(key, self._width))}"
+            for key, coeff in zip(self._keys.tolist(), self._coeffs)
         ]
         return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"OperatorSum(width={self._width}, terms={len(self)})"
+
+
+def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]]) -> OperatorSum:
+    """sum_k c_k S_k over (c_k, S_k) pairs, merged once.
+
+    A single part is scaled and pruned without a merge, since its terms
+    are already distinct and canonically ordered.
+    """
+    parts = list(parts)
+    for _, part in parts:
+        if part._width != width:
+            raise ValueError(f"width mismatch: {part._width} != {width}")
+    if not parts:
+        return OperatorSum.zero(width)
+    if len(parts) == 1:
+        coeff, part = parts[0]
+        return OperatorSum._raw(width, *_prune(part._keys, coeff * part._coeffs))
+    keys = np.concatenate([part._keys for _, part in parts])
+    coeffs = np.concatenate([coeff * part._coeffs for coeff, part in parts])
+    return OperatorSum._raw(width, *_merge(keys, coeffs))
 
 
 def _sum_multiply(a: OperatorSum, b: OperatorSum) -> OperatorSum:
@@ -333,22 +381,20 @@ def _sum_multiply(a: OperatorSum, b: OperatorSum) -> OperatorSum:
         return OperatorSum.zero(width)
 
     chunk = max(1, _PAIR_CHUNK // mb)
-    partial_axes = []
+    partial_keys = []
     partial_coeffs = []
     for start in range(0, ma, chunk):
-        rows_a = a._axes[start : start + chunk]
-        coeffs_a = a._coeffs[start : start + chunk]
-        axes = (rows_a[:, None, :] ^ b._axes[None, :, :]).reshape(-1, width)
-        exponents = _PHASE_EXP[rows_a[:, None, :], b._axes[None, :, :]].sum(axis=2) % 4
-        coeffs = (coeffs_a[:, None] * b._coeffs[None, :]) * _I_POWERS[exponents]
-        m_axes, m_coeffs = _merge(width, axes, coeffs.reshape(-1))
-        partial_axes.append(m_axes)
+        keys, exponents = _string_products(a._keys[start : start + chunk, None], b._keys[None, :])
+        coeffs_a = a._coeffs[start : start + chunk, None]
+        coeffs = (coeffs_a * b._coeffs[None, :]) * _I_POWERS[exponents]
+        m_keys, m_coeffs = _merge(keys.reshape(-1), coeffs.reshape(-1))
+        partial_keys.append(m_keys)
         partial_coeffs.append(m_coeffs)
-    if len(partial_axes) == 1:
-        return OperatorSum._raw(width, partial_axes[0], partial_coeffs[0])
-    axes = np.concatenate(partial_axes, axis=0)
+    if len(partial_keys) == 1:
+        return OperatorSum._raw(width, partial_keys[0], partial_coeffs[0])
+    keys = np.concatenate(partial_keys)
     coeffs = np.concatenate(partial_coeffs)
-    return OperatorSum._raw(width, *_merge(width, axes, coeffs))
+    return OperatorSum._raw(width, *_merge(keys, coeffs))
 
 
 def expectation_in_all_zeros(op: OperatorSum) -> complex:
@@ -359,9 +405,9 @@ def expectation_in_all_zeros(op: OperatorSum) -> complex:
     """
     if op.is_zero:
         return 0.0 + 0.0j
-    has_xy = ((op._axes == Axis.X) | (op._axes == Axis.Y)).any(axis=1)
-    z_parity = (op._axes == Axis.Z).sum(axis=1) % 2
-    signs = np.where(has_xy, 0.0, np.where(z_parity == 1, -1.0, 1.0))
+    x, z = _x_z(op._keys)
+    z_parity = np.bitwise_count(z) & 1
+    signs = np.where(x != 0, 0.0, np.where(z_parity == 1, -1.0, 1.0))
     return complex((op._coeffs * signs).sum())
 
 

@@ -68,7 +68,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     psi = np.moveaxis(psi, range(k), axes)
     out = psi.reshape(-1)
     norm = np.linalg.norm(out)
-    assert abs(norm - 1.0) <= NORM_ATOL, "gate application drifted the norm"
+    if not abs(norm - 1.0) <= NORM_ATOL:
+        raise AssertionError("gate application drifted the norm")
     return StateVector(state.width, out)
 
 
@@ -98,7 +99,8 @@ def expectation(state: StateVector, op: OperatorSum, atol: float = 1e-12) -> flo
     value = 0.0 + 0.0j
     for string, coeff in op.iter_terms():
         value += coeff * np.vdot(state.amplitudes, _apply_string(state.amplitudes, state.width, string.axes))
-    assert abs(value.imag) <= max(atol, 1e-10), "Hermitian expectation came out complex"
+    if not abs(value.imag) <= max(atol, 1e-10):
+        raise AssertionError("Hermitian expectation came out complex")
     return float(value.real)
 
 

@@ -33,7 +33,7 @@ class TestParseAngle:
     def test_accepted_forms(self, text, value):
         assert cli.parse_angle(text) == pytest.approx(value)
 
-    @pytest.mark.parametrize("text", ["abc", "pi/x", "1.2.3"])
+    @pytest.mark.parametrize("text", ["abc", "pi/x", "1.2.3", "nan", "1e400", "-inf", "1e400pi"])
     def test_rejected_forms(self, text):
         import argparse
 
@@ -96,6 +96,26 @@ class TestEpr:
         with pytest.raises(SystemExit) as exc:
             cli.main(["epr", "abc", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epr", "nan", "0"],
+            ["epr", "1e400", "0"],
+            ["chsh", "0", "inf", "0", "0"],
+            ["chsh", "--scan", "0.3"],
+            ["chsh", "--scan", "0"],
+            ["chsh", "--scan", "7", "--degrees"],
+        ],
+    )
+    def test_bad_number_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("qpictures") and ": error: " in last
 
     def test_csv_format(self, capsys):
         code, out = run_cli(capsys, "epr", "0.3", "0.3", "--format", "csv")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpictures import (
     Axis,
@@ -25,6 +27,7 @@ from qpictures import (
 )
 from qpictures.dense import conjugated_observable, heisenberg_descriptor, operator_matrix
 from qpictures.heisenberg import TermGrowthError
+from qpictures.pauli import PRUNE_TOL
 
 ENTANGLER = (hadamard(3), cnot(2, 3))  # four-qubit context: H on Q3, CN target Q2
 
@@ -210,3 +213,32 @@ class TestEvolutionProperties:
         ds = evolve_circuit(init_descriptors(width), random_circuit(width, 10, rng))
         for qubit in range(1, width + 1):
             assert isclose(ds.z(qubit) * ds.z(qubit), OperatorSum.identity(width), atol=1e-10)
+
+
+@st.composite
+def circuits_with_special_rotations(draw):
+    """A seeded random circuit with R at special angles spliced in:
+    0, pi/2 and pi give one-string rotation images, and two R(pi/4) on one
+    qubit cancel a term down to rounding error, which must be pruned."""
+    width = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = list(random_circuit(width, draw(st.integers(1, 10)), rng))
+    for _ in range(draw(st.integers(0, 4))):
+        angle = draw(st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi]))
+        gate = analyzer_rotation(draw(st.integers(1, width)), angle)
+        gates.insert(draw(st.integers(0, len(gates))), gate)
+    return width, gates
+
+
+@given(circuits_with_special_rotations())
+def test_descriptors_stay_canonical_after_every_step(circuit):
+    width, gates = circuit
+    ds = init_descriptors(width)
+    for gate in gates:
+        ds = evolve(ds, gate)
+        for _, op in ds.items():
+            terms = list(op.iter_terms())
+            # axis tuples sort like the packed keys: qubit 1 first, I < X < Y < Z
+            axes = [string.axes for string, _ in terms]
+            assert all(a < b for a, b in zip(axes, axes[1:]))
+            assert all(abs(coeff) >= PRUNE_TOL for _, coeff in terms)

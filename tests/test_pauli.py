@@ -16,6 +16,34 @@ from qpictures import (
     multiply_strings,
 )
 from qpictures.dense import operator_matrix, string_matrix
+from qpictures import pauli
+from qpictures.pauli import MAX_WIDTH
+
+# _PHASE_EXP[a, b] = k such that sigma_a sigma_b = i**k sigma_(a XOR b):
+# the per-qubit table the packed kernel is checked against.
+_PHASE_EXP = (
+    (0, 0, 0, 0),
+    (0, 0, 1, 3),
+    (0, 3, 0, 1),
+    (0, 1, 3, 0),
+)
+
+
+def _loop_string_product(a: PauliString, b: PauliString) -> tuple[tuple[int, ...], int]:
+    """Axes and phase power of a*b, one qubit at a time."""
+    axes = tuple(x ^ y for x, y in zip(a.axes, b.axes))
+    power = a.phase_power + b.phase_power + sum(_PHASE_EXP[x][y] for x, y in zip(a.axes, b.axes))
+    return axes, power % 4
+
+
+def _loop_sum_product(a: OperatorSum, b: OperatorSum) -> OperatorSum:
+    """Product of two sums over all term pairs, collected in a dict."""
+    acc = {}
+    for sa, ca in a.iter_terms():
+        for sb, cb in b.iter_terms():
+            axes, power = _loop_string_product(sa, sb)
+            acc[axes] = acc.get(axes, 0) + ca * cb * 1j**power
+    return OperatorSum(a.width, [(PauliString(a.width, axes), c) for axes, c in acc.items()])
 
 
 @st.composite
@@ -94,6 +122,44 @@ class TestMultiplyStrings:
         got = string_matrix(multiply_strings(a, b))
         want = string_matrix(a) @ string_matrix(b)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@st.composite
+def wide_sums(draw, count=2, max_terms=6):
+    """Sums at MAX_WIDTH, where packed keys use all 40 bits."""
+    sums = []
+    for _ in range(count):
+        terms = []
+        for _ in range(draw(st.integers(1, max_terms))):
+            axes = tuple(draw(st.integers(0, 3)) for _ in range(MAX_WIDTH))
+            coeff = complex(draw(st.floats(0.5, 2)), draw(st.floats(-2, 2)))
+            terms.append((PauliString(MAX_WIDTH, axes, draw(st.integers(0, 3))), coeff))
+        sums.append(OperatorSum(MAX_WIDTH, terms))
+    return sums
+
+
+class TestWideProduct:
+    """The dense oracle stops near width 4; at MAX_WIDTH the packed product
+    is checked against the per-qubit loop."""
+
+    @given(string_tuples(count=2, max_width=MAX_WIDTH))
+    def test_string_product_matches_loop(self, strings):
+        a, b = strings
+        out = multiply_strings(a, b)
+        assert (out.axes, out.phase_power) == _loop_string_product(a, b)
+
+    # A chunk of 1 multiplies one term of the left factor at a time, so the
+    # partial products go through the final merge.
+    @pytest.mark.parametrize("chunk", [pauli._PAIR_CHUNK, 1])
+    @given(sums=wide_sums())
+    def test_sum_product_matches_loop(self, chunk, sums):
+        a, b = sums
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pauli, "_PAIR_CHUNK", chunk)
+            got = a * b
+        want = _loop_sum_product(a, b)
+        assert [s for s, _ in got.iter_terms()] == [s for s, _ in want.iter_terms()]
+        assert max_term_deviation(got, want) <= 1e-12
 
 
 class TestOperatorSum:
