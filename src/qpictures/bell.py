@@ -5,6 +5,9 @@ correlation of two +/-1-valued observables, so the standard CHSH
 combination applies; at the canonical pi/4 spacing it reaches 2*sqrt(2),
 violating the local bound of 2 with no comparison gate anywhere in
 sight.
+
+Every correlation a CHSH value or a scan needs comes from one batched
+simulation of all the angle pairs involved.
 """
 from __future__ import annotations
 
@@ -12,18 +15,27 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .experiment import ExperimentConfig, correlation_t2
+import numpy as np
+
+from .experiment import ExperimentConfig, correlation_t2, simulate
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 CANONICAL_SETTING_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
+# A scan takes at most this many angles per arm: 32**4 = 1048576 settings
+# from 32**2 = 1024 simulated angle pairs, a step of pi/16.
+MAX_SCAN_ANGLES = 32
 
-def correlation(theta: float, phi: float, atol: float = 1e-10) -> float:
+
+def correlation(theta, phi, atol: float = 1e-10):
     """E(theta, phi) at t=2, verified against cos(theta - phi) and the
-    statevector oracle before being returned."""
-    result = correlation_t2(ExperimentConfig(theta, phi)).require_agreement(atol)
-    return result.heisenberg
+    statevector oracle before being returned.  Equal-length sequences of
+    angles give an array with one value per (theta, phi) pair."""
+    thetas, phis = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    run = simulate(ExperimentConfig(float(t), float(p)) for t, p in zip(thetas.ravel(), phis.ravel()))
+    values = correlation_t2(run).require_agreement(atol).heisenberg
+    return float(values[0]) if thetas.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -62,10 +74,10 @@ class ChshResult:
 
 def chsh(setting: ChshSetting) -> ChshResult:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    e_ab = correlation(setting.a, setting.b)
-    e_ab_prime = correlation(setting.a, setting.b_prime)
-    e_a_prime_b = correlation(setting.a_prime, setting.b)
-    e_a_prime_b_prime = correlation(setting.a_prime, setting.b_prime)
+    e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime = correlation(
+        [setting.a, setting.a, setting.a_prime, setting.a_prime],
+        [setting.b, setting.b_prime, setting.b, setting.b_prime],
+    ).tolist()
     s = e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime
     if not abs(s) <= TSIRELSON + 1e-9:
         raise AssertionError("CHSH value exceeded the quantum bound")
@@ -89,10 +101,17 @@ class ScanResult:
 
 def scan_grid(resolution: float) -> list[float]:
     """Analyzer angles of a CHSH scan: the multiples of ``resolution`` in
-    [0, 2pi).  ``resolution`` must be positive and divide pi."""
+    [0, 2pi).  ``resolution`` must be positive, divide pi and give at most
+    ``MAX_SCAN_ANGLES`` angles; all of this is checked before any work."""
     if resolution <= 0:
         raise ValueError("scan resolution must be positive")
     ratio = math.pi / resolution
+    # Negated, so an infinite ratio (a subnormal step) is rejected too.
+    if not 2 * ratio < MAX_SCAN_ANGLES + 0.5:
+        raise ValueError(
+            f"scan resolution {resolution!r} gives more than {MAX_SCAN_ANGLES} angles "
+            f"per arm; the finest step is pi/{MAX_SCAN_ANGLES // 2}"
+        )
     if abs(ratio - round(ratio)) > 1e-9:
         raise ValueError(f"scan resolution {resolution!r} does not divide pi")
     count = int(round(2 * ratio))
@@ -101,16 +120,25 @@ def scan_grid(resolution: float) -> list[float]:
     return [k * resolution for k in range(count)]
 
 
+def _correlation_table(angles: list[float]) -> dict[tuple[float, float], float]:
+    """E(x, y) for every pair of scan angles, from one batched simulation.
+    Only pairwise correlations enter S, so a scan tabulates these once."""
+    pairs = list(product(angles, repeat=2))
+    values = correlation([x for x, _ in pairs], [y for _, y in pairs]).tolist()
+    return dict(zip(pairs, values))
+
+
+def _settings(angles: list[float], corr: dict[tuple[float, float], float]):
+    for a, a_prime, b, b_prime in product(angles, repeat=4):
+        s = corr[(a, b)] - corr[(a, b_prime)] + corr[(a_prime, b)] + corr[(a_prime, b_prime)]
+        yield a, a_prime, b, b_prime, s
+
+
 def scan_rows(resolution: float):
     """Yield (a, a', b, b', S) for every setting on the scan grid, in
     lexicographic angle order."""
     angles = scan_grid(resolution)
-    # Only pairwise correlations enter S: tabulate those once, then
-    # combine for every four-angle setting.
-    corr = {(x, y): correlation(x, y) for x, y in product(angles, repeat=2)}
-    for a, a_prime, b, b_prime in product(angles, repeat=4):
-        s = corr[(a, b)] - corr[(a, b_prime)] + corr[(a_prime, b)] + corr[(a_prime, b_prime)]
-        yield a, a_prime, b, b_prime, s
+    yield from _settings(angles, _correlation_table(angles))
 
 
 def chsh_scan(resolution: float) -> ScanResult:
@@ -119,20 +147,21 @@ def chsh_scan(resolution: float) -> ScanResult:
     ``resolution`` must divide pi.  Ties are broken towards the
     lexicographically smallest angle tuple, so output is deterministic.
     """
+    angles = scan_grid(resolution)
+    corr = _correlation_table(angles)
     best = None
     evaluated = 0
-    for a, a_prime, b, b_prime, s in scan_rows(resolution):
+    for a, a_prime, b, b_prime, s in _settings(angles, corr):
         evaluated += 1
         if best is None or abs(s) > abs(best[0]):
             best = (s, (a, a_prime, b, b_prime))
-    s, tup = best
-    setting = ChshSetting(*tup)
+    s, (a, a_prime, b, b_prime) = best
     result = ChshResult(
-        setting,
-        correlation(setting.a, setting.b),
-        correlation(setting.a, setting.b_prime),
-        correlation(setting.a_prime, setting.b),
-        correlation(setting.a_prime, setting.b_prime),
+        ChshSetting(a, a_prime, b, b_prime),
+        corr[(a, b)],
+        corr[(a, b_prime)],
+        corr[(a_prime, b)],
+        corr[(a_prime, b_prime)],
         s,
         violates=abs(s) > 2.0 + 1e-12,
     )

@@ -7,8 +7,11 @@ grid), ``chsh`` (one setting or an exhaustive scan), ``picture-check``
 
 Angles are radians unless ``--degrees`` is given; ``pi`` expressions
 such as ``pi/4`` or ``3pi/4`` are accepted.  Exit codes: 0 success,
-1 failed check, 2 usage error.  All output is plain ASCII; JSON floats
-carry 12 significant digits, human tables 6.
+1 failed check, 2 usage error.  Work is bounded before it starts: a sweep
+takes at most ``experiment.MAX_BATCH`` points and a scan at most
+``bell.MAX_SCAN_ANGLES`` angles per arm, and a larger grid is a usage
+error.  All output is plain ASCII; JSON floats carry 12 significant
+digits, human tables 6.
 """
 from __future__ import annotations
 
@@ -22,9 +25,12 @@ import sys
 
 from .bell import ChshSetting, TSIRELSON, chsh, chsh_scan, scan_grid, scan_rows
 from .experiment import (
+    MAX_BATCH,
     ExperimentConfig,
+    ExperimentReport,
     descriptors_at_t2,
-    pre_vs_post_report,
+    reports,
+    simulate,
     state_at,
     sweep_reports,
 )
@@ -132,20 +138,20 @@ def cmd_verify(args) -> int:
 
 
 def _report_rows(reports):
-    from .experiment import ExperimentReport
-
     header = list(ExperimentReport.CSV_FIELDS)
-    rows = [[report.to_dict()[key] for key in header] for report in reports]
+    rows = [list(report.to_dict().values()) for report in reports]
     return header, rows
 
 
 def cmd_epr(args) -> int:
     cfg = ExperimentConfig(_scale(args.theta, args.degrees), _scale(args.phi, args.degrees))
-    report = pre_vs_post_report(cfg)
+    # One run serves the report, the descriptors and the state dump.
+    run = simulate([cfg])
+    report = reports(run)[0]
+    qz2, qz3 = (op.column(0) for op in descriptors_at_t2(run))
     data = report.to_dict()
     if args.format == "json":
         if args.show_descriptors:
-            qz2, qz3 = descriptors_at_t2(cfg)
             data["descriptor_qz2_t2"] = qz2.render().split("\n")
             data["descriptor_qz3_t2"] = qz3.render().split("\n")
         _emit(json.dumps(_json_floats(data), indent=2), args.out)
@@ -167,14 +173,13 @@ def cmd_epr(args) -> int:
                      f"{data['delta_p_joint_t2']:.3g}, {data['delta_corr_t2']:.3g}, "
                      f"{data['delta_p_diff_t4']:.3g}")
         if args.show_descriptors:
-            qz2, qz3 = descriptors_at_t2(cfg)
             lines.append("q_z2(t=2):")
             lines.extend("  " + line for line in qz2.render().split("\n"))
             lines.append("q_z3(t=2):")
             lines.extend("  " + line for line in qz3.render().split("\n"))
         _emit("\n".join(lines), args.out)
     if args.dump_state is not None:
-        sys.stdout.write(dump_csv(state_at(cfg, args.dump_state)))
+        sys.stdout.write(dump_csv(state_at(run, args.dump_state).row(0)))
     return 0
 
 
@@ -194,10 +199,10 @@ def cmd_chsh(args) -> int:
     if args.scan is not None:
         resolution = _scale(args.scan, args.degrees)
         if args.format == "csv":
-            rows = [
+            rows = (
                 [a, ap, b, bp, s, int(abs(s) > 2.0 + 1e-12)]
                 for a, ap, b, bp, s in scan_rows(resolution)
-            ]
+            )
             _emit(_csv_text(_CHSH_CSV_HEADER, rows), args.out)
             return 0
         result = chsh_scan(resolution)
@@ -331,8 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep" and args.grid_points < 2:
-        parser.error("grid_points must be at least 2")
+    if args.command == "sweep":
+        if args.grid_points < 2:
+            parser.error("grid_points must be at least 2")
+        if args.grid_points > MAX_BATCH:
+            parser.error(f"grid_points must be at most {MAX_BATCH}")
     if args.command == "chsh":
         if args.scan is None and len(args.angles) != 4:
             parser.error("provide four angles (a a' b b') or --scan STEP")

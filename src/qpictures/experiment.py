@@ -13,12 +13,23 @@ Every reported quantity is computed three ways: closed form, Heisenberg
 descriptors, and the dense statevector oracle.  The headline result is
 that the t=2 joint statistics already carry the full angle dependence --
 before the comparison step ever runs.
+
+``simulate(configs)`` evolves the timeline once for a whole batch of
+angle pairs: the analyzer rotations carry one angle per pair, so states
+have one row and descriptors one coefficient column per pair, while the
+gate list and the Pauli strings are shared.  The result is a ``Run``, and
+every quantity is a vectorised function of a Run.  Given a single
+``ExperimentConfig`` instead, a quantity simulates that pair as a batch
+of one and returns plain floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import states
 from .gates import Gate, analyzer_rotation, cnot, hadamard
@@ -35,6 +46,10 @@ N_QUBITS = 4
 RECORD_A, SYSTEM_A, SYSTEM_B, RECORD_B = 1, 2, 3, 4
 
 ENGINE_ATOL = 1e-10
+
+# The most angle pairs one simulate call evolves.  A run keeps about 2 KB
+# of states and descriptors per pair, so this bounds a run near 10 MB.
+MAX_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -69,48 +84,100 @@ class Timeline:
         return self.gates_through(len(self.steps))
 
 
-def build_timeline(cfg: ExperimentConfig) -> Timeline:
+def build_timeline(cfg: ExperimentConfig | Sequence[ExperimentConfig]) -> Timeline:
+    """The timeline of one config, or of a batch of configs: then each
+    analyzer rotation holds one angle per config."""
+    if isinstance(cfg, ExperimentConfig):
+        theta, phi = cfg.theta, cfg.phi
+    else:
+        theta, phi = [c.theta for c in cfg], [c.phi for c in cfg]
     return Timeline(
         (
             (hadamard(SYSTEM_B), cnot(SYSTEM_A, SYSTEM_B)),
-            (analyzer_rotation(SYSTEM_A, cfg.theta), analyzer_rotation(SYSTEM_B, cfg.phi)),
+            (analyzer_rotation(SYSTEM_A, theta), analyzer_rotation(SYSTEM_B, phi)),
             (cnot(RECORD_A, SYSTEM_A), cnot(RECORD_B, SYSTEM_B)),
             (cnot(RECORD_A, RECORD_B),),
         )
     )
 
 
-def _evolution(cfg: ExperimentConfig):
-    """States and descriptor sets keyed by timeline step 0..4."""
-    timeline = build_timeline(cfg)
-    state = new_all_zeros(N_QUBITS)
+def _evolution(configs: tuple[ExperimentConfig, ...]):
+    """States and descriptor sets per timeline step 0..4, for every config
+    at once."""
+    timeline = build_timeline(configs)
+    state = StateVector(N_QUBITS, np.tile(new_all_zeros(N_QUBITS).amplitudes, (len(configs), 1)))
     ds = init_descriptors(N_QUBITS)
-    state_by_step = {0: state}
-    ds_by_step = {0: ds}
-    for step, segment in enumerate(timeline.steps, start=1):
+    state_by_step = [state]
+    ds_by_step = [ds]
+    for segment in timeline.steps:
         for gate in segment:
             state = apply_gate(state, gate)
             ds = evolve(ds, gate)
-        state_by_step[step] = state
-        ds_by_step[step] = ds
-    return state_by_step, ds_by_step
+        state_by_step.append(state)
+        ds_by_step.append(ds)
+    return tuple(state_by_step), tuple(ds_by_step)
 
 
-def state_at(cfg: ExperimentConfig, step: int) -> StateVector:
-    return _evolution(cfg)[0][step]
+@dataclass(frozen=True)
+class Run:
+    """One evolution of the timeline for a batch of angle pairs.
+
+    ``states[t]`` holds one row of amplitudes per config after step t.
+    ``descriptors[t]`` is the descriptor set after step t; its sums carry
+    one coefficient column per config from the analyzer step on, and none
+    before it, where nothing depends on the angles.
+    """
+
+    configs: tuple[ExperimentConfig, ...]
+    states: tuple[StateVector, ...]
+    descriptors: tuple[DescriptorSet, ...]
+
+    def __len__(self) -> int:
+        return len(self.configs)
 
 
-def descriptors_at(cfg: ExperimentConfig, step: int) -> DescriptorSet:
-    return _evolution(cfg)[1][step]
+def simulate(configs: Iterable[ExperimentConfig]) -> Run:
+    """Evolve the timeline for every config at once, in both pictures."""
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("simulate needs at least one angle pair")
+    if len(configs) > MAX_BATCH:
+        raise ValueError(f"{len(configs)} angle pairs exceed the limit of {MAX_BATCH} per run")
+    state_by_step, ds_by_step = _evolution(configs)
+    return Run(configs, state_by_step, ds_by_step)
 
 
-def descriptors_at_t2(cfg: ExperimentConfig) -> tuple[OperatorSum, OperatorSum]:
+def _as_run(source: Run | ExperimentConfig) -> Run:
+    return source if isinstance(source, Run) else simulate([source])
+
+
+def _per_config(source: Run | ExperimentConfig, f):
+    """f(cfg) for one config, or an array of f over a Run's configs."""
+    if isinstance(source, Run):
+        return np.array([f(cfg) for cfg in source.configs])
+    return f(source)
+
+
+def state_at(source: Run | ExperimentConfig, step: int) -> StateVector:
+    """State after ``step``: one row per config of a Run, or the single
+    state of one config."""
+    state = _as_run(source).states[step]
+    return state if isinstance(source, Run) else state.row(0)
+
+
+def descriptors_at(source: Run | ExperimentConfig, step: int) -> DescriptorSet:
+    """Descriptor set after ``step``, batched over a Run's configs."""
+    ds = _as_run(source).descriptors[step]
+    return ds if isinstance(source, Run) else ds.column(0)
+
+
+def descriptors_at_t2(source: Run | ExperimentConfig) -> tuple[OperatorSum, OperatorSum]:
     """(q_z of Q2, q_z of Q3) after the analyzer rotations."""
-    ds = descriptors_at(cfg, 2)
+    ds = descriptors_at(source, 2)
     return ds.z(SYSTEM_A), ds.z(SYSTEM_B)
 
 
-def closed_form_descriptors_t2(cfg: ExperimentConfig) -> tuple[OperatorSum, OperatorSum]:
+def closed_form_descriptors_t2(source: Run | ExperimentConfig) -> tuple[OperatorSum, OperatorSum]:
     """The expected two-term descriptors at t=2:
 
     q_z2 = sin(theta) Y2 X3 - cos(theta) Z2 X3
@@ -118,124 +185,142 @@ def closed_form_descriptors_t2(cfg: ExperimentConfig) -> tuple[OperatorSum, Oper
     """
     qz2 = OperatorSum(
         N_QUBITS,
-        [("Y2 X3", math.sin(cfg.theta)), ("Z2 X3", -math.cos(cfg.theta))],
+        [
+            ("Y2 X3", _per_config(source, lambda c: math.sin(c.theta))),
+            ("Z2 X3", _per_config(source, lambda c: -math.cos(c.theta))),
+        ],
     )
     qz3 = OperatorSum(
         N_QUBITS,
-        [("X3", math.cos(cfg.phi)), ("X2 Y3", math.sin(cfg.phi))],
+        [
+            ("X3", _per_config(source, lambda c: math.cos(c.phi))),
+            ("X2 Y3", _per_config(source, lambda c: math.sin(c.phi))),
+        ],
     )
     return qz2, qz3
 
 
 @dataclass(frozen=True)
 class BothPictures:
-    """One quantity computed in closed form and by both engines."""
+    """One quantity computed in closed form and by both engines: floats, or
+    arrays with one value per config of a Run."""
 
-    closed: float
-    heisenberg: float
-    schrodinger: float
+    closed: float | np.ndarray
+    heisenberg: float | np.ndarray
+    schrodinger: float | np.ndarray
 
     @property
-    def engine_delta(self) -> float:
+    def engine_delta(self):
         return abs(self.heisenberg - self.schrodinger)
 
     @property
-    def closed_deviation(self) -> float:
-        return max(abs(self.heisenberg - self.closed), abs(self.schrodinger - self.closed))
+    def closed_deviation(self):
+        return np.maximum(abs(self.heisenberg - self.closed), abs(self.schrodinger - self.closed))
+
+    def column(self, j: int) -> "BothPictures":
+        """The values of config ``j`` of a Run, as floats."""
+        return BothPictures(float(self.closed[j]), float(self.heisenberg[j]), float(self.schrodinger[j]))
 
     def require_agreement(self, atol: float = ENGINE_ATOL) -> "BothPictures":
-        if self.closed_deviation > atol or self.engine_delta > atol:
+        failed = np.flatnonzero((self.closed_deviation > atol) | (self.engine_delta > atol))
+        if len(failed):
+            at = self if np.ndim(self.closed) == 0 else self.column(int(failed[0]))
             raise AssertionError(
-                f"engine disagreement: closed={self.closed!r} "
-                f"heisenberg={self.heisenberg!r} schrodinger={self.schrodinger!r}"
+                f"engine disagreement: closed={at.closed!r} "
+                f"heisenberg={at.heisenberg!r} schrodinger={at.schrodinger!r}"
             )
         return self
 
 
-def _zz_product(ds: DescriptorSet, q_a: int, q_b: int) -> float:
+def _scalar_if_config(source: Run | ExperimentConfig, result: BothPictures) -> BothPictures:
+    return result if isinstance(source, Run) else result.column(0)
+
+
+def _zz_product(ds: DescriptorSet, q_a: int, q_b: int):
     return descriptor_expectation(ds.z(q_a) * ds.z(q_b))
 
 
-def _correlation(cfg, state_by_step, ds_by_step) -> BothPictures:
-    heis = _zz_product(ds_by_step[2], SYSTEM_A, SYSTEM_B)
+def _correlation(run: Run) -> BothPictures:
+    heis = _zz_product(run.descriptors[2], SYSTEM_A, SYSTEM_B)
     zz = OperatorSum(N_QUBITS, [("Z2 Z3", 1.0)])
-    schro = states.expectation(state_by_step[2], zz)
-    return BothPictures(math.cos(cfg.difference), heis, schro)
+    schro = states.expectation(run.states[2], zz)
+    return BothPictures(_per_config(run, lambda c: math.cos(c.difference)), heis, schro)
 
 
-def _joint_prob(cfg, state_by_step, ds_by_step) -> BothPictures:
-    ds = ds_by_step[2]
+def _joint_prob(run: Run) -> BothPictures:
+    ds = run.descriptors[2]
     heis = 0.25 * (
         1.0
         + descriptor_expectation(ds.z(SYSTEM_A))
         + descriptor_expectation(ds.z(SYSTEM_B))
         + _zz_product(ds, SYSTEM_A, SYSTEM_B)
     )
-    schro = joint_probability(state_by_step[2], {SYSTEM_A: 1, SYSTEM_B: 1})
-    closed = 0.5 * math.cos(cfg.difference / 2) ** 2
+    schro = joint_probability(run.states[2], {SYSTEM_A: 1, SYSTEM_B: 1})
+    closed = _per_config(run, lambda c: 0.5 * math.cos(c.difference / 2) ** 2)
     return BothPictures(closed, heis, schro)
 
 
-def _linear_terms(ds_by_step) -> tuple[float, float]:
-    ds = ds_by_step[2]
+def _linear_terms(run: Run) -> tuple[np.ndarray, np.ndarray]:
+    ds = run.descriptors[2]
     return (
         descriptor_expectation(ds.z(SYSTEM_A)),
         descriptor_expectation(ds.z(SYSTEM_B)),
     )
 
 
-def _p_diff(cfg, state_by_step, ds_by_step) -> BothPictures:
-    heis = 0.5 - 0.5 * _zz_product(ds_by_step[3], RECORD_A, RECORD_B)
-    direct = 0.5 + 0.5 * descriptor_expectation(ds_by_step[4].z(RECORD_A))
-    if not abs(heis - direct) <= 1e-12:
+def _p_diff(run: Run) -> BothPictures:
+    heis = 0.5 - 0.5 * _zz_product(run.descriptors[3], RECORD_A, RECORD_B)
+    direct = 0.5 + 0.5 * descriptor_expectation(run.descriptors[4].z(RECORD_A))
+    if not np.all(abs(heis - direct) <= 1e-12):
         raise AssertionError("record-product and direct descriptor routes split")
-    schro = joint_probability(state_by_step[4], {RECORD_A: 1})
-    closed = math.sin(cfg.difference / 2) ** 2
+    schro = joint_probability(run.states[4], {RECORD_A: 1})
+    closed = _per_config(run, lambda c: math.sin(c.difference / 2) ** 2)
     return BothPictures(closed, heis, schro)
 
 
-def _record_marginal(state_by_step, ds_by_step) -> BothPictures:
-    heis = 0.5 + 0.5 * descriptor_expectation(ds_by_step[3].z(RECORD_A))
-    schro = joint_probability(state_by_step[3], {RECORD_A: 1})
-    return BothPictures(0.5, heis, schro)
+def _record_marginal(run: Run) -> BothPictures:
+    heis = 0.5 + 0.5 * descriptor_expectation(run.descriptors[3].z(RECORD_A))
+    schro = joint_probability(run.states[3], {RECORD_A: 1})
+    return BothPictures(np.full(len(run), 0.5), heis, schro)
 
 
-def correlation_t2(cfg: ExperimentConfig) -> BothPictures:
+def correlation_t2(source: Run | ExperimentConfig) -> BothPictures:
     """<q_z2 q_z3> at t=2; closed form cos(theta - phi)."""
-    return _correlation(cfg, *_evolution(cfg))
+    return _scalar_if_config(source, _correlation(_as_run(source)))
 
 
-def joint_prob_both_one_at_t2(cfg: ExperimentConfig) -> BothPictures:
+def joint_prob_both_one_at_t2(source: Run | ExperimentConfig) -> BothPictures:
     """P(Q2 and Q3 both read |1>) at t=2; closed form cos^2((theta-phi)/2)/2.
 
     The descriptor route expands the projector product
     (1 + q_z2)(1 + q_z3)/4, whose linear terms vanish.
     """
-    return _joint_prob(cfg, *_evolution(cfg))
+    return _scalar_if_config(source, _joint_prob(_as_run(source)))
 
 
-def linear_terms_t2(cfg: ExperimentConfig) -> tuple[float, float]:
+def linear_terms_t2(source: Run | ExperimentConfig) -> tuple:
     """(<q_z2>, <q_z3>) at t=2; both vanish for every angle pair."""
-    return _linear_terms(_evolution(cfg)[1])
+    lin2, lin3 = _linear_terms(_as_run(source))
+    return (lin2, lin3) if isinstance(source, Run) else (float(lin2[0]), float(lin3[0]))
 
 
-def prob_outcomes_differ_at_t4(cfg: ExperimentConfig) -> BothPictures:
+def prob_outcomes_differ_at_t4(source: Run | ExperimentConfig) -> BothPictures:
     """P(Q1 reads |1> after the comparison step), i.e. the two records
     disagreed; closed form sin^2((theta-phi)/2).
 
     Descriptor route: <z1(4)> = 1/2 - 1/2 <q_z1(3) q_z4(3)>, cross-checked
     against the direct t=4 descriptor of Q1.
     """
-    return _p_diff(cfg, *_evolution(cfg))
+    return _scalar_if_config(source, _p_diff(_as_run(source)))
 
 
-def record_marginal_t3(cfg: ExperimentConfig) -> BothPictures:
+def record_marginal_t3(source: Run | ExperimentConfig) -> BothPictures:
     """P(Q1 reads |1>) at t=3, before the comparison gate.
 
     Constant 1/2: the local record marginal carries no information about
     the distant analyzer angle (no signaling).
     """
-    return _record_marginal(*_evolution(cfg))
+    return _scalar_if_config(source, _record_marginal(_as_run(source)))
 
 
 # Candidate closed forms for the t=4 disagreement probability.  Only the
@@ -291,14 +376,13 @@ def sign_error_audit(grid: Iterable, atol: float = ENGINE_ATOL) -> SignErrorAudi
     configs = [_as_config(p) for p in grid]
     if not configs:
         raise ValueError("audit grid is empty")
+    p_diff = _p_diff(simulate(configs)).require_agreement(atol)
 
     names = list(CANDIDATE_FORMULAS)
     separated = {(a, b): False for i, a in enumerate(names) for b in names[i + 1 :]}
     points = []
     max_dev = {name: 0.0 for name in names}
-    for cfg in configs:
-        result = prob_outcomes_differ_at_t4(cfg).require_agreement(atol)
-        simulated = result.schrodinger
+    for cfg, simulated in zip(configs, p_diff.schrodinger.tolist()):
         values = {name: f(cfg.theta, cfg.phi) for name, f in CANDIDATE_FORMULAS.items()}
         deviations = {name: abs(simulated - v) for name, v in values.items()}
         non_disc = []
@@ -338,6 +422,24 @@ def default_grid_configs() -> tuple[ExperimentConfig, ...]:
     return tuple(configs)
 
 
+# Report fields in CSV and JSON order: headline values are the
+# statevector-path numbers, deltas are the cross-engine gaps.
+_REPORT_FIELDS = (
+    ("theta", attrgetter("theta")),
+    ("phi", attrgetter("phi")),
+    ("p_joint_t2", attrgetter("p_joint_t2.schrodinger")),
+    ("corr_t2", attrgetter("corr_t2.schrodinger")),
+    ("p_diff_t4", attrgetter("p_diff_t4.schrodinger")),
+    ("lin_qz2_t2", attrgetter("lin_qz2_t2")),
+    ("lin_qz3_t2", attrgetter("lin_qz3_t2")),
+    ("p_record_t3", attrgetter("record_marginal_t3.schrodinger")),
+    *((f"dev_{name}", lambda r, name=name: r.audit_deviations[name]) for name in CANDIDATE_FORMULAS),
+    ("delta_p_joint_t2", attrgetter("p_joint_t2.engine_delta")),
+    ("delta_corr_t2", attrgetter("corr_t2.engine_delta")),
+    ("delta_p_diff_t4", attrgetter("p_diff_t4.engine_delta")),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """All reported quantities for one angle pair, both pictures."""
@@ -352,82 +454,63 @@ class ExperimentReport:
     record_marginal_t3: BothPictures
     audit_deviations: Mapping[str, float] = field(default_factory=dict)
 
-    CSV_FIELDS = (
-        "theta",
-        "phi",
-        "p_joint_t2",
-        "corr_t2",
-        "p_diff_t4",
-        "lin_qz2_t2",
-        "lin_qz3_t2",
-        "p_record_t3",
-        "dev_sin2_half_diff",
-        "dev_cos2_half_diff",
-        "dev_sin2_half_sum",
-        "delta_p_joint_t2",
-        "delta_corr_t2",
-        "delta_p_diff_t4",
-    )
+    CSV_FIELDS = tuple(name for name, _ in _REPORT_FIELDS)
 
     def to_dict(self) -> dict:
-        """Flat mapping; headline values are the statevector-path numbers,
-        deltas are the cross-engine gaps."""
-        return {
-            "theta": self.theta,
-            "phi": self.phi,
-            "p_joint_t2": self.p_joint_t2.schrodinger,
-            "corr_t2": self.corr_t2.schrodinger,
-            "p_diff_t4": self.p_diff_t4.schrodinger,
-            "lin_qz2_t2": self.lin_qz2_t2,
-            "lin_qz3_t2": self.lin_qz3_t2,
-            "p_record_t3": self.record_marginal_t3.schrodinger,
-            "dev_sin2_half_diff": self.audit_deviations["sin2_half_diff"],
-            "dev_cos2_half_diff": self.audit_deviations["cos2_half_diff"],
-            "dev_sin2_half_sum": self.audit_deviations["sin2_half_sum"],
-            "delta_p_joint_t2": self.p_joint_t2.engine_delta,
-            "delta_corr_t2": self.corr_t2.engine_delta,
-            "delta_p_diff_t4": self.p_diff_t4.engine_delta,
+        """Flat mapping with the keys of ``CSV_FIELDS``."""
+        return {name: get(self) for name, get in _REPORT_FIELDS}
+
+
+def reports(run: Run, atol: float = ENGINE_ATOL) -> list[ExperimentReport]:
+    """One report per config of ``run``, bundling the pre-comparison (t=2)
+    statistics with the post-comparison (t=4) record, every value
+    cross-checked between pictures."""
+    p_joint = _joint_prob(run).require_agreement(atol)
+    corr = _correlation(run).require_agreement(atol)
+    p_diff = _p_diff(run).require_agreement(atol)
+    marginal = _record_marginal(run).require_agreement(atol)
+    lin2, lin3 = _linear_terms(run)
+    for name, value in (("p_joint_t2", p_joint), ("p_diff_t4", p_diff), ("p_record_t3", marginal)):
+        for v in (value.heisenberg, value.schrodinger):
+            outside = v[~((-1e-12 <= v) & (v <= 1.0 + 1e-12))]
+            if len(outside):
+                raise AssertionError(f"{name} outside [0, 1]: {float(outside[0])!r}")
+    out = []
+    for j, cfg in enumerate(run.configs):
+        simulated = float(p_diff.schrodinger[j])
+        deviations = {
+            name: abs(simulated - f(cfg.theta, cfg.phi)) for name, f in CANDIDATE_FORMULAS.items()
         }
+        out.append(
+            ExperimentReport(
+                theta=cfg.theta,
+                phi=cfg.phi,
+                p_joint_t2=p_joint.column(j),
+                corr_t2=corr.column(j),
+                p_diff_t4=p_diff.column(j),
+                lin_qz2_t2=float(lin2[j]),
+                lin_qz3_t2=float(lin3[j]),
+                record_marginal_t3=marginal.column(j),
+                audit_deviations=deviations,
+            )
+        )
+    return out
 
 
 def pre_vs_post_report(cfg: ExperimentConfig, atol: float = ENGINE_ATOL) -> ExperimentReport:
-    """Bundle the pre-comparison (t=2) statistics with the post-comparison
-    (t=4) record, every value cross-checked between pictures."""
-    state_by_step, ds_by_step = _evolution(cfg)
-    p_joint = _joint_prob(cfg, state_by_step, ds_by_step).require_agreement(atol)
-    corr = _correlation(cfg, state_by_step, ds_by_step).require_agreement(atol)
-    p_diff = _p_diff(cfg, state_by_step, ds_by_step).require_agreement(atol)
-    marginal = _record_marginal(state_by_step, ds_by_step).require_agreement(atol)
-    lin2, lin3 = _linear_terms(ds_by_step)
-    for name, value in (("p_joint_t2", p_joint), ("p_diff_t4", p_diff), ("p_record_t3", marginal)):
-        for v in (value.heisenberg, value.schrodinger):
-            if not -1e-12 <= v <= 1.0 + 1e-12:
-                raise AssertionError(f"{name} outside [0, 1]: {v!r}")
-    simulated = p_diff.schrodinger
-    deviations = {
-        name: abs(simulated - f(cfg.theta, cfg.phi)) for name, f in CANDIDATE_FORMULAS.items()
-    }
-    return ExperimentReport(
-        theta=cfg.theta,
-        phi=cfg.phi,
-        p_joint_t2=p_joint,
-        corr_t2=corr,
-        p_diff_t4=p_diff,
-        lin_qz2_t2=lin2,
-        lin_qz3_t2=lin3,
-        record_marginal_t3=marginal,
-        audit_deviations=deviations,
-    )
+    """The report of one angle pair, simulated as a batch of one."""
+    return reports(simulate([cfg]), atol)[0]
 
 
 def sweep_reports(configs: Iterable[ExperimentConfig], atol: float = ENGINE_ATOL) -> list[ExperimentReport]:
-    """Reports over a grid, checking that the simulated t=2 joint
-    probability tracks the full angle dependence of its closed form."""
-    reports = [pre_vs_post_report(cfg, atol) for cfg in configs]
-    closed = [r.p_joint_t2.closed for r in reports]
-    simulated = [r.p_joint_t2.schrodinger for r in reports]
+    """Reports over a grid from one batched run, checking that the
+    simulated t=2 joint probability tracks the full angle dependence of
+    its closed form."""
+    out = reports(simulate(configs), atol)
+    closed = [r.p_joint_t2.closed for r in out]
+    simulated = [r.p_joint_t2.schrodinger for r in out]
     closed_spread = max(closed) - min(closed)
     simulated_spread = max(simulated) - min(simulated)
     if simulated_spread < closed_spread - 1e-9:
         raise AssertionError("t=2 joint probability failed to track the swept angle dependence")
-    return reports
+    return out

@@ -6,6 +6,11 @@ the four-dimensional basis runs |1,1>, |1,0>, |0,1>, |0,0>.
 
 The controlled-not is specified target-first: ``cnot(target, control)``
 toggles the target ket when the control ket is |1>.
+
+An analyzer rotation may carry a vector of angles: its matrix is then a
+``(batch, 2, 2)`` stack, one unitary per batch column, and both engines
+evolve every column at once.  Unitarity is checked once per distinct
+matrix (or stack), the first time a gate is built from its bytes.
 """
 from __future__ import annotations
 
@@ -41,21 +46,48 @@ CN_MATRIX = np.array(
 for _m in (*PAULI_MATRIX.values(), H_MATRIX, CN_MATRIX):
     _m.setflags(write=False)
 
+# (shape, bytes) of every matrix already shown to be unitary; bounded like
+# the conjugation-image cache.
+_UNITARY: set[tuple[tuple[int, ...], bytes]] = set()
+_UNITARY_LIMIT = 4096
 
-def rotation_matrix(angle: float) -> np.ndarray:
-    """Analyzer rotation exp(+i*angle*sigma_x/2).
+
+def _check_unitary(name: str, m: np.ndarray) -> None:
+    """Reject a non-unitary matrix, or any non-unitary matrix of a stack;
+    each distinct matrix is checked once."""
+    key = (m.shape, m.tobytes())
+    if key in _UNITARY:
+        return
+    eye = np.eye(m.shape[-1])
+    if not np.allclose(np.swapaxes(m.conj(), -1, -2) @ m, eye, atol=UNITARY_ATOL):
+        raise ValueError(f"gate {name!r} matrix is not unitary")
+    if len(_UNITARY) >= _UNITARY_LIMIT:
+        _UNITARY.clear()
+    _UNITARY.add(key)
+
+
+def rotation_matrix(angle) -> np.ndarray:
+    """Analyzer rotation exp(+i*angle*sigma_x/2); a sequence of angles
+    gives a ``(batch, 2, 2)`` stack.
 
     Its conjugation image sends sigma_z to cos(angle)*sigma_z -
     sin(angle)*sigma_y, which is the basis change both measurement arms
-    apply before their record CNOTs.
+    apply before their record CNOTs.  A stack is built one angle at a
+    time, so each of its matrices equals the single one bit for bit.
     """
+    if np.ndim(angle):
+        return np.stack([rotation_matrix(float(a)) for a in angle])
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
 @dataclass(frozen=True)
 class Gate:
-    """A named unitary acting on an ordered tuple of 1-based qubits."""
+    """A named unitary acting on an ordered tuple of 1-based qubits.
+
+    ``matrix`` is one unitary, or a ``(batch, d, d)`` stack of them for a
+    gate that acts differently on each batch column.
+    """
 
     name: str
     qubits: tuple[int, ...]
@@ -69,10 +101,9 @@ class Gate:
             raise ValueError(f"qubit indices are 1-based, got {self.qubits}")
         dim = 2 ** len(self.qubits)
         m = np.array(self.matrix, dtype=complex)
-        if m.shape != (dim, dim):
+        if m.shape[-2:] != (dim, dim) or m.ndim not in (2, 3) or len(m) == 0:
             raise ValueError(f"matrix shape {m.shape} does not fit {len(self.qubits)} qubit(s)")
-        if not np.allclose(m.conj().T @ m, np.eye(dim), atol=UNITARY_ATOL):
-            raise ValueError(f"gate {self.name!r} matrix is not unitary")
+        _check_unitary(self.name, m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
@@ -81,6 +112,11 @@ class Gate:
     @property
     def arity(self) -> int:
         return len(self.qubits)
+
+    @property
+    def batch(self) -> int | None:
+        """Number of stacked matrices, or None for a single matrix."""
+        return len(self.matrix) if self.matrix.ndim == 3 else None
 
     def __repr__(self) -> str:
         args = ", ".join(str(q) for q in self.qubits)
@@ -110,8 +146,10 @@ def pauli_z(qubit: int) -> Gate:
     return Gate("Z", (qubit,), PAULI_MATRIX[Axis.Z])
 
 
-def analyzer_rotation(qubit: int, angle: float) -> Gate:
-    return Gate("R", (qubit,), rotation_matrix(angle), params=(angle,))
+def analyzer_rotation(qubit: int, angle) -> Gate:
+    """R(angle) on ``qubit``; a sequence of angles gives a batched gate."""
+    params = (angle,) if np.ndim(angle) == 0 else tuple(angle)
+    return Gate("R", (qubit,), rotation_matrix(angle), params=params)
 
 
 _RANDOM_KINDS = ("H", "X", "Y", "Z", "R", "CN")

@@ -10,6 +10,13 @@ algebra homomorphism.
 
 A direct consequence is the locality bookkeeping: a gate only ever
 rewrites the descriptors of the qubits it acts on.
+
+A gate with a stack of matrices (an analyzer rotation over a batch of
+angles) has one image coefficient per batch column, so substitution
+yields batched descriptors: the same strings for every column, with a
+``(terms, batch)`` coefficient array.  Images are derived by one
+vectorised trace over the stack and checked by recomposition; those of
+fixed-matrix gates are cached, those of parametrised gates are not.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from .pauli import (
     Axis,
     OperatorSum,
     PauliString,
+    _pack,
     expectation_in_all_zeros,
     linear_combination,
 )
@@ -42,19 +50,27 @@ class TermGrowthError(RuntimeError):
     """Raised when descriptor evolution exceeds the term-count cap."""
 
 
-# Conjugation rules keyed by the gate's actual matrix bytes, so a gate
-# constructed from a patched matrix never reuses a stale rule.
+# Conjugation rules of fixed-matrix gates, keyed by the gate's actual
+# matrix bytes, so a gate constructed from a patched matrix never reuses a
+# stale rule.  Parametrised gates (analyzer rotations) are not cached:
+# their images are cheap to derive and their angles rarely repeat.
 _IMAGE_CACHE: dict[tuple, Mapping[tuple[int, Axis], OperatorSum]] = {}
 _IMAGE_CACHE_LIMIT = 4096
+
+# Image coefficients at or below this magnitude are dropped.
+_IMAGE_TOL = 1e-13
 
 
 def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
     """Per-operand images U^dag P U expanded over the gate's operands.
 
     Keys are (operand slot, axis); values are operator sums of width
-    ``gate.arity``.  The expansion is recomposed and checked against the
-    dense conjugation before being returned.
+    ``gate.arity``, batched when the gate holds a stack of matrices.  The
+    expansion is recomposed and checked against the dense conjugation
+    before being returned.
     """
+    if gate.params or gate.batch is not None:
+        return MappingProxyType(_compute_conjugation_images(gate))
     key = (gate.name, gate.arity, gate.params, gate.matrix.tobytes())
     cached = _IMAGE_CACHE.get(key)
     if cached is None:
@@ -66,25 +82,47 @@ def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
 
 
 def _compute_conjugation_images(gate: Gate) -> dict[tuple[int, Axis], OperatorSum]:
+    """Each image coefficient is tr(B^dag U^dag P U) / 2**k over the local
+    Pauli basis B, for every operand Pauli P and every matrix U of the
+    gate's stack in one vectorised product.  Each product is the same
+    2**k-dimensional matmul a single matrix takes, so a stacked
+    coefficient equals the unstacked one bit for bit."""
     k = gate.arity
     dim = 2**k
+    keys, basis = _local_basis(k)
+    images_of = [(slot, axis) for slot in range(k) for axis in _NONTRIVIAL_AXES]
+    # The local string with ``axis`` on operand ``slot`` is basis entry
+    # axis << 2(k - 1 - slot), since keys run over 0..4**k - 1 in order.
+    paulis = basis[[axis << 2 * (k - 1 - slot) for slot, axis in images_of]]
+    stack = gate.matrix if gate.batch is not None else gate.matrix[None]
+    adjoint = np.swapaxes(stack.conj(), -1, -2)
+    # conjugated[i, b] = U_b^dag P_i U_b; coeffs[s, i, b] over basis strings s.
+    conjugated = adjoint[None] @ paulis[:, None] @ stack[None]
+    basis_adjoint = np.swapaxes(basis.conj(), -1, -2)[:, None, None]
+    coeffs = np.trace(basis_adjoint @ conjugated[None], axis1=-2, axis2=-1) / dim
+    coeffs[np.abs(coeffs) <= _IMAGE_TOL] = 0.0
+    recomposed = np.einsum("sib,sxy->ibxy", coeffs, basis)
+    if not np.allclose(recomposed, conjugated, atol=1e-12):
+        raise ValueError(f"gate {gate.name!r} conjugation image failed to recompose")
     images: dict[tuple[int, Axis], OperatorSum] = {}
-    local_strings = [PauliString(k, combo) for combo in product((0, 1, 2, 3), repeat=k)]
-    local_matrices = [_local_matrix(s) for s in local_strings]
-    for slot in range(k):
-        for axis in _NONTRIVIAL_AXES:
-            conjugated = gate.matrix.conj().T @ _local_matrix(PauliString.single(k, slot + 1, axis)) @ gate.matrix
-            terms = []
-            recomposed = np.zeros((dim, dim), dtype=complex)
-            for string, basis_matrix in zip(local_strings, local_matrices):
-                coeff = np.trace(basis_matrix.conj().T @ conjugated) / dim
-                if abs(coeff) > 1e-13:
-                    terms.append((string, coeff))
-                    recomposed += coeff * basis_matrix
-            if not np.allclose(recomposed, conjugated, atol=1e-12):
-                raise ValueError(f"gate {gate.name!r} conjugation image failed to recompose")
-            images[(slot, axis)] = OperatorSum(k, terms)
+    for i, key in enumerate(images_of):
+        image = coeffs[:, i]
+        keep = (image != 0).any(axis=1)
+        image = image[keep] + 0.0
+        images[key] = OperatorSum._raw(k, keys[keep], image if gate.batch is not None else image[:, 0])
     return images
+
+
+@lru_cache(maxsize=None)
+def _local_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed keys and dense matrices of the 4**k local Pauli strings, in
+    canonical (ascending key) order."""
+    strings = [PauliString(k, combo) for combo in product((0, 1, 2, 3), repeat=k)]
+    keys = np.array([_pack(s.axes) for s in strings], dtype=np.int64)
+    matrices = np.stack([_local_matrix(s) for s in strings])
+    keys.setflags(write=False)
+    matrices.setflags(write=False)
+    return keys, matrices
 
 
 def _local_matrix(string: PauliString) -> np.ndarray:
@@ -112,6 +150,11 @@ class DescriptorSet:
 
     def items(self):
         return self._descriptors.items()
+
+    def column(self, j: int) -> "DescriptorSet":
+        """Batch column ``j``: every descriptor without its batch axis."""
+        table = {key: op.column(j) for key, op in self._descriptors.items()}
+        return DescriptorSet(self.width, self.step, MappingProxyType(table))
 
 
 # The step-0 set is immutable and depends only on the width, so every
@@ -171,14 +214,15 @@ def evolve_circuit(ds: DescriptorSet, gates: Iterable[Gate]) -> DescriptorSet:
     return ds
 
 
-def descriptor_expectation(expr: OperatorSum, atol: float = 1e-12) -> float:
-    """Reference-state expectation of an operator built from descriptors."""
+def descriptor_expectation(expr: OperatorSum, atol: float = 1e-12):
+    """Reference-state expectation of an operator built from descriptors;
+    one value per column of a batched operator."""
     if not expr.is_hermitian(atol):
         raise ValueError("descriptor expectation requires a Hermitian operator")
     value = expectation_in_all_zeros(expr)
-    if not abs(value.imag) <= atol:
+    if not np.all(np.abs(np.imag(value)) <= atol):
         raise AssertionError("Hermitian descriptor expectation came out complex")
-    return float(value.real)
+    return np.real(value) if expr.batch is not None else float(value.real)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,15 @@ from popcounts of the words' x and z bit masks (the symplectic form of
 Aaronson and Gottesman).  Sums merge duplicate strings and drop
 coefficients below ``PRUNE_TOL``.
 
+A sum's coefficients may carry a trailing batch axis, shape
+``(terms, batch)``: one column per member of a batch of operators that
+share their term strings, such as one descriptor evolved for many analyzer
+angles at once.  Every kernel works along axis 0, so a sum without a
+batch axis is the batch-free case of the same code, and each column is
+computed with the same floating-point operations, in the same order, as
+the batch-free sum it stands for.  A term is pruned only when it is below
+``PRUNE_TOL`` in every column.
+
 Conventions used throughout the package:
 
 * qubits are numbered 1..n,
@@ -184,11 +193,43 @@ def _fmt_coeff(c: complex) -> str:
 
 
 def _prune(keys: np.ndarray, coeffs: np.ndarray):
-    """Drop coefficients below ``PRUNE_TOL``.  Adding +0.0 turns a -0.0
-    component into +0.0, as summing into a zeroed accumulator does, so a
-    merged and an unmerged path give bitwise-equal coefficients."""
+    """Drop terms below ``PRUNE_TOL`` in every batch column.  Adding +0.0
+    turns a -0.0 component into +0.0, as summing into a zeroed accumulator
+    does, so a merged and an unmerged path give bitwise-equal coefficients."""
     keep = np.abs(coeffs) >= PRUNE_TOL
+    if coeffs.ndim == 2:
+        keep = keep.any(axis=1)
     return keys[keep], coeffs[keep] + 0.0
+
+
+def _batch_of(coeffs) -> int | None:
+    """Batch size of a coefficient array, or None without a batch axis."""
+    return coeffs.shape[1] if np.ndim(coeffs) == 2 else None
+
+
+def _common_batch(*batches) -> int | None:
+    sizes = {b for b in batches if b is not None}
+    if len(sizes) > 1:
+        raise ValueError(f"batch size mismatch: {sorted(sizes)}")
+    return sizes.pop() if sizes else None
+
+
+def _scaled(coeff, coeffs: np.ndarray) -> np.ndarray:
+    """coeff * coeffs, with a per-column coefficient vector broadcast over
+    the terms.  The coefficient stays the left operand: the vectorised
+    complex product rounds differently when the operands are swapped."""
+    if np.ndim(coeff) == 1 and coeffs.ndim == 1:
+        coeffs = coeffs[:, None]
+    return coeff * coeffs
+
+
+def _column_sums(values: np.ndarray):
+    """Sum over axis 0: a scalar without a batch axis, else one sum per
+    column.  Each column is summed as a contiguous row, which rounds
+    exactly like the batch-free ``values.sum()``."""
+    if values.ndim == 1:
+        return values.sum()
+    return np.ascontiguousarray(values.T).sum(axis=1)
 
 
 def _merge(keys: np.ndarray, coeffs: np.ndarray):
@@ -212,13 +253,16 @@ class OperatorSum:
 
     Terms are stored merged (no duplicate strings), pruned at
     ``PRUNE_TOL`` and canonically ordered, so equal operators have
-    identical term arrays.  Instances are immutable; all arithmetic
-    returns new values.
+    identical term arrays.  Coefficients have shape ``(terms,)``, or
+    ``(terms, batch)`` for a batch of sums over the same strings.
+    Instances are immutable; all arithmetic returns new values.
     """
 
     __slots__ = ("_width", "_keys", "_coeffs")
 
     def __init__(self, width: int, terms: Iterable[tuple[PauliString | str, complex]] = ()):
+        """``terms`` pairs a string with a coefficient, or with a 1-D array
+        of per-column coefficients for a batched sum."""
         _check_width(width)
         keys = []
         coeffs = []
@@ -228,7 +272,13 @@ class OperatorSum:
             if string.width != width:
                 raise ValueError(f"width mismatch: {string.width} != {width}")
             keys.append(_pack(string.axes))
-            coeffs.append(complex(coeff) * string.phase)
+            if np.ndim(coeff):
+                coeffs.append(np.asarray(coeff, dtype=complex) * string.phase)
+            else:
+                coeffs.append(complex(coeff) * string.phase)
+        batch = _common_batch(*(len(c) if isinstance(c, np.ndarray) else None for c in coeffs))
+        if batch is not None:
+            coeffs = [np.broadcast_to(c, (batch,)) for c in coeffs]
         merged = _merge(np.array(keys, dtype=np.int64), np.array(coeffs, dtype=complex))
         self._init_raw(width, *merged)
 
@@ -267,6 +317,18 @@ class OperatorSum:
     def width(self) -> int:
         return self._width
 
+    @property
+    def batch(self) -> int | None:
+        """Number of batch columns, or None for a sum without a batch axis."""
+        return _batch_of(self._coeffs)
+
+    def column(self, j: int) -> "OperatorSum":
+        """Batch column ``j`` as a sum without a batch axis, pruned at
+        ``PRUNE_TOL``.  A sum without a batch axis stands for every column."""
+        if self._coeffs.ndim == 1:
+            return self
+        return OperatorSum._raw(self._width, *_prune(self._keys, self._coeffs[:, j]))
+
     def __len__(self) -> int:
         return len(self._coeffs)
 
@@ -275,8 +337,10 @@ class OperatorSum:
         return len(self._coeffs) == 0
 
     def iter_terms(self) -> Iterator[tuple[PauliString, complex]]:
-        """Yield (phase-free string, coefficient) in canonical order."""
-        for key, coeff in zip(self._keys.tolist(), self._coeffs.tolist()):
+        """Yield (phase-free string, coefficient) in canonical order; a
+        batched sum yields each term's row of per-column coefficients."""
+        coeffs = self._coeffs.tolist() if self._coeffs.ndim == 1 else self._coeffs
+        for key, coeff in zip(self._keys.tolist(), coeffs):
             yield PauliString(self._width, _unpack(key, self._width)), coeff
 
     def coefficient(self, string: PauliString | str) -> complex:
@@ -287,7 +351,10 @@ class OperatorSum:
             raise ValueError(f"width mismatch: {string.width} != {self._width}")
         key = _pack(string.axes)
         pos = np.searchsorted(self._keys, key)
-        if pos < len(self._keys) and self._keys[pos] == key:
+        found = pos < len(self._keys) and self._keys[pos] == key
+        if self._coeffs.ndim == 2:
+            return self._coeffs[pos] / string.phase if found else np.zeros(self._coeffs.shape[1], complex)
+        if found:
             return complex(self._coeffs[pos] / string.phase)
         return 0.0 + 0.0j
 
@@ -340,6 +407,8 @@ class OperatorSum:
     def render(self) -> str:
         """Canonical text form, one term per line: sign, coefficient with
         six decimals, axis-qubit tokens in ascending qubit order."""
+        if self._coeffs.ndim == 2:
+            raise ValueError("render one column of a batched sum at a time")
         if self.is_zero:
             return "0"
         lines = [
@@ -349,14 +418,17 @@ class OperatorSum:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"OperatorSum(width={self._width}, terms={len(self)})"
+        batch = "" if self.batch is None else f", batch={self.batch}"
+        return f"OperatorSum(width={self._width}, terms={len(self)}{batch})"
 
 
 def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]]) -> OperatorSum:
     """sum_k c_k S_k over (c_k, S_k) pairs, merged once.
 
-    A single part is scaled and pruned without a merge, since its terms
-    are already distinct and canonically ordered.
+    A coefficient c_k may be a 1-D array of per-column coefficients, and
+    the result is batched if any coefficient or part is.  A single part
+    is scaled and pruned without a merge, since its terms are already
+    distinct and canonically ordered.
     """
     parts = list(parts)
     for _, part in parts:
@@ -366,10 +438,13 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
         return OperatorSum.zero(width)
     if len(parts) == 1:
         coeff, part = parts[0]
-        return OperatorSum._raw(width, *_prune(part._keys, coeff * part._coeffs))
+        return OperatorSum._raw(width, *_prune(part._keys, _scaled(coeff, part._coeffs)))
+    scaled = [_scaled(coeff, part._coeffs) for coeff, part in parts]
+    batch = _common_batch(*(_batch_of(c) for c in scaled))
+    if batch is not None:
+        scaled = [c if c.ndim == 2 else np.broadcast_to(c[:, None], (len(c), batch)) for c in scaled]
     keys = np.concatenate([part._keys for _, part in parts])
-    coeffs = np.concatenate([coeff * part._coeffs for coeff, part in parts])
-    return OperatorSum._raw(width, *_merge(keys, coeffs))
+    return OperatorSum._raw(width, *_merge(keys, np.concatenate(scaled)))
 
 
 def _sum_multiply(a: OperatorSum, b: OperatorSum) -> OperatorSum:
@@ -380,14 +455,24 @@ def _sum_multiply(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     if ma == 0 or mb == 0:
         return OperatorSum.zero(width)
 
-    chunk = max(1, _PAIR_CHUNK // mb)
+    batch = _common_batch(a.batch, b.batch)
+    coeffs_a, coeffs_b = a._coeffs, b._coeffs
+    if batch is not None:
+        # A factor without a batch axis broadcasts over the columns.
+        coeffs_a = coeffs_a.reshape(ma, -1)[:, None, :]
+        coeffs_b = coeffs_b.reshape(mb, -1)[None, :, :]
+    else:
+        coeffs_a = coeffs_a[:, None]
+        coeffs_b = coeffs_b[None, :]
+    chunk = max(1, _PAIR_CHUNK // (mb * (batch or 1)))
     partial_keys = []
     partial_coeffs = []
     for start in range(0, ma, chunk):
         keys, exponents = _string_products(a._keys[start : start + chunk, None], b._keys[None, :])
-        coeffs_a = a._coeffs[start : start + chunk, None]
-        coeffs = (coeffs_a * b._coeffs[None, :]) * _I_POWERS[exponents]
-        m_keys, m_coeffs = _merge(keys.reshape(-1), coeffs.reshape(-1))
+        if batch is not None:
+            exponents = exponents[:, :, None]
+        coeffs = (coeffs_a[start : start + chunk] * coeffs_b) * _I_POWERS[exponents]
+        m_keys, m_coeffs = _merge(keys.reshape(-1), coeffs.reshape(-1, *coeffs.shape[2:]))
         partial_keys.append(m_keys)
         partial_coeffs.append(m_coeffs)
     if len(partial_keys) == 1:
@@ -402,13 +487,14 @@ def expectation_in_all_zeros(op: OperatorSum) -> complex:
 
     Off-diagonal axes (X, Y) kill a term; each Z contributes -1 because
     |0> is the -1 eigenstate of sigma_z in the |1>-first ket ordering.
+    A batched sum gives one complex value per column.
     """
-    if op.is_zero:
-        return 0.0 + 0.0j
     x, z = _x_z(op._keys)
     z_parity = np.bitwise_count(z) & 1
     signs = np.where(x != 0, 0.0, np.where(z_parity == 1, -1.0, 1.0))
-    return complex((op._coeffs * signs).sum())
+    if op._coeffs.ndim == 2:
+        return _column_sums(op._coeffs * signs[:, None])
+    return complex(_column_sums(op._coeffs * signs))
 
 
 def isclose(a: OperatorSum, b: OperatorSum, atol: float = 1e-10) -> bool:

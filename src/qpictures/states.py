@@ -7,6 +7,12 @@ the most significant bit, and bit 0 encodes the ket |1> (bit 1 encodes
 
 This engine is the brute-force oracle for the Heisenberg-picture
 descriptor engine: expectation values must agree between the two.
+
+A state may carry a leading batch axis, amplitudes of shape
+``(batch, 2**width)``, and then every function acts on each row.  A gate
+with a stack of matrices applies one matrix per row.  Each row goes
+through the same BLAS products and reductions as an unbatched state, so
+it comes out bit for bit the same.
 """
 from __future__ import annotations
 
@@ -18,14 +24,21 @@ from typing import Mapping
 import numpy as np
 
 from .gates import PAULI_MATRIX, Gate
-from .pauli import MAX_WIDTH, Axis, OperatorSum
+from .pauli import MAX_WIDTH, Axis, OperatorSum, _common_batch
 
 NORM_ATOL = 1e-12
 
 
+def _norms(amps: np.ndarray):
+    """Norm of a state, or one per row.  The whole-array norm is a BLAS
+    dot product, several times faster than a reduction along an axis."""
+    return np.linalg.norm(amps) if amps.ndim == 1 else np.linalg.norm(amps, axis=-1)
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """2**width complex amplitudes; immutable and always unit norm."""
+    """2**width complex amplitudes, or a ``(batch, 2**width)`` array of
+    them; immutable and always unit norm."""
 
     width: int
     amplitudes: np.ndarray
@@ -34,16 +47,29 @@ class StateVector:
         if not 1 <= self.width <= MAX_WIDTH:
             raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.width,):
+        if amps.shape[-1:] != (2**self.width,) or amps.ndim > 2:
             raise ValueError(f"expected {2**self.width} amplitudes, got {amps.shape}")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+        if not np.all(np.abs(_norms(amps) - 1.0) <= 1e-9):
             raise ValueError("state vector is not normalized")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self):
+        """The norm, or one norm per row of a batched state."""
+        norms = _norms(self.amplitudes)
+        return norms if self.batch is not None else float(norms)
+
+    @property
+    def batch(self) -> int | None:
+        """Number of rows, or None for a state without a batch axis."""
+        return len(self.amplitudes) if self.amplitudes.ndim == 2 else None
+
+    def row(self, j: int) -> "StateVector":
+        """Row ``j`` of a batched state; an unbatched state is every row."""
+        if self.batch is None:
+            return self
+        return StateVector(self.width, self.amplitudes[j])
 
 
 def new_all_zeros(width: int) -> StateVector:
@@ -56,19 +82,32 @@ def new_all_zeros(width: int) -> StateVector:
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """New state with the gate unitary embedded at its target qubits."""
+    """New state with the gate unitary embedded at its target qubits.
+
+    A gate with a stack of matrices applies matrix b to row b, and turns an
+    unbatched state into one row per matrix."""
     for q in gate.qubits:
         if not 1 <= q <= state.width:
             raise ValueError(f"gate qubit {q} outside state width {state.width}")
     k = gate.arity
-    axes = [q - 1 for q in gate.qubits]
-    psi = state.amplitudes.reshape([2] * state.width)
-    u = gate.matrix.reshape([2] * (2 * k))
-    psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), axes))
-    psi = np.moveaxis(psi, range(k), axes)
-    out = psi.reshape(-1)
-    norm = np.linalg.norm(out)
-    if not abs(norm - 1.0) <= NORM_ATOL:
+    batch = _common_batch(state.batch, gate.batch)
+    lead = [] if batch is None else [batch]
+    # Tensor axes of the gate's qubits, after the batch axis if any.
+    axes = [q - 1 + len(lead) for q in gate.qubits]
+    amps = state.amplitudes
+    if gate.batch is None:
+        psi = amps.reshape(lead + [2] * state.width)
+        u = gate.matrix.reshape([2] * (2 * k))
+        psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), axes))
+        psi = np.moveaxis(psi, range(k), axes)
+    else:
+        psi = np.broadcast_to(amps, (batch, amps.shape[-1])).reshape(lead + [2] * state.width)
+        psi = np.moveaxis(psi, axes, range(1, k + 1))
+        shape = psi.shape
+        psi = np.matmul(gate.matrix, psi.reshape(batch, 2**k, -1)).reshape(shape)
+        psi = np.moveaxis(psi, range(1, k + 1), axes)
+    out = psi.reshape(lead + [-1])
+    if not np.all(np.abs(_norms(out) - 1.0) <= NORM_ATOL):
         raise AssertionError("gate application drifted the norm")
     return StateVector(state.width, out)
 
@@ -80,45 +119,54 @@ def apply_circuit(state: StateVector, gates) -> StateVector:
 
 
 def _apply_string(amps: np.ndarray, width: int, axes_row) -> np.ndarray:
-    """Apply a phase-free Pauli string to raw amplitudes."""
-    psi = amps.reshape([2] * width)
-    for q_idx, code in enumerate(axes_row):
+    """Apply a phase-free Pauli string to raw amplitudes (or rows of them)."""
+    lead = list(amps.shape[:-1])
+    psi = amps.reshape(lead + [2] * width)
+    for q_idx, code in enumerate(axes_row, start=len(lead)):
         if code == Axis.I:
             continue
         mat = PAULI_MATRIX[Axis(int(code))]
         psi = np.moveaxis(np.tensordot(mat, psi, axes=([1], [q_idx])), 0, q_idx)
-    return psi.reshape(-1)
+    return psi.reshape(amps.shape)
 
 
-def expectation(state: StateVector, op: OperatorSum, atol: float = 1e-12) -> float:
-    """<psi| op |psi> for a Hermitian operator sum."""
+def expectation(state: StateVector, op: OperatorSum, atol: float = 1e-12):
+    """<psi| op |psi> for a Hermitian operator sum without a batch axis;
+    one value per row of a batched state."""
     if op.width != state.width:
         raise ValueError(f"width mismatch: state {state.width}, operator {op.width}")
+    if op.batch is not None:
+        raise ValueError("expectation takes an operator without a batch axis")
     if not op.is_hermitian(atol):
         raise ValueError("expectation requires a Hermitian operator")
     value = 0.0 + 0.0j
     for string, coeff in op.iter_terms():
-        value += coeff * np.vdot(state.amplitudes, _apply_string(state.amplitudes, state.width, string.axes))
-    if not abs(value.imag) <= max(atol, 1e-10):
+        # vecdot conjugates its first operand, as vdot does, row by row.
+        value += coeff * np.vecdot(state.amplitudes, _apply_string(state.amplitudes, state.width, string.axes))
+    if not np.all(np.abs(np.imag(value)) <= max(atol, 1e-10)):
         raise AssertionError("Hermitian expectation came out complex")
-    return float(value.real)
+    return np.real(value) if state.batch is not None else float(value.real)
 
 
 def joint_probability(state: StateVector, outcome: Mapping[int, int]) -> float:
     """Probability that each qubit in ``outcome`` carries the given ket value.
 
     ``outcome`` maps 1-based qubits to ket values in {0, 1}; the empty
-    mapping has probability 1.
+    mapping has probability 1.  A batched state gives one value per row.
     """
-    index: list = [slice(None)] * state.width
+    lead = [] if state.batch is None else [state.batch]
+    index: list = [slice(None)] * (len(lead) + state.width)
     for qubit, value in outcome.items():
         if not 1 <= qubit <= state.width:
             raise ValueError(f"qubit {qubit} outside state width {state.width}")
         if value not in (0, 1):
             raise ValueError(f"ket value for qubit {qubit} must be 0 or 1, got {value}")
-        index[qubit - 1] = 1 - value  # bit 0 encodes ket |1>
-    probs = np.abs(state.amplitudes.reshape([2] * state.width)) ** 2
-    return float(probs[tuple(index)].sum())
+        index[qubit - 1 + len(lead)] = 1 - value  # bit 0 encodes ket |1>
+    probs = np.abs(state.amplitudes.reshape(lead + [2] * state.width)) ** 2
+    selected = probs[tuple(index)]
+    if not lead:
+        return float(selected.sum())
+    return selected.sum(axis=tuple(range(1, selected.ndim)))
 
 
 def basis_label(index: int, width: int) -> str:
@@ -134,11 +182,13 @@ def to_conventional(state: StateVector) -> np.ndarray:
     (qubit 1 most significant); complementing every bit just reverses
     the array.
     """
-    return state.amplitudes[::-1].copy()
+    return state.amplitudes[..., ::-1].copy()
 
 
 def dump_csv(state: StateVector) -> str:
     """CSV dump (index, basis label, re, im) used by the CLI debug flag."""
+    if state.batch is not None:
+        raise ValueError("dump one row of a batched state at a time")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "basis", "re", "im"])

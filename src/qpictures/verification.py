@@ -2,8 +2,9 @@
 
 Each check recomputes its quantity from scratch through the public API
 and scores it against an independent closed form, so a corrupted gate
-matrix or a broken engine shows up as a named failure.  The CLI
-``verify`` subcommand and the acceptance test suite both run this
+matrix or a broken engine shows up as a named failure.  A check over a
+grid of angle pairs simulates the whole grid as one batched ``Run``.  The
+CLI ``verify`` subcommand and the acceptance test suite both run this
 registry.
 """
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .experiment import (
     linear_terms_t2,
     record_marginal_t3,
     sign_error_audit,
+    simulate,
 )
 from .gates import cnot, hadamard, random_circuit
 from .heisenberg import (
@@ -82,13 +84,10 @@ _DESCRIPTOR_PHIS = (0.0, 0.9, math.pi / 3, 2.5, 5.2)
 
 def check_analyzer_descriptors() -> CheckResult:
     """Evolved t=2 descriptors must equal their two-term closed forms."""
-    worst = 0.0
-    for theta in _DESCRIPTOR_THETAS:
-        for phi in _DESCRIPTOR_PHIS:
-            cfg = ExperimentConfig(theta, phi)
-            got_2, got_3 = descriptors_at_t2(cfg)
-            want_2, want_3 = closed_form_descriptors_t2(cfg)
-            worst = max(worst, max_term_deviation(got_2, want_2), max_term_deviation(got_3, want_3))
+    run = simulate(ExperimentConfig(theta, phi) for theta in _DESCRIPTOR_THETAS for phi in _DESCRIPTOR_PHIS)
+    got_2, got_3 = descriptors_at_t2(run)
+    want_2, want_3 = closed_form_descriptors_t2(run)
+    worst = max(max_term_deviation(got_2, want_2), max_term_deviation(got_3, want_3))
     return CheckResult(
         "analyzer_descriptors", worst <= 1e-12, worst, 1e-12,
         "term-for-term descriptor match over 25 angle pairs",
@@ -97,10 +96,8 @@ def check_analyzer_descriptors() -> CheckResult:
 
 def check_zz_correlation() -> CheckResult:
     """<q_z2 q_z3> at t=2 equals cos(theta - phi) in both engines."""
-    worst = 0.0
-    for cfg in default_grid_configs():
-        result = correlation_t2(cfg)
-        worst = max(worst, result.closed_deviation, result.engine_delta)
+    result = correlation_t2(simulate(default_grid_configs()))
+    worst = float(max(result.closed_deviation.max(), result.engine_delta.max()))
     return CheckResult(
         "zz_correlation", worst <= 1e-10, worst, 1e-10,
         "t=2 correlation equals cos(theta - phi) on the default grid",
@@ -109,12 +106,16 @@ def check_zz_correlation() -> CheckResult:
 
 def check_joint_probability() -> CheckResult:
     """P(both |1>) at t=2 equals cos^2((theta-phi)/2)/2; 1/2 at equal angles."""
-    worst = 0.0
-    for cfg in default_grid_configs():
-        result = joint_prob_both_one_at_t2(cfg)
-        worst = max(worst, result.closed_deviation, result.engine_delta)
-    equal = joint_prob_both_one_at_t2(ExperimentConfig(0.7, 0.7))
-    worst = max(worst, abs(equal.schrodinger - 0.5), abs(equal.heisenberg - 0.5))
+    grid = default_grid_configs()
+    result = joint_prob_both_one_at_t2(simulate(grid + (ExperimentConfig(0.7, 0.7),)))
+    on_grid = slice(len(grid))
+    equal = result.column(len(grid))
+    worst = float(max(
+        result.closed_deviation[on_grid].max(),
+        result.engine_delta[on_grid].max(),
+        abs(equal.schrodinger - 0.5),
+        abs(equal.heisenberg - 0.5),
+    ))
     return CheckResult(
         "joint_probability", worst <= 1e-10, worst, 1e-10,
         "t=2 joint probability matches cos^2((theta-phi)/2)/2",
@@ -123,10 +124,8 @@ def check_joint_probability() -> CheckResult:
 
 def check_linear_terms_vanish() -> CheckResult:
     """<q_z2> and <q_z3> at t=2 vanish at every grid point."""
-    worst = 0.0
-    for cfg in default_grid_configs():
-        lin2, lin3 = linear_terms_t2(cfg)
-        worst = max(worst, abs(lin2), abs(lin3))
+    lin2, lin3 = linear_terms_t2(simulate(default_grid_configs()))
+    worst = float(max(np.abs(lin2).max(), np.abs(lin3).max()))
     return CheckResult(
         "linear_terms_vanish", worst <= 1e-12, worst, 1e-12,
         "single-descriptor expectations vanish on the default grid",
@@ -199,12 +198,9 @@ def check_bell_violation() -> CheckResult:
 def check_no_signaling() -> CheckResult:
     """The t=3 record marginal is independent of the distant angle."""
     theta = 0.7
-    values = []
-    for phi in default_difference_grid():
-        result = record_marginal_t3(ExperimentConfig(theta, phi))
-        values.append(result.schrodinger)
-        values.append(result.heisenberg)
-    spread = max(values) - min(values)
+    result = record_marginal_t3(simulate(ExperimentConfig(theta, phi) for phi in default_difference_grid()))
+    values = np.concatenate([result.schrodinger, result.heisenberg])
+    spread = float(values.max() - values.min())
     return CheckResult(
         "no_signaling", spread <= 1e-10, spread, 1e-10,
         "record marginal at t=3 constant while the distant angle sweeps",

@@ -117,6 +117,32 @@ class TestEpr:
         last = err.splitlines()[-1]
         assert last.startswith("qpictures") and ": error: " in last
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "100000000"],
+            ["sweep", "4097"],
+            ["chsh", "--scan", "pi/32"],
+            ["chsh", "--scan", "pi/32", "--format", "csv"],
+            ["chsh", "--scan", "1", "--degrees"],
+            ["chsh", "--scan", "1e-300"],
+            ["chsh", "--scan", "1e-320"],
+        ],
+    )
+    def test_grid_above_work_bound_is_usage_error(self, capsys, monkeypatch, argv):
+        def fail(configs):
+            raise AssertionError("evolution started")
+
+        monkeypatch.setattr("qpictures.experiment._evolution", fail)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("qpictures") and ": error: " in last
+        assert "at most" in last or "more than" in last
+
     def test_csv_format(self, capsys):
         code, out = run_cli(capsys, "epr", "0.3", "0.3", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))

@@ -89,3 +89,28 @@ def test_random_circuit_is_reproducible():
 def test_random_circuit_width_one_avoids_two_qubit_gates():
     gates = random_circuit(1, 50, np.random.default_rng(3))
     assert all(g.arity == 1 for g in gates)
+
+
+def test_non_unitary_matrix_rejected_after_valid_gates_of_its_shape():
+    # valid 2x2 gates, fixed and parametrised, have been built and checked
+    for gate in (hadamard(1), pauli_x(2), analyzer_rotation(1, 0.3), Gate("ok", (1,), np.eye(2))):
+        assert gate.arity == 1
+    with pytest.raises(ValueError, match="unitary"):
+        Gate("bad", (1,), np.array([[1, 0], [0, 2]], dtype=complex))
+    with pytest.raises(ValueError, match="unitary"):
+        Gate("bad", (1,), 2 * H_MATRIX)
+
+
+def test_rotation_stack_holds_one_matrix_per_angle():
+    angles = [0.0, 0.4, math.pi, -2.0]
+    gate = analyzer_rotation(3, angles)
+    assert gate.batch == 4
+    assert gate.params == tuple(angles)
+    for matrix, angle in zip(gate.matrix, angles):
+        assert matrix.tobytes() == rotation_matrix(angle).tobytes()
+
+
+def test_stack_with_one_non_unitary_matrix_rejected():
+    stack = np.stack([H_MATRIX, np.array([[1, 0], [0, 2]], dtype=complex)])
+    with pytest.raises(ValueError, match="unitary"):
+        Gate("bad", (1,), stack)
