@@ -8,17 +8,12 @@ descriptors at each step for one angle pair.
 """
 import numpy as np
 
-from qpictures import (
-    ExperimentConfig,
-    build_timeline,
-    descriptors_at,
-    pre_vs_post_report,
-    state_at,
-)
+from qpictures import ExperimentConfig, build_timeline, reports, simulate
 from qpictures.states import basis_label
 
 cfg = ExperimentConfig(theta=np.pi / 3, phi=0.0)
 timeline = build_timeline(cfg)
+run = simulate([cfg])  # a batch of one angle pair
 
 print("analyzer angles: theta = pi/3, phi = 0")
 for step, segment in enumerate(timeline.steps, start=1):
@@ -26,7 +21,7 @@ for step, segment in enumerate(timeline.steps, start=1):
 print()
 
 for step in range(5):
-    state = state_at(cfg, step)
+    state = run.states[step].row(0)
     nonzero = [
         f"{basis_label(k, 4)} {amp.real:+.4f}{amp.imag:+.4f}j"
         for k, amp in enumerate(state.amplitudes)
@@ -35,7 +30,7 @@ for step in range(5):
     print(f"state after t={step}: " + "; ".join(nonzero))
 print()
 
-ds = descriptors_at(cfg, 2)
+ds = run.descriptors[2].column(0)
 print("descriptors of the measured pair at t=2 (the analyzers rotated them):")
 for q in (2, 3):
     print(f"  q_z of Q{q}:")
@@ -43,7 +38,7 @@ for q in (2, 3):
         print("   ", line)
 print()
 
-report = pre_vs_post_report(cfg)
+report = reports(run)[0]
 data = report.to_dict()
 print("report (closed form == descriptors == statevector, to 1e-10):")
 print(f"  t=2  P(both |1>)        = {data['p_joint_t2']:.10f}")

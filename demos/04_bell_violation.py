@@ -11,8 +11,10 @@ import numpy as np
 from qpictures import TSIRELSON, canonical_setting, chsh, chsh_scan, correlation
 
 print("pairwise correlations at t=2:")
-for theta, phi in ((0.0, 0.0), (0.0, np.pi / 4), (0.0, np.pi / 2), (0.0, np.pi)):
-    print(f"  E({theta:.4f}, {phi:.4f}) = {correlation(theta, phi):+.6f}")
+thetas = (0.0, 0.0, 0.0, 0.0)
+phis = (0.0, np.pi / 4, np.pi / 2, np.pi)
+for theta, phi, e in zip(thetas, phis, correlation(thetas, phis)):
+    print(f"  E({theta:.4f}, {phi:.4f}) = {e:+.6f}")
 print()
 
 setting = canonical_setting()

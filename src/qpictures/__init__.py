@@ -10,9 +10,7 @@ that experiment for a whole grid of analyzer angles in one batched run.
 """
 
 from .bell import (
-    ChshResult,
     ChshSetting,
-    ScanResult,
     TSIRELSON,
     canonical_setting,
     chsh,
@@ -21,27 +19,19 @@ from .bell import (
     scan_rows,
 )
 from .experiment import (
-    BothPictures,
     ExperimentConfig,
-    ExperimentReport,
-    Run,
-    SignErrorAudit,
-    Timeline,
     build_timeline,
     closed_form_descriptors_t2,
-    correlation_t2,
     default_difference_grid,
     default_grid_configs,
-    descriptors_at,
     descriptors_at_t2,
     joint_prob_both_one_at_t2,
     linear_terms_t2,
-    pre_vs_post_report,
     prob_outcomes_differ_at_t4,
     record_marginal_t3,
+    reports,
     sign_error_audit,
     simulate,
-    state_at,
     sweep_reports,
 )
 from .gates import (
@@ -55,9 +45,6 @@ from .gates import (
     random_circuit,
 )
 from .heisenberg import (
-    DescriptorSet,
-    InvarianceReport,
-    TermGrowthError,
     conjugation_images,
     descriptor_expectation,
     evolve,
@@ -85,29 +72,18 @@ from .states import (
     new_all_zeros,
     to_conventional,
 )
-from .verification import CheckResult, compare_pictures, run_all_checks
 
 __version__ = "0.1.0"
 
+# Exactly the names that the demos and the tests import from the package.
 __all__ = [
     "Axis",
-    "BothPictures",
-    "CheckResult",
-    "ChshResult",
     "ChshSetting",
-    "DescriptorSet",
     "ExperimentConfig",
-    "ExperimentReport",
     "Gate",
-    "InvarianceReport",
     "OperatorSum",
     "PauliString",
-    "Run",
-    "ScanResult",
-    "SignErrorAudit",
     "StateVector",
-    "TermGrowthError",
-    "Timeline",
     "TSIRELSON",
     "analyzer_rotation",
     "apply_circuit",
@@ -118,15 +94,12 @@ __all__ = [
     "chsh",
     "chsh_scan",
     "closed_form_descriptors_t2",
-    "compare_pictures",
+    "cnot",
     "conjugation_images",
     "correlation",
-    "correlation_t2",
-    "cnot",
     "default_difference_grid",
     "default_grid_configs",
     "descriptor_expectation",
-    "descriptors_at",
     "descriptors_at_t2",
     "dump_csv",
     "evolve",
@@ -145,17 +118,14 @@ __all__ = [
     "pauli_x",
     "pauli_y",
     "pauli_z",
-    "pre_vs_post_report",
     "prob_outcomes_differ_at_t4",
     "random_circuit",
     "record_marginal_t3",
-    "run_all_checks",
+    "reports",
     "scan_rows",
     "sign_error_audit",
     "simulate",
-    "state_at",
     "sweep_reports",
     "to_conventional",
     "untouched_invariance_check",
-    "__version__",
 ]

@@ -6,14 +6,16 @@ combination applies; at the canonical pi/4 spacing it reaches 2*sqrt(2),
 violating the local bound of 2 with no comparison gate anywhere in
 sight.
 
-Every correlation a CHSH value or a scan needs comes from one batched
-simulation of all the angle pairs involved.
+``correlation`` maps two equal-length angle sequences to an array of
+correlations, so every correlation a CHSH value or a scan needs comes from
+one batched simulation of all the angle pairs involved.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -28,14 +30,14 @@ CANONICAL_SETTING_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 MAX_SCAN_ANGLES = 32
 
 
-def correlation(theta, phi, atol: float = 1e-10):
-    """E(theta, phi) at t=2, verified against cos(theta - phi) and the
-    statevector oracle before being returned.  Equal-length sequences of
-    angles give an array with one value per (theta, phi) pair."""
-    thetas, phis = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    run = simulate(ExperimentConfig(float(t), float(p)) for t, p in zip(thetas.ravel(), phis.ravel()))
-    values = correlation_t2(run).require_agreement(atol).heisenberg
-    return float(values[0]) if thetas.ndim == 0 else values
+def correlation(thetas: Sequence[float], phis: Sequence[float]) -> np.ndarray:
+    """E(theta, phi) at t=2 for each pair of two equal-length angle
+    sequences, verified against cos(theta - phi) and the statevector
+    oracle before being returned."""
+    if len(thetas) != len(phis):
+        raise ValueError(f"{len(thetas)} thetas but {len(phis)} phis")
+    run = simulate(ExperimentConfig(float(t), float(p)) for t, p in zip(thetas, phis))
+    return correlation_t2(run).require_agreement().heisenberg
 
 
 @dataclass(frozen=True)

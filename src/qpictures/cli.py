@@ -7,16 +7,18 @@ grid), ``chsh`` (one setting or an exhaustive scan), ``picture-check``
 
 Angles are radians unless ``--degrees`` is given; ``pi`` expressions
 such as ``pi/4`` or ``3pi/4`` are accepted.  Exit codes: 0 success,
-1 failed check, 2 usage error.  Work is bounded before it starts: a sweep
-takes at most ``experiment.MAX_BATCH`` points and a scan at most
-``bell.MAX_SCAN_ANGLES`` angles per arm, and a larger grid is a usage
-error.  All output is plain ASCII; JSON floats carry 12 significant
-digits, human tables 6.
+1 failed check, 2 usage error.  An analyzer angle larger in magnitude
+than ``experiment.MAX_ANGLE`` radians is a usage error.  Work is bounded
+before it starts: a sweep takes at most ``experiment.MAX_BATCH`` points
+and a scan at most ``bell.MAX_SCAN_ANGLES`` angles per arm, and a larger
+grid is a usage error.  All output is plain ASCII; JSON floats carry 12
+significant digits, human tables 6.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -25,13 +27,13 @@ import sys
 
 from .bell import ChshSetting, TSIRELSON, chsh, chsh_scan, scan_grid, scan_rows
 from .experiment import (
+    MAX_ANGLE,
     MAX_BATCH,
     ExperimentConfig,
     ExperimentReport,
     descriptors_at_t2,
     reports,
     simulate,
-    state_at,
     sweep_reports,
 )
 from .states import dump_csv
@@ -90,8 +92,11 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _parser().error(f"cannot write {out_path}: {exc.strerror or exc}")
 
 
 def _csv_text(header, rows) -> str:
@@ -179,7 +184,7 @@ def cmd_epr(args) -> int:
             lines.extend("  " + line for line in qz3.render().split("\n"))
         _emit("\n".join(lines), args.out)
     if args.dump_state is not None:
-        sys.stdout.write(dump_csv(state_at(run, args.dump_state).row(0)))
+        sys.stdout.write(dump_csv(run.states[args.dump_state].row(0)))
     return 0
 
 
@@ -293,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run every verification check")
     p_verify.add_argument("--json", action="store_true", help="machine-readable results")
     p_verify.add_argument("--out", default=None, help="output path (default stdout)")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_epr = sub.add_parser("epr", help="full report for one pair of analyzer angles")
     p_epr.add_argument("theta", type=parse_angle)
@@ -305,13 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_epr.add_argument("--out", default=None)
     p_epr.add_argument("--dump-state", type=int, choices=range(5), default=None,
                        metavar="STEP", help="debug: dump the statevector after step 0..4 as CSV")
-    p_epr.set_defaults(func=cmd_epr)
 
     p_sweep = sub.add_parser("sweep", help="tabulate the report over a difference grid")
     p_sweep.add_argument("grid_points", type=int)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_chsh = sub.add_parser("chsh", help="CHSH value for one setting, or an exhaustive scan")
     p_chsh.add_argument("angles", type=parse_angle, nargs="*", metavar="ANGLE",
@@ -321,21 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh.add_argument("--degrees", action="store_true")
     p_chsh.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_chsh.add_argument("--out", default=None)
-    p_chsh.set_defaults(func=cmd_chsh)
 
     p_pc = sub.add_parser("picture-check", help="cross-engine agreement on a random circuit")
     p_pc.add_argument("--qubits", type=int, default=4)
     p_pc.add_argument("--depth", type=int, default=8)
     p_pc.add_argument("--seed", type=int, default=42)
     p_pc.add_argument("--out", default=None)
-    p_pc.set_defaults(func=cmd_picture_check)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
+    if args.command in ("epr", "chsh"):
+        angles = (args.theta, args.phi) if args.command == "epr" else args.angles
+        if any(abs(_scale(v, args.degrees)) > MAX_ANGLE for v in angles):
+            parser.error(f"analyzer angles must be at most {MAX_ANGLE:g} rad in magnitude")
     if args.command == "sweep":
         if args.grid_points < 2:
             parser.error("grid_points must be at least 2")
@@ -356,7 +366,10 @@ def main(argv=None) -> int:
             parser.error("qubits must be in 2..5")
         if not 1 <= args.depth <= 12:
             parser.error("depth must be in 1..12")
-    return args.func(args)
+        if args.seed < 0:
+            parser.error("seed must be non-negative")
+    # Looked up at call time, so a rebound cmd_* (as a tracer does) is used.
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

@@ -18,9 +18,8 @@ before the comparison step ever runs.
 angle pairs: the analyzer rotations carry one angle per pair, so states
 have one row and descriptors one coefficient column per pair, while the
 gate list and the Pauli strings are shared.  The result is a ``Run``, and
-every quantity is a vectorised function of a Run.  Given a single
-``ExperimentConfig`` instead, a quantity simulates that pair as a batch
-of one and returns plain floats.
+every quantity is a function of a Run with one value per angle pair.  One
+angle pair is a batch of one: ``reports(simulate([cfg]))[0]``.
 """
 from __future__ import annotations
 
@@ -51,6 +50,12 @@ ENGINE_ATOL = 1e-10
 # of states and descriptors per pair, so this bounds a run near 10 MB.
 MAX_BATCH = 4096
 
+# The largest analyzer angle magnitude (radians) the CLI accepts.  The
+# closed forms round theta - phi to about 1e-16 of the angles, so closed
+# forms and engines split as angles grow: random pairs stay within
+# ENGINE_ATOL up to 1e5 rad, and about 3% of them fail at 1e6 rad.
+MAX_ANGLE = 1e4
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -74,14 +79,9 @@ class Timeline:
 
     steps: tuple[tuple[Gate, ...], ...]
 
-    def gates_through(self, step: int) -> tuple[Gate, ...]:
-        if not 0 <= step <= len(self.steps):
-            raise ValueError(f"step must be in 0..{len(self.steps)}, got {step}")
-        return tuple(g for segment in self.steps[:step] for g in segment)
-
     @property
     def all_gates(self) -> tuple[Gate, ...]:
-        return self.gates_through(len(self.steps))
+        return tuple(g for segment in self.steps for g in segment)
 
 
 def build_timeline(cfg: ExperimentConfig | Sequence[ExperimentConfig]) -> Timeline:
@@ -147,37 +147,19 @@ def simulate(configs: Iterable[ExperimentConfig]) -> Run:
     return Run(configs, state_by_step, ds_by_step)
 
 
-def _as_run(source: Run | ExperimentConfig) -> Run:
-    return source if isinstance(source, Run) else simulate([source])
+def _per_config(run: Run, f) -> np.ndarray:
+    """f(cfg) for each config of a Run."""
+    return np.array([f(cfg) for cfg in run.configs])
 
 
-def _per_config(source: Run | ExperimentConfig, f):
-    """f(cfg) for one config, or an array of f over a Run's configs."""
-    if isinstance(source, Run):
-        return np.array([f(cfg) for cfg in source.configs])
-    return f(source)
-
-
-def state_at(source: Run | ExperimentConfig, step: int) -> StateVector:
-    """State after ``step``: one row per config of a Run, or the single
-    state of one config."""
-    state = _as_run(source).states[step]
-    return state if isinstance(source, Run) else state.row(0)
-
-
-def descriptors_at(source: Run | ExperimentConfig, step: int) -> DescriptorSet:
-    """Descriptor set after ``step``, batched over a Run's configs."""
-    ds = _as_run(source).descriptors[step]
-    return ds if isinstance(source, Run) else ds.column(0)
-
-
-def descriptors_at_t2(source: Run | ExperimentConfig) -> tuple[OperatorSum, OperatorSum]:
-    """(q_z of Q2, q_z of Q3) after the analyzer rotations."""
-    ds = descriptors_at(source, 2)
+def descriptors_at_t2(run: Run) -> tuple[OperatorSum, OperatorSum]:
+    """(q_z of Q2, q_z of Q3) after the analyzer rotations, one
+    coefficient column per config."""
+    ds = run.descriptors[2]
     return ds.z(SYSTEM_A), ds.z(SYSTEM_B)
 
 
-def closed_form_descriptors_t2(source: Run | ExperimentConfig) -> tuple[OperatorSum, OperatorSum]:
+def closed_form_descriptors_t2(run: Run) -> tuple[OperatorSum, OperatorSum]:
     """The expected two-term descriptors at t=2:
 
     q_z2 = sin(theta) Y2 X3 - cos(theta) Z2 X3
@@ -186,15 +168,15 @@ def closed_form_descriptors_t2(source: Run | ExperimentConfig) -> tuple[Operator
     qz2 = OperatorSum(
         N_QUBITS,
         [
-            ("Y2 X3", _per_config(source, lambda c: math.sin(c.theta))),
-            ("Z2 X3", _per_config(source, lambda c: -math.cos(c.theta))),
+            ("Y2 X3", _per_config(run, lambda c: math.sin(c.theta))),
+            ("Z2 X3", _per_config(run, lambda c: -math.cos(c.theta))),
         ],
     )
     qz3 = OperatorSum(
         N_QUBITS,
         [
-            ("X3", _per_config(source, lambda c: math.cos(c.phi))),
-            ("X2 Y3", _per_config(source, lambda c: math.sin(c.phi))),
+            ("X3", _per_config(run, lambda c: math.cos(c.phi))),
+            ("X2 Y3", _per_config(run, lambda c: math.sin(c.phi))),
         ],
     )
     return qz2, qz3
@@ -202,12 +184,12 @@ def closed_form_descriptors_t2(source: Run | ExperimentConfig) -> tuple[Operator
 
 @dataclass(frozen=True)
 class BothPictures:
-    """One quantity computed in closed form and by both engines: floats, or
-    arrays with one value per config of a Run."""
+    """One quantity computed in closed form and by both engines: arrays
+    with one value per config of a Run, or the floats of one config."""
 
-    closed: float | np.ndarray
-    heisenberg: float | np.ndarray
-    schrodinger: float | np.ndarray
+    closed: np.ndarray | float
+    heisenberg: np.ndarray | float
+    schrodinger: np.ndarray | float
 
     @property
     def engine_delta(self):
@@ -221,10 +203,11 @@ class BothPictures:
         """The values of config ``j`` of a Run, as floats."""
         return BothPictures(float(self.closed[j]), float(self.heisenberg[j]), float(self.schrodinger[j]))
 
-    def require_agreement(self, atol: float = ENGINE_ATOL) -> "BothPictures":
-        failed = np.flatnonzero((self.closed_deviation > atol) | (self.engine_delta > atol))
+    def require_agreement(self) -> "BothPictures":
+        """Self, unless some config's values split by more than ENGINE_ATOL."""
+        failed = np.flatnonzero((self.closed_deviation > ENGINE_ATOL) | (self.engine_delta > ENGINE_ATOL))
         if len(failed):
-            at = self if np.ndim(self.closed) == 0 else self.column(int(failed[0]))
+            at = self.column(int(failed[0]))
             raise AssertionError(
                 f"engine disagreement: closed={at.closed!r} "
                 f"heisenberg={at.heisenberg!r} schrodinger={at.schrodinger!r}"
@@ -232,22 +215,24 @@ class BothPictures:
         return self
 
 
-def _scalar_if_config(source: Run | ExperimentConfig, result: BothPictures) -> BothPictures:
-    return result if isinstance(source, Run) else result.column(0)
-
-
 def _zz_product(ds: DescriptorSet, q_a: int, q_b: int):
     return descriptor_expectation(ds.z(q_a) * ds.z(q_b))
 
 
-def _correlation(run: Run) -> BothPictures:
+def correlation_t2(run: Run) -> BothPictures:
+    """<q_z2 q_z3> at t=2; closed form cos(theta - phi)."""
     heis = _zz_product(run.descriptors[2], SYSTEM_A, SYSTEM_B)
     zz = OperatorSum(N_QUBITS, [("Z2 Z3", 1.0)])
     schro = states.expectation(run.states[2], zz)
     return BothPictures(_per_config(run, lambda c: math.cos(c.difference)), heis, schro)
 
 
-def _joint_prob(run: Run) -> BothPictures:
+def joint_prob_both_one_at_t2(run: Run) -> BothPictures:
+    """P(Q2 and Q3 both read |1>) at t=2; closed form cos^2((theta-phi)/2)/2.
+
+    The descriptor route expands the projector product
+    (1 + q_z2)(1 + q_z3)/4, whose linear terms vanish.
+    """
     ds = run.descriptors[2]
     heis = 0.25 * (
         1.0
@@ -260,7 +245,8 @@ def _joint_prob(run: Run) -> BothPictures:
     return BothPictures(closed, heis, schro)
 
 
-def _linear_terms(run: Run) -> tuple[np.ndarray, np.ndarray]:
+def linear_terms_t2(run: Run) -> tuple[np.ndarray, np.ndarray]:
+    """(<q_z2>, <q_z3>) at t=2; both vanish for every angle pair."""
     ds = run.descriptors[2]
     return (
         descriptor_expectation(ds.z(SYSTEM_A)),
@@ -268,7 +254,13 @@ def _linear_terms(run: Run) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _p_diff(run: Run) -> BothPictures:
+def prob_outcomes_differ_at_t4(run: Run) -> BothPictures:
+    """P(Q1 reads |1> after the comparison step), i.e. the two records
+    disagreed; closed form sin^2((theta-phi)/2).
+
+    Descriptor route: <z1(4)> = 1/2 - 1/2 <q_z1(3) q_z4(3)>, cross-checked
+    against the direct t=4 descriptor of Q1.
+    """
     heis = 0.5 - 0.5 * _zz_product(run.descriptors[3], RECORD_A, RECORD_B)
     direct = 0.5 + 0.5 * descriptor_expectation(run.descriptors[4].z(RECORD_A))
     if not np.all(abs(heis - direct) <= 1e-12):
@@ -278,49 +270,15 @@ def _p_diff(run: Run) -> BothPictures:
     return BothPictures(closed, heis, schro)
 
 
-def _record_marginal(run: Run) -> BothPictures:
-    heis = 0.5 + 0.5 * descriptor_expectation(run.descriptors[3].z(RECORD_A))
-    schro = joint_probability(run.states[3], {RECORD_A: 1})
-    return BothPictures(np.full(len(run), 0.5), heis, schro)
-
-
-def correlation_t2(source: Run | ExperimentConfig) -> BothPictures:
-    """<q_z2 q_z3> at t=2; closed form cos(theta - phi)."""
-    return _scalar_if_config(source, _correlation(_as_run(source)))
-
-
-def joint_prob_both_one_at_t2(source: Run | ExperimentConfig) -> BothPictures:
-    """P(Q2 and Q3 both read |1>) at t=2; closed form cos^2((theta-phi)/2)/2.
-
-    The descriptor route expands the projector product
-    (1 + q_z2)(1 + q_z3)/4, whose linear terms vanish.
-    """
-    return _scalar_if_config(source, _joint_prob(_as_run(source)))
-
-
-def linear_terms_t2(source: Run | ExperimentConfig) -> tuple:
-    """(<q_z2>, <q_z3>) at t=2; both vanish for every angle pair."""
-    lin2, lin3 = _linear_terms(_as_run(source))
-    return (lin2, lin3) if isinstance(source, Run) else (float(lin2[0]), float(lin3[0]))
-
-
-def prob_outcomes_differ_at_t4(source: Run | ExperimentConfig) -> BothPictures:
-    """P(Q1 reads |1> after the comparison step), i.e. the two records
-    disagreed; closed form sin^2((theta-phi)/2).
-
-    Descriptor route: <z1(4)> = 1/2 - 1/2 <q_z1(3) q_z4(3)>, cross-checked
-    against the direct t=4 descriptor of Q1.
-    """
-    return _scalar_if_config(source, _p_diff(_as_run(source)))
-
-
-def record_marginal_t3(source: Run | ExperimentConfig) -> BothPictures:
+def record_marginal_t3(run: Run) -> BothPictures:
     """P(Q1 reads |1>) at t=3, before the comparison gate.
 
     Constant 1/2: the local record marginal carries no information about
     the distant analyzer angle (no signaling).
     """
-    return _scalar_if_config(source, _record_marginal(_as_run(source)))
+    heis = 0.5 + 0.5 * descriptor_expectation(run.descriptors[3].z(RECORD_A))
+    schro = joint_probability(run.states[3], {RECORD_A: 1})
+    return BothPictures(np.full(len(run), 0.5), heis, schro)
 
 
 # Candidate closed forms for the t=4 disagreement probability.  Only the
@@ -359,24 +317,17 @@ class SignErrorAudit:
         return self.matching[0] if len(self.matching) == 1 else None
 
 
-def _as_config(point) -> ExperimentConfig:
-    if isinstance(point, ExperimentConfig):
-        return point
-    theta, phi = point
-    return ExperimentConfig(float(theta), float(phi))
-
-
-def sign_error_audit(grid: Iterable, atol: float = ENGINE_ATOL) -> SignErrorAudit:
+def sign_error_audit(grid: Iterable[ExperimentConfig]) -> SignErrorAudit:
     """Run the disagreement probability over a grid of angle pairs and
     score the three candidate formulas against it.
 
     The grid must distinguish every pair of candidates somewhere,
     otherwise the audit is vacuous and is rejected.
     """
-    configs = [_as_config(p) for p in grid]
+    configs = list(grid)
     if not configs:
         raise ValueError("audit grid is empty")
-    p_diff = _p_diff(simulate(configs)).require_agreement(atol)
+    p_diff = prob_outcomes_differ_at_t4(simulate(configs)).require_agreement()
 
     names = list(CANDIDATE_FORMULAS)
     separated = {(a, b): False for i, a in enumerate(names) for b in names[i + 1 :]}
@@ -405,7 +356,7 @@ def sign_error_audit(grid: Iterable, atol: float = ENGINE_ATOL) -> SignErrorAudi
             + ", ".join(f"{a}/{b}" for a, b in missing)
             + " coincide at every supplied point"
         )
-    matching = tuple(name for name in names if max_dev[name] <= atol)
+    matching = tuple(name for name in names if max_dev[name] <= ENGINE_ATOL)
     return SignErrorAudit(tuple(points), matching)
 
 
@@ -461,15 +412,15 @@ class ExperimentReport:
         return {name: get(self) for name, get in _REPORT_FIELDS}
 
 
-def reports(run: Run, atol: float = ENGINE_ATOL) -> list[ExperimentReport]:
+def reports(run: Run) -> list[ExperimentReport]:
     """One report per config of ``run``, bundling the pre-comparison (t=2)
     statistics with the post-comparison (t=4) record, every value
     cross-checked between pictures."""
-    p_joint = _joint_prob(run).require_agreement(atol)
-    corr = _correlation(run).require_agreement(atol)
-    p_diff = _p_diff(run).require_agreement(atol)
-    marginal = _record_marginal(run).require_agreement(atol)
-    lin2, lin3 = _linear_terms(run)
+    p_joint = joint_prob_both_one_at_t2(run).require_agreement()
+    corr = correlation_t2(run).require_agreement()
+    p_diff = prob_outcomes_differ_at_t4(run).require_agreement()
+    marginal = record_marginal_t3(run).require_agreement()
+    lin2, lin3 = linear_terms_t2(run)
     for name, value in (("p_joint_t2", p_joint), ("p_diff_t4", p_diff), ("p_record_t3", marginal)):
         for v in (value.heisenberg, value.schrodinger):
             outside = v[~((-1e-12 <= v) & (v <= 1.0 + 1e-12))]
@@ -497,16 +448,11 @@ def reports(run: Run, atol: float = ENGINE_ATOL) -> list[ExperimentReport]:
     return out
 
 
-def pre_vs_post_report(cfg: ExperimentConfig, atol: float = ENGINE_ATOL) -> ExperimentReport:
-    """The report of one angle pair, simulated as a batch of one."""
-    return reports(simulate([cfg]), atol)[0]
-
-
-def sweep_reports(configs: Iterable[ExperimentConfig], atol: float = ENGINE_ATOL) -> list[ExperimentReport]:
+def sweep_reports(configs: Iterable[ExperimentConfig]) -> list[ExperimentReport]:
     """Reports over a grid from one batched run, checking that the
     simulated t=2 joint probability tracks the full angle dependence of
     its closed form."""
-    out = reports(simulate(configs), atol)
+    out = reports(simulate(configs))
     closed = [r.p_joint_t2.closed for r in out]
     simulated = [r.p_joint_t2.schrodinger for r in out]
     closed_spread = max(closed) - min(closed)

@@ -214,13 +214,13 @@ def evolve_circuit(ds: DescriptorSet, gates: Iterable[Gate]) -> DescriptorSet:
     return ds
 
 
-def descriptor_expectation(expr: OperatorSum, atol: float = 1e-12):
+def descriptor_expectation(expr: OperatorSum):
     """Reference-state expectation of an operator built from descriptors;
     one value per column of a batched operator."""
-    if not expr.is_hermitian(atol):
+    if not expr.is_hermitian():
         raise ValueError("descriptor expectation requires a Hermitian operator")
     value = expectation_in_all_zeros(expr)
-    if not np.all(np.abs(np.imag(value)) <= atol):
+    if not np.all(np.abs(np.imag(value)) <= 1e-12):
         raise AssertionError("Hermitian descriptor expectation came out complex")
     return np.real(value) if expr.batch is not None else float(value.real)
 

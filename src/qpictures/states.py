@@ -130,20 +130,20 @@ def _apply_string(amps: np.ndarray, width: int, axes_row) -> np.ndarray:
     return psi.reshape(amps.shape)
 
 
-def expectation(state: StateVector, op: OperatorSum, atol: float = 1e-12):
+def expectation(state: StateVector, op: OperatorSum):
     """<psi| op |psi> for a Hermitian operator sum without a batch axis;
     one value per row of a batched state."""
     if op.width != state.width:
         raise ValueError(f"width mismatch: state {state.width}, operator {op.width}")
     if op.batch is not None:
         raise ValueError("expectation takes an operator without a batch axis")
-    if not op.is_hermitian(atol):
+    if not op.is_hermitian():
         raise ValueError("expectation requires a Hermitian operator")
     value = 0.0 + 0.0j
     for string, coeff in op.iter_terms():
         # vecdot conjugates its first operand, as vdot does, row by row.
         value += coeff * np.vecdot(state.amplitudes, _apply_string(state.amplitudes, state.width, string.axes))
-    if not np.all(np.abs(np.imag(value)) <= max(atol, 1e-10)):
+    if not np.all(np.abs(np.imag(value)) <= 1e-10):
         raise AssertionError("Hermitian expectation came out complex")
     return np.real(value) if state.batch is not None else float(value.real)
 

@@ -15,42 +15,46 @@ from qpictures import (
     correlation,
     joint_probability,
     scan_rows,
-    state_at,
+    simulate,
 )
 
 CANONICAL_S = 2.0 * math.sqrt(2.0)
 
 
+def one_correlation(theta, phi):
+    return correlation([theta], [phi])[0]
+
+
 class TestCorrelation:
     def test_equal_angles(self):
-        assert correlation(0.9, 0.9) == pytest.approx(1.0, abs=1e-10)
+        assert one_correlation(0.9, 0.9) == pytest.approx(1.0, abs=1e-10)
 
     def test_quarter_turn(self):
-        assert correlation(math.pi / 2, 0.0) == pytest.approx(0.0, abs=1e-10)
+        assert one_correlation(math.pi / 2, 0.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_half_turn(self):
-        assert correlation(math.pi, 0.0) == pytest.approx(-1.0, abs=1e-10)
+        assert one_correlation(math.pi, 0.0) == pytest.approx(-1.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shift_invariance(self, seed):
         rng = np.random.default_rng(500 + seed)
         theta, phi, shift = rng.uniform(-math.pi, math.pi, size=3)
-        assert correlation(theta + shift, phi + shift) == pytest.approx(
-            correlation(theta, phi), abs=1e-12
+        assert one_correlation(theta + shift, phi + shift) == pytest.approx(
+            one_correlation(theta, phi), abs=1e-12
         )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bounded_by_one(self, seed):
         rng = np.random.default_rng(600 + seed)
         theta, phi = rng.uniform(-2 * math.pi, 2 * math.pi, size=2)
-        assert abs(correlation(theta, phi)) <= 1.0 + 1e-12
+        assert abs(one_correlation(theta, phi)) <= 1.0 + 1e-12
 
     def test_equals_same_minus_different_probabilities(self):
         theta, phi = 1.2, 0.4
-        state = state_at(ExperimentConfig(theta, phi), 2)
+        state = simulate([ExperimentConfig(theta, phi)]).states[2].row(0)
         p_same = joint_probability(state, {2: 1, 3: 1}) + joint_probability(state, {2: 0, 3: 0})
         p_diff = joint_probability(state, {2: 1, 3: 0}) + joint_probability(state, {2: 0, 3: 1})
-        assert correlation(theta, phi) == pytest.approx(p_same - p_diff, abs=1e-10)
+        assert one_correlation(theta, phi) == pytest.approx(p_same - p_diff, abs=1e-10)
 
 
 class TestChsh:

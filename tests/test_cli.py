@@ -3,11 +3,31 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from qpictures import cli
+from qpictures.experiment import MAX_ANGLE
+
+
+def fail_evolution(configs):
+    raise AssertionError("evolution started")
+
+
+def assert_usage_error(capsys, argv):
+    """argv exits 2 with one ``error:`` line and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith("qpictures") and ": error: " in last
+    return last
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +122,8 @@ class TestEpr:
         [
             ["epr", "nan", "0"],
             ["epr", "1e400", "0"],
+            ["epr", "1e308", "1e307"],
+            ["epr", "--", "1e308", "-1e308"],
             ["chsh", "0", "inf", "0", "0"],
             ["chsh", "--scan", "0.3"],
             ["chsh", "--scan", "0"],
@@ -109,13 +131,7 @@ class TestEpr:
         ],
     )
     def test_bad_number_is_usage_error(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        last = err.splitlines()[-1]
-        assert last.startswith("qpictures") and ": error: " in last
+        assert_usage_error(capsys, argv)
 
     @pytest.mark.parametrize(
         "argv",
@@ -130,18 +146,27 @@ class TestEpr:
         ],
     )
     def test_grid_above_work_bound_is_usage_error(self, capsys, monkeypatch, argv):
-        def fail(configs):
-            raise AssertionError("evolution started")
-
-        monkeypatch.setattr("qpictures.experiment._evolution", fail)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        last = err.splitlines()[-1]
-        assert last.startswith("qpictures") and ": error: " in last
+        monkeypatch.setattr("qpictures.experiment._evolution", fail_evolution)
+        last = assert_usage_error(capsys, argv)
         assert "at most" in last or "more than" in last
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epr", "--", "-10000.001", "0"],
+            ["epr", "0", "600000", "--degrees"],
+            ["chsh", "0", "0", "0", "20000"],
+        ],
+    )
+    def test_oversized_angle_rejected_before_evolution(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("qpictures.experiment._evolution", fail_evolution)
+        last = assert_usage_error(capsys, argv)
+        assert f"at most {MAX_ANGLE:g} rad" in last
+
+    def test_angle_at_bound_is_accepted(self, capsys):
+        code, out = run_cli(capsys, "epr", "--format", "json", "--", str(MAX_ANGLE), str(-MAX_ANGLE))
+        assert code == 0
+        assert json.loads(out)["theta"] == MAX_ANGLE
 
     def test_csv_format(self, capsys):
         code, out = run_cli(capsys, "epr", "0.3", "0.3", "--format", "csv")
@@ -183,6 +208,10 @@ class TestSweep:
         text = out_path.read_text()
         assert text.startswith("theta,phi,")
         assert text.count("\n") == 5
+
+    def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path):
+        last = assert_usage_error(capsys, ["sweep", "2", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert "cannot write" in last
 
     def test_too_few_points_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -257,3 +286,30 @@ class TestPictureCheck:
         with pytest.raises(SystemExit) as exc:
             cli.main(["picture-check", "--depth", "13"])
         assert exc.value.code == 2
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        last = assert_usage_error(capsys, ["picture-check", "--seed", "-1"])
+        assert "seed" in last
+
+
+class TestParserReuse:
+    ARGV = ["epr", "pi/3", "0.2", "--show-descriptors", "--dump-state", "2"]
+
+    def test_usage_error_leaves_later_commands_unchanged(self, capsys):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        alone = subprocess.run(
+            [sys.executable, "-m", "qpictures", *self.ARGV], capture_output=True, text=True, env=env
+        )
+        assert alone.returncode == 0
+        assert_usage_error(capsys, ["epr", "abc", "0", "--format", "json"])
+        code, out = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        assert out == alone.stdout
+
+    def test_dispatch_uses_the_current_module_binding(self, capsys, monkeypatch):
+        # The parser exists before the rebinding, as in a traced benchmark run.
+        assert run_cli(capsys, "epr", "0", "0")[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_epr", lambda args: calls.append(args.theta) or 0)
+        assert cli.main(["epr", "0.5", "0"]) == 0
+        assert calls == [0.5]

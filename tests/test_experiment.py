@@ -15,16 +15,29 @@ from qpictures import (
     joint_probability,
     linear_terms_t2,
     max_term_deviation,
-    pre_vs_post_report,
     prob_outcomes_differ_at_t4,
     record_marginal_t3,
+    reports,
     sign_error_audit,
-    state_at,
+    simulate,
     sweep_reports,
 )
 from qpictures.experiment import ExperimentReport
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def one(quantity, cfg):
+    """A quantity of one angle pair, simulated as a batch of one."""
+    return quantity(simulate([cfg])).column(0)
+
+
+def descriptors_t2(cfg):
+    return tuple(op.column(0) for op in descriptors_at_t2(simulate([cfg])))
+
+
+def report_of(cfg):
+    return reports(simulate([cfg]))[0]
 
 
 class TestTimeline:
@@ -36,7 +49,7 @@ class TestTimeline:
         assert sum(n == "CN" for segment in names[2:] for n in segment) == 3
 
     def test_entangled_pair_after_step_one(self):
-        state = state_at(ExperimentConfig(0.7, 0.3), 1)
+        state = simulate([ExperimentConfig(0.7, 0.3)]).states[1].row(0)
         # ancillas still |0>; the pair carries (|1,1> - |0,0>)/sqrt(2)
         amps = state.amplitudes
         assert amps[0b1001] == pytest.approx(INV_SQRT2)
@@ -46,9 +59,9 @@ class TestTimeline:
         assert joint_probability(state, {2: 1, 3: 0}) == pytest.approx(0.0)
 
     def test_zero_angles_make_rotations_exact_identities(self):
-        cfg = ExperimentConfig(0.0, 0.0)
-        before = state_at(cfg, 1)
-        after = state_at(cfg, 2)
+        run = simulate([ExperimentConfig(0.0, 0.0)])
+        before = run.states[1]
+        after = run.states[2]
         np.testing.assert_array_equal(before.amplitudes, after.amplitudes)
 
     def test_config_requires_finite_angles(self):
@@ -64,61 +77,61 @@ class TestDescriptorsAtT2:
         [(0.0, 0.0), (math.pi / 2, 0.0), (0.3, 1.0), (2.0, 5.1), (math.pi, math.pi / 3)],
     )
     def test_match_closed_forms_term_for_term(self, theta, phi):
-        cfg = ExperimentConfig(theta, phi)
-        got2, got3 = descriptors_at_t2(cfg)
-        want2, want3 = closed_form_descriptors_t2(cfg)
+        run = simulate([ExperimentConfig(theta, phi)])
+        got2, got3 = descriptors_at_t2(run)
+        want2, want3 = closed_form_descriptors_t2(run)
         assert max_term_deviation(got2, want2) <= 1e-12
         assert max_term_deviation(got3, want3) <= 1e-12
 
     def test_generic_angles_give_two_terms_each(self):
-        qz2, qz3 = descriptors_at_t2(ExperimentConfig(0.3, 1.0))
+        qz2, qz3 = descriptors_t2(ExperimentConfig(0.3, 1.0))
         assert len(qz2) == 2
         assert len(qz3) == 2
 
     def test_theta_zero_descriptor(self):
-        qz2, _ = descriptors_at_t2(ExperimentConfig(0.0, 0.5))
+        qz2, _ = descriptors_t2(ExperimentConfig(0.0, 0.5))
         assert len(qz2) == 1
         assert qz2.coefficient("Z2 X3") == pytest.approx(-1.0)
 
     def test_phi_zero_descriptor(self):
-        _, qz3 = descriptors_at_t2(ExperimentConfig(0.5, 0.0))
+        _, qz3 = descriptors_t2(ExperimentConfig(0.5, 0.0))
         assert len(qz3) == 1
         assert qz3.coefficient("X3") == pytest.approx(1.0)
 
     def test_theta_half_pi_descriptor(self):
-        qz2, _ = descriptors_at_t2(ExperimentConfig(math.pi / 2, 0.0))
+        qz2, _ = descriptors_t2(ExperimentConfig(math.pi / 2, 0.0))
         assert len(qz2) == 1
         assert qz2.coefficient("Y2 X3") == pytest.approx(1.0)
 
 
 class TestJointProbability:
     def test_equal_angles_give_half(self):
-        result = joint_prob_both_one_at_t2(ExperimentConfig(0.8, 0.8))
+        result = one(joint_prob_both_one_at_t2, ExperimentConfig(0.8, 0.8))
         assert result.heisenberg == pytest.approx(0.5, abs=1e-10)
         assert result.schrodinger == pytest.approx(0.5, abs=1e-10)
 
     def test_opposite_angles_give_zero(self):
-        result = joint_prob_both_one_at_t2(ExperimentConfig(math.pi, 0.0))
+        result = one(joint_prob_both_one_at_t2, ExperimentConfig(math.pi, 0.0))
         assert result.schrodinger == pytest.approx(0.0, abs=1e-10)
 
     def test_quarter_turn(self):
-        result = joint_prob_both_one_at_t2(ExperimentConfig(math.pi / 2, 0.0))
+        result = one(joint_prob_both_one_at_t2, ExperimentConfig(math.pi / 2, 0.0))
         assert result.schrodinger == pytest.approx(0.25, abs=1e-10)
         assert result.heisenberg == pytest.approx(0.25, abs=1e-10)
 
 
 class TestOutcomesDiffer:
     def test_equal_angles_always_agree(self):
-        result = prob_outcomes_differ_at_t4(ExperimentConfig(1.3, 1.3))
+        result = one(prob_outcomes_differ_at_t4, ExperimentConfig(1.3, 1.3))
         assert result.schrodinger == pytest.approx(0.0, abs=1e-10)
 
     def test_opposite_angles_always_differ(self):
-        result = prob_outcomes_differ_at_t4(ExperimentConfig(math.pi, 0.0))
+        result = one(prob_outcomes_differ_at_t4, ExperimentConfig(math.pi, 0.0))
         assert result.schrodinger == pytest.approx(1.0, abs=1e-10)
 
     def test_third_of_pi(self):
         # sin^2(pi/6) = 1/4
-        result = prob_outcomes_differ_at_t4(ExperimentConfig(math.pi / 3, 0.0))
+        result = one(prob_outcomes_differ_at_t4, ExperimentConfig(math.pi / 3, 0.0))
         assert result.schrodinger == pytest.approx(0.25, abs=1e-10)
         assert result.heisenberg == pytest.approx(0.25, abs=1e-10)
 
@@ -147,12 +160,12 @@ class TestSignErrorAudit:
     def test_degenerate_grid_rejected(self):
         # at (pi/2, 0) all three candidates equal 1/2
         with pytest.raises(ValueError, match="degenerate"):
-            sign_error_audit([(math.pi / 2, 0.0)])
+            sign_error_audit([ExperimentConfig(math.pi / 2, 0.0)])
 
     def test_partially_degenerate_grid_rejected(self):
         # (0, 0) separates the cos form but not the sum form
         with pytest.raises(ValueError, match="sin2_half_diff/sin2_half_sum"):
-            sign_error_audit([(0.0, 0.0)])
+            sign_error_audit([ExperimentConfig(0.0, 0.0)])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -161,22 +174,20 @@ class TestSignErrorAudit:
 
 class TestNoSignaling:
     def test_record_marginal_constant_in_distant_angle(self):
-        values = [
-            record_marginal_t3(ExperimentConfig(0.7, phi)).schrodinger
-            for phi in default_difference_grid()
-        ]
+        run = simulate(ExperimentConfig(0.7, phi) for phi in default_difference_grid())
+        values = record_marginal_t3(run).schrodinger
         assert max(values) - min(values) <= 1e-10
         assert values[0] == pytest.approx(0.5, abs=1e-10)
 
 
 class TestPreVsPostReport:
     def test_equal_angles(self):
-        report = pre_vs_post_report(ExperimentConfig(0.3, 0.3))
+        report = report_of(ExperimentConfig(0.3, 0.3))
         assert report.p_joint_t2.schrodinger == pytest.approx(0.5, abs=1e-10)
         assert report.p_diff_t4.schrodinger == pytest.approx(0.0, abs=1e-10)
 
     def test_opposite_angles(self):
-        report = pre_vs_post_report(ExperimentConfig(0.0, math.pi))
+        report = report_of(ExperimentConfig(0.0, math.pi))
         assert report.p_joint_t2.schrodinger == pytest.approx(0.0, abs=1e-10)
         assert report.p_diff_t4.schrodinger == pytest.approx(1.0, abs=1e-10)
 
@@ -188,14 +199,12 @@ class TestPreVsPostReport:
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_linear_terms_vanish_on_grid(self):
-        for cfg in default_grid_configs():
-            lin2, lin3 = linear_terms_t2(cfg)
-            assert abs(lin2) <= 1e-12
-            assert abs(lin3) <= 1e-12
+        lin2, lin3 = linear_terms_t2(simulate(default_grid_configs()))
+        assert np.abs(lin2).max() <= 1e-12
+        assert np.abs(lin3).max() <= 1e-12
 
     def test_probabilities_stay_in_unit_interval(self):
-        for cfg in default_grid_configs():
-            report = pre_vs_post_report(cfg)
+        for report in reports(simulate(default_grid_configs())):
             for value in (
                 report.p_joint_t2.schrodinger,
                 report.p_joint_t2.heisenberg,
@@ -206,8 +215,7 @@ class TestPreVsPostReport:
                 assert -1e-12 <= value <= 1.0 + 1e-12
 
     def test_engines_agree_everywhere_on_grid(self):
-        for cfg in default_grid_configs():
-            report = pre_vs_post_report(cfg)
+        for report in reports(simulate(default_grid_configs())):
             for quantity in (report.p_joint_t2, report.corr_t2, report.p_diff_t4):
                 assert quantity.closed_deviation <= 1e-10
                 assert quantity.engine_delta <= 1e-10
@@ -218,7 +226,7 @@ class TestPreVsPostReport:
         assert max(values) - min(values) >= 0.4
 
     def test_to_dict_keys_match_csv_fields(self):
-        report = pre_vs_post_report(ExperimentConfig(0.1, 0.9))
+        report = report_of(ExperimentConfig(0.1, 0.9))
         assert tuple(report.to_dict()) == ExperimentReport.CSV_FIELDS
 
 
@@ -226,13 +234,15 @@ class TestDifferenceDependence:
     @pytest.mark.parametrize("seed", range(4))
     def test_reports_depend_only_on_angle_difference(self, seed):
         rng = np.random.default_rng(400 + seed)
-        for _ in range(25):
-            theta, phi, shift = rng.uniform(-2 * math.pi, 2 * math.pi, size=3)
-            base = pre_vs_post_report(ExperimentConfig(theta, phi)).to_dict()
-            shifted = pre_vs_post_report(ExperimentConfig(theta + shift, phi + shift)).to_dict()
-            for key, value in base.items():
+        base, shifted = [], []
+        for theta, phi, shift in rng.uniform(-2 * math.pi, 2 * math.pi, size=(25, 3)):
+            base.append(ExperimentConfig(theta, phi))
+            shifted.append(ExperimentConfig(theta + shift, phi + shift))
+        for a, b in zip(reports(simulate(base)), reports(simulate(shifted))):
+            a, b = a.to_dict(), b.to_dict()
+            for key, value in a.items():
                 # the sum-form audit deviation varies with theta + phi by
                 # construction; everything else is a difference function
                 if key in ("theta", "phi", "dev_sin2_half_sum"):
                     continue
-                assert abs(value - shifted[key]) <= 1e-10, key
+                assert abs(value - b[key]) <= 1e-10, key
