@@ -22,8 +22,10 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
+from dataclasses import asdict
 
 from .bell import ChshSetting, TSIRELSON, chsh, chsh_scan, scan_grid, scan_rows
 from .experiment import (
@@ -103,8 +105,7 @@ def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -117,16 +118,7 @@ def cmd_verify(args) -> int:
     if args.json:
         payload = {
             "all_passed": all(r.passed for r in results),
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "max_deviation": r.max_deviation,
-                    "tolerance": r.tolerance,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "checks": [asdict(r) for r in results],
         }
         _emit(json.dumps(_json_floats(payload), indent=2), args.out)
     else:
@@ -204,8 +196,10 @@ def cmd_chsh(args) -> int:
     if args.scan is not None:
         resolution = _scale(args.scan, args.degrees)
         if args.format == "csv":
+            # A scan has few distinct angles: format each once, not per row.
+            label = {x: f"{x:.12g}" for x in scan_grid(resolution)}
             rows = (
-                [a, ap, b, bp, s, int(abs(s) > 2.0 + 1e-12)]
+                [label[a], label[ap], label[b], label[bp], s, int(abs(s) > 2.0 + 1e-12)]
                 for a, ap, b, bp, s in scan_rows(resolution)
             )
             _emit(_csv_text(_CHSH_CSV_HEADER, rows), args.out)
@@ -342,6 +336,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    if args.out not in (None, "-"):  # before any work; _emit reports later failures
+        directory = os.path.dirname(args.out) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+            parser.error(f"cannot write {args.out}: {directory} is not a writable directory")
     if args.command in ("epr", "chsh"):
         angles = (args.theta, args.phi) if args.command == "epr" else args.angles
         if any(abs(_scale(v, args.degrees)) > MAX_ANGLE for v in angles):

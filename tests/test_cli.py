@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from qpictures import cli
+from qpictures.bell import scan_rows
 from qpictures.experiment import MAX_ANGLE
 
 
-def fail_evolution(configs):
+def fail_evolution(*args):
     raise AssertionError("evolution started")
 
 
@@ -163,6 +164,22 @@ class TestEpr:
         last = assert_usage_error(capsys, argv)
         assert f"at most {MAX_ANGLE:g} rad" in last
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["epr", "0.3", "0.1", "--format", "json"],
+            ["sweep", "4096"],
+            ["chsh", "--scan", "pi/8", "--format", "csv"],
+        ],
+    )
+    def test_missing_out_directory_rejected_before_evolution(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setattr("qpictures.experiment._evolution", fail_evolution)
+        # verify reports a raising check as failed, so its registry is stubbed too.
+        monkeypatch.setattr("qpictures.cli.run_all_checks", fail_evolution)
+        last = assert_usage_error(capsys, argv + ["--out", str(tmp_path / "missing" / "x.out")])
+        assert "cannot write" in last
+
     def test_angle_at_bound_is_accepted(self, capsys):
         code, out = run_cli(capsys, "epr", "--format", "json", "--", str(MAX_ANGLE), str(-MAX_ANGLE))
         assert code == 0
@@ -209,6 +226,9 @@ class TestSweep:
         assert text.startswith("theta,phi,")
         assert text.count("\n") == 5
 
+    def test_dash_out_writes_stdout(self, capsys):
+        assert run_cli(capsys, "sweep", "2", "--out", "-") == run_cli(capsys, "sweep", "2")
+
     def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path):
         last = assert_usage_error(capsys, ["sweep", "2", "--out", str(tmp_path / "missing" / "x.csv")])
         assert "cannot write" in last
@@ -252,6 +272,16 @@ class TestChsh:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["a", "a_prime", "b", "b_prime", "S", "violation"]
         assert len(rows) == 1 + 4**4
+
+    def test_scan_csv_formats_every_field_with_12_digits(self, capsys):
+        _, out = run_cli(capsys, "chsh", "--scan", "pi/4", "--format", "csv")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["a", "a_prime", "b", "b_prime", "S", "violation"])
+        for a, ap, b, bp, s in scan_rows(math.pi / 4):
+            writer.writerow([f"{a:.12g}", f"{ap:.12g}", f"{b:.12g}", f"{bp:.12g}", f"{s:.12g}",
+                             int(abs(s) > 2.0 + 1e-12)])
+        assert out == buf.getvalue()
 
     def test_missing_angles_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

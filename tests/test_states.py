@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpictures import (
     Axis,
@@ -22,6 +24,8 @@ from qpictures import (
     to_conventional,
 )
 from qpictures.dense import circuit_unitary
+from qpictures.gates import PAULI_MATRIX
+from qpictures.pauli import PauliString
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -112,6 +116,66 @@ class TestExpectation:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
             expectation(new_all_zeros(2), OperatorSum(3, [("Z1", 1.0)]))
+
+
+def reference_expectation(state, op):
+    """The per-qubit kernel: a tensordot with each factor's 2x2 matrix."""
+    amps = state.amplitudes
+    lead = list(amps.shape[:-1])
+    value = 0.0 + 0.0j
+    for string, coeff in op.iter_terms():
+        psi = amps.reshape(lead + [2] * state.width)
+        for q_idx, code in enumerate(string.axes, start=len(lead)):
+            if code != Axis.I:
+                psi = np.tensordot(PAULI_MATRIX[Axis(code)], psi, axes=([1], [q_idx]))
+                psi = np.moveaxis(psi, 0, q_idx)
+        value += coeff * np.vecdot(amps, psi.reshape(amps.shape))
+    return np.real(value) if state.batch is not None else float(value.real)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (got, want)
+
+
+@st.composite
+def states_and_sums(draw):
+    width = draw(st.integers(1, 6))
+    batch = draw(st.sampled_from([None, 1, 3]))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2**width,) if batch is None else (batch, 2**width)
+    # Sparse amplitudes, so exact zeros of both signs occur.
+    amps = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+    if not real:
+        amps = amps + 1j * rng.normal(size=shape)
+    amps[..., -1] += 1.0
+    amps = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+    terms = [
+        (PauliString(width, tuple(draw(st.lists(st.integers(0, 3), min_size=width, max_size=width)))),
+         draw(st.floats(-2.0, 2.0, allow_nan=False).filter(lambda c: c != 0.0)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return StateVector(width, amps), OperatorSum(width, terms)
+
+
+class TestMaskedKernel:
+    """The masked kernel builds the same vectors as a per-qubit tensordot,
+    so it returns the same bits."""
+
+    @given(states_and_sums())
+    def test_matches_per_qubit_reference(self, case):
+        state, op = case
+        assert_same_bits(expectation(state, op), reference_expectation(state, op))
+
+    def test_width_twelve_strings(self):
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=2**12) + 1j * rng.normal(size=2**12)
+        state = StateVector(12, amps / np.linalg.norm(amps))
+        strings = ["Z1", "Z12", "Z3 Z11", "Z1 Z12", "X1 Y12", "Y2 Y7", "X2 Y5 X7 Y9 Y11", "Y1 Y2 Y3 Y4 X12"]
+        for text in strings:
+            op = OperatorSum(12, [(text, 1.0)])
+            assert_same_bits(expectation(state, op), reference_expectation(state, op))
 
 
 class TestJointProbability:
