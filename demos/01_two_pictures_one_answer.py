@@ -57,8 +57,10 @@ for q in range(1, WIDTH + 1):
     heis = descriptor_expectation(ds.z(q))
     schro = expectation(state, OperatorSum.single_axis(WIDTH, q, Axis.Z))
     print(f"{'<Z%d>' % q:<12} {heis:>14.10f} {schro:>14.10f} {abs(heis - schro):>10.1e}")
+# A pair read <0|A B|0> is the inner product <A 0|B 0> of the two
+# descriptors' images of |0...0>; the product A B is never formed.
 for q, r in ((1, 2), (1, 3), (2, 3)):
-    heis = descriptor_expectation(ds.z(q) * ds.z(r))
+    heis = descriptor_expectation(ds.z(q), ds.z(r))
     schro = expectation(state, OperatorSum(WIDTH, [(f"Z{q} Z{r}", 1.0)]))
     print(f"{'<Z%dZ%d>' % (q, r):<12} {heis:>14.10f} {schro:>14.10f} {abs(heis - schro):>10.1e}")
 

@@ -38,7 +38,7 @@ from .heisenberg import (
     evolve,
     init_descriptors,
 )
-from .pauli import OperatorSum
+from .pauli import Axis, OperatorSum, PauliString, multiply_strings
 from .states import StateVector, apply_gate, joint_probability, new_all_zeros
 
 N_QUBITS = 4
@@ -215,15 +215,18 @@ class BothPictures:
         return self
 
 
-def _zz_product(ds: DescriptorSet, q_a: int, q_b: int):
-    return descriptor_expectation(ds.z(q_a) * ds.z(q_b))
+# Z2 Z3, the statevector side of the t=2 correlation.
+_ZZ_T2 = OperatorSum(
+    N_QUBITS,
+    [(multiply_strings(*(PauliString.single(N_QUBITS, q, Axis.Z) for q in (SYSTEM_A, SYSTEM_B))), 1.0)],
+)
 
 
 def correlation_t2(run: Run) -> BothPictures:
     """<q_z2 q_z3> at t=2; closed form cos(theta - phi)."""
-    heis = _zz_product(run.descriptors[2], SYSTEM_A, SYSTEM_B)
-    zz = OperatorSum(N_QUBITS, [("Z2 Z3", 1.0)])
-    schro = states.expectation(run.states[2], zz)
+    ds = run.descriptors[2]
+    heis = descriptor_expectation(ds.z(SYSTEM_A), ds.z(SYSTEM_B))
+    schro = states.expectation(run.states[2], _ZZ_T2)
     return BothPictures(_per_config(run, lambda c: math.cos(c.difference)), heis, schro)
 
 
@@ -238,7 +241,7 @@ def joint_prob_both_one_at_t2(run: Run) -> BothPictures:
         1.0
         + descriptor_expectation(ds.z(SYSTEM_A))
         + descriptor_expectation(ds.z(SYSTEM_B))
-        + _zz_product(ds, SYSTEM_A, SYSTEM_B)
+        + descriptor_expectation(ds.z(SYSTEM_A), ds.z(SYSTEM_B))
     )
     schro = joint_probability(run.states[2], {SYSTEM_A: 1, SYSTEM_B: 1})
     closed = _per_config(run, lambda c: 0.5 * math.cos(c.difference / 2) ** 2)
@@ -259,9 +262,12 @@ def prob_outcomes_differ_at_t4(run: Run) -> BothPictures:
     disagreed; closed form sin^2((theta-phi)/2).
 
     Descriptor route: <z1(4)> = 1/2 - 1/2 <q_z1(3) q_z4(3)>, cross-checked
-    against the direct t=4 descriptor of Q1.
+    against the direct t=4 descriptor of Q1.  The pair read never forms
+    the product q_z1(3) q_z4(3) that ``evolve`` builds for the comparison
+    gate, so the two routes share no arithmetic after t=3.
     """
-    heis = 0.5 - 0.5 * _zz_product(run.descriptors[3], RECORD_A, RECORD_B)
+    ds = run.descriptors[3]
+    heis = 0.5 - 0.5 * descriptor_expectation(ds.z(RECORD_A), ds.z(RECORD_B))
     direct = 0.5 + 0.5 * descriptor_expectation(run.descriptors[4].z(RECORD_A))
     if not np.all(abs(heis - direct) <= 1e-12):
         raise AssertionError("record-product and direct descriptor routes split")

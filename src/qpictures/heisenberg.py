@@ -38,6 +38,7 @@ from .pauli import (
     _pack,
     expectation_in_all_zeros,
     linear_combination,
+    pair_expectation_in_all_zeros,
 )
 
 # Evolution aborts once any descriptor would exceed this many terms.
@@ -214,15 +215,21 @@ def evolve_circuit(ds: DescriptorSet, gates: Iterable[Gate]) -> DescriptorSet:
     return ds
 
 
-def descriptor_expectation(expr: OperatorSum):
-    """Reference-state expectation of an operator built from descriptors;
-    one value per column of a batched operator."""
-    if not expr.is_hermitian():
-        raise ValueError("descriptor expectation requires a Hermitian operator")
-    value = expectation_in_all_zeros(expr)
+def descriptor_expectation(expr: OperatorSum, other: OperatorSum | None = None):
+    """Reference-state expectation <0|expr|0> of an operator built from
+    descriptors, or with ``other`` the pair read <0|expr other|0>, taken
+    as the inner product <expr 0|other 0> without forming the product.
+    One value per column when an operand is batched."""
+    factors = (expr,) if other is None else (expr, other)
+    if not all(f.is_hermitian() for f in factors):
+        raise ValueError("descriptor expectation requires Hermitian operators")
+    if other is None:
+        value = expectation_in_all_zeros(expr)
+    else:
+        value = pair_expectation_in_all_zeros(expr, other)
     if not np.all(np.abs(np.imag(value)) <= 1e-12):
         raise AssertionError("Hermitian descriptor expectation came out complex")
-    return np.real(value) if expr.batch is not None else float(value.real)
+    return np.real(value) if np.ndim(value) else float(value.real)
 
 
 @dataclass(frozen=True)

@@ -232,16 +232,21 @@ def _column_sums(values: np.ndarray):
     return np.ascontiguousarray(values.T).sum(axis=1)
 
 
-def _merge(keys: np.ndarray, coeffs: np.ndarray):
-    """Merge duplicate strings, prune tiny coefficients, sort canonically.
-
-    The sort is stable, so equal keys are summed in a fixed order."""
+def _group_sums(keys: np.ndarray, values: np.ndarray):
+    """Distinct keys in ascending order, and the sum of the values (rows,
+    with any batch axis kept) of each.  The sort is stable, so equal keys
+    are summed in a fixed order."""
     if len(keys) <= 1:
-        return _prune(keys, coeffs)
+        return keys, values
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return _prune(keys[starts], np.add.reduceat(coeffs[order], starts))
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def _merge(keys: np.ndarray, coeffs: np.ndarray):
+    """Merge duplicate strings, prune tiny coefficients, sort canonically."""
+    return _prune(*_group_sums(keys, coeffs))
 
 
 # Pair-product chunking bound: keeps the intermediate broadcast arrays small.
@@ -495,6 +500,45 @@ def expectation_in_all_zeros(op: OperatorSum) -> complex:
     if op._coeffs.ndim == 2:
         return _column_sums(op._coeffs * signs[:, None])
     return complex(_column_sums(op._coeffs * signs))
+
+
+def _reference_images(op: OperatorSum, bra: bool = False):
+    """op|0..0> as a sparse vector: the distinct x masks of its strings in
+    ascending order, and one amplitude row per mask.  A phase-free string
+    maps the reference state to P|0..0> = i**|x z| (-1)**|z| |x>, since
+    Y = i X Z and Z|0> = -|0>.  With ``bra`` set, the rows are those of
+    <0..0|op instead, whose phases are the conjugates."""
+    x, z = _x_z(op._keys)
+    xz = np.bitwise_count(x & z)
+    exponents = (3 * xz if bra else xz) + 2 * np.bitwise_count(z)
+    phases = _I_POWERS[exponents & 3]
+    amplitudes = op._coeffs * (phases[:, None] if op._coeffs.ndim == 2 else phases)
+    return _group_sums(x, amplitudes)
+
+
+def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
+    """<0..0| a b |0..0> without forming the product a * b.
+
+    <0..0|a and b|0..0> are sparse vectors keyed by x masks, so the value
+    is one dot product over the masks they share: O(terms) work where the
+    product forms len(a) * len(b) string pairs.  For Hermitian ``a`` it
+    is the inner product <a 0|b 0>.  A batched operand gives one complex
+    value per column, and an operand without a batch axis broadcasts.
+    """
+    if a.width != b.width:
+        raise ValueError(f"width mismatch: {a.width} != {b.width}")
+    batch = _common_batch(a.batch, b.batch)
+    keys_a, rows_a = _reference_images(a, bra=True)
+    keys_b, rows_b = _reference_images(b)
+    _, at_a, at_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
+    rows_a, rows_b = rows_a[at_a], rows_b[at_b]
+    if batch is None:
+        return complex(_column_sums(rows_a * rows_b))
+    if rows_a.ndim == 1:
+        rows_a = rows_a[:, None]
+    if rows_b.ndim == 1:
+        rows_b = rows_b[:, None]
+    return _column_sums(rows_a * rows_b)
 
 
 def isclose(a: OperatorSum, b: OperatorSum, atol: float = 1e-10) -> bool:

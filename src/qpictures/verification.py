@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .heisenberg import (
     init_descriptors,
     untouched_invariance_check,
 )
-from .pauli import Axis, OperatorSum, max_term_deviation
+from .pauli import MAX_WIDTH, Axis, OperatorSum, PauliString, max_term_deviation, multiply_strings
 from .states import StateVector, apply_circuit, apply_gate, new_all_zeros
 
 PICTURE_CHECK_SEED = 1729
@@ -150,22 +151,35 @@ def check_sign_error_audit() -> CheckResult:
     )
 
 
+@lru_cache(maxsize=MAX_WIDTH)
+def _z_observables(width: int):
+    """Z_q for every qubit q and Z_q Z_r for every pair q < r, built once
+    per width from single-axis strings."""
+    z = [PauliString.single(width, q, Axis.Z) for q in range(1, width + 1)]
+    singles = tuple(OperatorSum(width, [(s, 1.0)]) for s in z)
+    pairs = tuple(
+        ((q, r), OperatorSum(width, [(multiply_strings(z[q - 1], z[r - 1]), 1.0)]))
+        for q in range(1, width + 1)
+        for r in range(q + 1, width + 1)
+    )
+    return singles, pairs
+
+
 def compare_pictures(gates, width: int) -> float:
     """Max deviation between descriptor-side and statevector-side
     expectations of every q_z and pairwise q_z product."""
     ds = evolve_circuit(init_descriptors(width), gates)
     state = apply_circuit(new_all_zeros(width), gates)
+    singles, pairs = _z_observables(width)
     worst = 0.0
     for q in range(1, width + 1):
         heis = descriptor_expectation(ds.z(q))
-        schro = states.expectation(state, OperatorSum.single_axis(width, q, Axis.Z))
+        schro = states.expectation(state, singles[q - 1])
         worst = max(worst, abs(heis - schro))
-    for q in range(1, width + 1):
-        for r in range(q + 1, width + 1):
-            heis = descriptor_expectation(ds.z(q) * ds.z(r))
-            zz = OperatorSum(width, [(f"Z{q} Z{r}", 1.0)])
-            schro = states.expectation(state, zz)
-            worst = max(worst, abs(heis - schro))
+    for (q, r), zz in pairs:
+        heis = descriptor_expectation(ds.z(q), ds.z(r))
+        schro = states.expectation(state, zz)
+        worst = max(worst, abs(heis - schro))
     return worst
 
 

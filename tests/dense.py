@@ -11,8 +11,8 @@ from itertools import product
 
 import numpy as np
 
-from .gates import PAULI_MATRIX, Gate
-from .pauli import Axis, OperatorSum, PauliString
+from qpictures.gates import PAULI_MATRIX, Gate
+from qpictures.pauli import Axis, OperatorSum, PauliString
 
 
 def string_matrix(string: PauliString) -> np.ndarray:

@@ -23,7 +23,7 @@ from qpictures import (
     pauli_y,
 )
 from qpictures import heisenberg
-from qpictures.dense import string_matrix
+from dense import string_matrix
 from qpictures.experiment import MAX_BATCH, N_QUBITS, reports, simulate
 from qpictures.pauli import linear_combination
 

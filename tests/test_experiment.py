@@ -22,7 +22,8 @@ from qpictures import (
     simulate,
     sweep_reports,
 )
-from qpictures.experiment import ExperimentReport
+from qpictures import heisenberg
+from qpictures.experiment import RECORD_A, ExperimentReport
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -134,6 +135,21 @@ class TestOutcomesDiffer:
         result = one(prob_outcomes_differ_at_t4, ExperimentConfig(math.pi / 3, 0.0))
         assert result.schrodinger == pytest.approx(0.25, abs=1e-10)
         assert result.heisenberg == pytest.approx(0.25, abs=1e-10)
+
+
+    def test_route_split_check_is_live(self, monkeypatch):
+        # The record-pair read at t=3 and the direct t=4 descriptor are
+        # independent routes, so a sign error in the pair kernel's record
+        # read, and only there, must trip the cross-check.
+        pair = heisenberg.pair_expectation_in_all_zeros
+
+        def flipped(a, b):
+            value = pair(a, b)
+            return -value if RECORD_A in a.support() else value
+
+        monkeypatch.setattr(heisenberg, "pair_expectation_in_all_zeros", flipped)
+        with pytest.raises(AssertionError, match="routes split"):
+            reports(simulate([ExperimentConfig(0.7, 0.3)]))
 
 
 class TestSignErrorAudit:

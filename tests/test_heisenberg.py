@@ -25,7 +25,7 @@ from qpictures import (
     random_circuit,
     untouched_invariance_check,
 )
-from qpictures.dense import conjugated_observable, heisenberg_descriptor, operator_matrix
+from dense import conjugated_observable, heisenberg_descriptor, operator_matrix
 from qpictures.heisenberg import TermGrowthError
 from qpictures.pauli import PRUNE_TOL
 
@@ -138,10 +138,36 @@ class TestDescriptorExpectation:
         ds = evolve_circuit(init_descriptors(4), gates)
         value = descriptor_expectation(ds.z(2) * ds.z(3))
         assert value == pytest.approx(math.cos(theta - phi), abs=1e-12)
+        pair = descriptor_expectation(ds.z(2), ds.z(3))
+        assert isinstance(pair, float)
+        assert pair == pytest.approx(math.cos(theta - phi), abs=1e-12)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             descriptor_expectation(OperatorSum(1, [("X1", 1.0j)]))
+
+    def test_non_hermitian_factor_rejected(self):
+        # Explicit raises, so this holds under python -O as well.
+        hermitian = OperatorSum(1, [("Z1", 1.0)])
+        non_hermitian = OperatorSum(1, [("X1", 1.0j)])
+        with pytest.raises(ValueError, match="Hermitian"):
+            descriptor_expectation(non_hermitian, hermitian)
+        with pytest.raises(ValueError, match="Hermitian"):
+            descriptor_expectation(hermitian, non_hermitian)
+
+    def test_complex_pair_value_rejected(self):
+        # X and Y are Hermitian but do not commute: <0|X Y|0> = -i
+        x = OperatorSum(1, [("X1", 1.0)])
+        y = OperatorSum(1, [("Y1", 1.0)])
+        with pytest.raises(AssertionError, match="complex"):
+            descriptor_expectation(x, y)
+
+    def test_batched_pair_read_gives_one_value_per_column(self):
+        angles = np.array([0.0, 0.7, 2.0])
+        gates = ENTANGLER + (analyzer_rotation(2, angles), analyzer_rotation(3, 0.3))
+        ds = evolve_circuit(init_descriptors(4), gates)
+        values = descriptor_expectation(ds.z(2), ds.z(3))
+        np.testing.assert_allclose(values, np.cos(angles - 0.3), rtol=0, atol=1e-12)
 
 
 class TestUntouchedInvariance:

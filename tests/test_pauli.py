@@ -15,9 +15,9 @@ from qpictures import (
     max_term_deviation,
     multiply_strings,
 )
-from qpictures.dense import operator_matrix, string_matrix
+from dense import operator_matrix, string_matrix
 from qpictures import pauli
-from qpictures.pauli import MAX_WIDTH
+from qpictures.pauli import MAX_WIDTH, pair_expectation_in_all_zeros
 
 # _PHASE_EXP[a, b] = k such that sigma_a sigma_b = i**k sigma_(a XOR b):
 # the per-qubit table the packed kernel is checked against.
@@ -324,3 +324,81 @@ def test_string_phase_and_hermiticity():
     assert s.phase == -1
     assert s.is_hermitian
     assert not PauliString.from_ops(2, "X1", phase_power=1).is_hermitian
+
+
+@st.composite
+def hermitian_pairs(draw, batched):
+    """Two Hermitian sums of width 1-6 (real coefficients on phase-free
+    strings); each side is batched over a shared batch size or not, as
+    ``batched`` says.  Narrow widths make strings sharing an x mask, and
+    so cancelling images, common."""
+    width = draw(st.integers(1, 6))
+    batch = draw(st.integers(1, 3))
+    reals = st.floats(-2, 2, allow_nan=False)
+    pair = []
+    for side_batched in batched:
+        terms = []
+        for _ in range(draw(st.integers(0, 8))):
+            axes = tuple(draw(st.integers(0, 3)) for _ in range(width))
+            coeff = np.array([draw(reals) for _ in range(batch)]) if side_batched else draw(reals)
+            terms.append((PauliString(width, axes), coeff))
+        pair.append(OperatorSum(width, terms))
+    return pair
+
+
+class TestPairExpectationInAllZeros:
+    """<0|a b|0> from the reference-state images, against the product route."""
+
+    @pytest.mark.parametrize("batched", [(True, True), (True, False), (False, True), (False, False)])
+    @given(data=st.data())
+    def test_matches_product_route(self, batched, data):
+        a, b = data.draw(hermitian_pairs(batched))
+        got = pair_expectation_in_all_zeros(a, b)
+        want = expectation_in_all_zeros(a * b)
+        assert np.ndim(got) == (1 if a.batch or b.batch else 0)
+        assert np.all(np.abs(got - want) <= 1e-12)
+
+    @given(operator_sums(count=2, max_width=4, max_terms=6))
+    def test_matches_dense_reference_state(self, sums):
+        a, b = sums
+        zeros = np.zeros(2**a.width, dtype=complex)
+        zeros[-1] = 1.0
+        dense = zeros @ operator_matrix(a) @ operator_matrix(b) @ zeros
+        assert abs(pair_expectation_in_all_zeros(a, b) - dense) <= 1e-12
+
+    def test_images_cancelling_in_one_x_group(self):
+        # (I + Z1)|0> = |0> - |0> = 0, whatever the other factor
+        a = OperatorSum(2, [(PauliString.identity(2), 1.0), ("Z1", 1.0)])
+        b = OperatorSum(2, [("Z2", 0.5), ("Z1 Z2", 2.0), ("X1", 1.0)])
+        assert expectation_in_all_zeros(a * b) == 0
+        assert pair_expectation_in_all_zeros(a, b) == 0
+        assert pair_expectation_in_all_zeros(b, a) == 0
+
+    def test_disjoint_x_masks_give_exact_zero(self):
+        a = OperatorSum(2, [("X1", 1.0), ("Y1 Z2", 0.3)])
+        b = OperatorSum(2, [("X2", np.array([1.0, -2.0])), ("Z1", np.array([0.5, 0.5]))])
+        assert pair_expectation_in_all_zeros(a, a.column(0)) != 0
+        assert np.array_equal(pair_expectation_in_all_zeros(a, b), np.zeros(2))
+        assert np.array_equal(pair_expectation_in_all_zeros(b, a), np.zeros(2))
+
+    def test_zero_operator(self):
+        zero = OperatorSum.zero(3)
+        b = OperatorSum(3, [("Z1", 1.0), ("X2 Y3", np.array([1.0, 2.0, 3.0]))])
+        assert pair_expectation_in_all_zeros(zero, zero) == 0
+        assert pair_expectation_in_all_zeros(zero, OperatorSum.identity(3)) == 0
+        assert np.array_equal(pair_expectation_in_all_zeros(b, zero), np.zeros(3))
+
+    def test_non_commuting_factors_give_the_complex_value(self):
+        # <0|X Y|0> = <0|i Z|0> = -i
+        x = OperatorSum(1, [("X1", 1.0)])
+        y = OperatorSum(1, [("Y1", 1.0)])
+        assert pair_expectation_in_all_zeros(x, y) == -1j
+        assert pair_expectation_in_all_zeros(y, x) == 1j
+
+    def test_width_and_batch_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            pair_expectation_in_all_zeros(OperatorSum.identity(2), OperatorSum.identity(3))
+        a = OperatorSum(1, [("Z1", np.array([1.0, 2.0]))])
+        b = OperatorSum(1, [("Z1", np.array([1.0, 2.0, 3.0]))])
+        with pytest.raises(ValueError, match="batch"):
+            pair_expectation_in_all_zeros(a, b)

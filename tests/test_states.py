@@ -23,7 +23,7 @@ from qpictures import (
     random_circuit,
     to_conventional,
 )
-from qpictures.dense import circuit_unitary
+from dense import circuit_unitary
 from qpictures.gates import PAULI_MATRIX
 from qpictures.pauli import PauliString
 
