@@ -95,18 +95,21 @@ class Gate:
     params: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if len(set(self.qubits)) != len(self.qubits):
+        qubits = tuple(int(q) for q in self.qubits)
+        if qubits != tuple(self.qubits):
+            raise ValueError(f"qubit indices must be integers, got {self.qubits}")
+        if len(set(qubits)) != len(qubits):
             raise ValueError(f"gate qubits must be distinct, got {self.qubits}")
-        if any(q < 1 for q in self.qubits):
+        if any(q < 1 for q in qubits):
             raise ValueError(f"qubit indices are 1-based, got {self.qubits}")
-        dim = 2 ** len(self.qubits)
+        dim = 2 ** len(qubits)
         m = np.array(self.matrix, dtype=complex)
         if m.shape[-2:] != (dim, dim) or m.ndim not in (2, 3) or len(m) == 0:
-            raise ValueError(f"matrix shape {m.shape} does not fit {len(self.qubits)} qubit(s)")
+            raise ValueError(f"matrix shape {m.shape} does not fit {len(qubits)} qubit(s)")
         _check_unitary(self.name, m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
     @property

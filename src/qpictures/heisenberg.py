@@ -11,6 +11,11 @@ algebra homomorphism.
 A direct consequence is the locality bookkeeping: a gate only ever
 rewrites the descriptors of the qubits it acts on.
 
+Images are operator sums of the gate's arity over the local Pauli basis,
+whose packed keys are simply 0..4**k - 1 in canonical order.
+Substitution reads each image key's per-operand axis codes through
+``pauli._axis_codes``, so this module never touches the key layout.
+
 A gate with a stack of matrices (an analyzer rotation over a batch of
 angles) has one image coefficient per batch column, so substitution
 yields batched descriptors: the same strings for every column, with a
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -35,7 +39,7 @@ from .pauli import (
     Axis,
     OperatorSum,
     PauliString,
-    _pack,
+    _axis_codes,
     expectation_in_all_zeros,
     linear_combination,
     pair_expectation_in_all_zeros,
@@ -92,9 +96,8 @@ def _compute_conjugation_images(gate: Gate) -> dict[tuple[int, Axis], OperatorSu
     dim = 2**k
     keys, basis = _local_basis(k)
     images_of = [(slot, axis) for slot in range(k) for axis in _NONTRIVIAL_AXES]
-    # The local string with ``axis`` on operand ``slot`` is basis entry
-    # axis << 2(k - 1 - slot), since keys run over 0..4**k - 1 in order.
-    paulis = basis[[axis << 2 * (k - 1 - slot) for slot, axis in images_of]]
+    # Basis entry i is the local string with key i.
+    paulis = basis[[PauliString.single(k, slot + 1, axis).key for slot, axis in images_of]]
     stack = gate.matrix if gate.batch is not None else gate.matrix[None]
     adjoint = np.swapaxes(stack.conj(), -1, -2)
     # conjugated[i, b] = U_b^dag P_i U_b; coeffs[s, i, b] over basis strings s.
@@ -117,20 +120,14 @@ def _compute_conjugation_images(gate: Gate) -> dict[tuple[int, Axis], OperatorSu
 @lru_cache(maxsize=None)
 def _local_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed keys and dense matrices of the 4**k local Pauli strings, in
-    canonical (ascending key) order."""
-    strings = [PauliString(k, combo) for combo in product((0, 1, 2, 3), repeat=k)]
-    keys = np.array([_pack(s.axes) for s in strings], dtype=np.int64)
-    matrices = np.stack([_local_matrix(s) for s in strings])
+    canonical (ascending key) order: the keys are 0..4**k - 1."""
+    keys = np.arange(4**k, dtype=np.int64)
+    matrices = np.stack(
+        [reduce(np.kron, [PAULI_MATRIX[Axis(code)] for code in _axis_codes(key, k)]) for key in range(4**k)]
+    )
     keys.setflags(write=False)
     matrices.setflags(write=False)
     return keys, matrices
-
-
-def _local_matrix(string: PauliString) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for code in string.axes:
-        out = np.kron(out, PAULI_MATRIX[Axis(int(code))])
-    return out
 
 
 @dataclass(frozen=True)
@@ -178,11 +175,11 @@ def _substitute(image: OperatorSum, operands: tuple[int, ...], ds: DescriptorSet
     descriptor, multiply out the non-identity factors of each term and
     sum the scaled products with one merge."""
     parts = []
-    for string, coeff in image.iter_terms():
+    for key, coeff in image._iter_keys():
         # Axis is an IntEnum, so a plain axis code finds the (qubit, Axis) key.
         factors = [
             ds._descriptors[(operands[slot], code)]
-            for slot, code in enumerate(string.axes)
+            for slot, code in enumerate(_axis_codes(key, image.width))
             if code != Axis.I
         ]
         term = reduce(mul, factors) if factors else OperatorSum.identity(ds.width)

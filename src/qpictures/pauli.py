@@ -1,11 +1,14 @@
 """Phased Pauli strings and weighted sums of Pauli strings.
 
-The algebra is exact up to floating-point coefficients.  An operator sum
-stores each phase-free string as one packed integer with two bits per
-qubit, so a string product is an XOR of packed words and its phase comes
-from popcounts of the words' x and z bit masks (the symplectic form of
+The algebra is exact up to floating-point coefficients.  A Pauli string
+is one packed integer key with two bits per qubit (qubit 1 in the most
+significant pair) and a phase; an operator sum stores one such key per
+term.  A string product is an XOR of keys and its phase comes from
+popcounts of the keys' x and z bit masks (the symplectic form of
 Aaronson and Gottesman).  Sums merge duplicate strings and drop
-coefficients below ``PRUNE_TOL``.
+coefficients below ``PRUNE_TOL``.  Only this module knows the key
+layout: other modules read per-qubit axis codes through ``_axis_codes``
+and build keys through ``PauliString``.
 
 A sum's coefficients may carry a trailing batch axis, shape
 ``(terms, batch)``: one column per member of a batch of operators that
@@ -25,6 +28,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import IntEnum
@@ -74,50 +78,60 @@ def _check_qubit(qubit: int, width: int) -> None:
         raise ValueError(f"qubit index {qubit} out of range 1..{width}")
 
 
+def _axis_codes(key: int, width: int) -> tuple[int, ...]:
+    """Axis code of each qubit 1..width in a packed key."""
+    return tuple((key >> shift) & 3 for shift in range(2 * width - 2, -1, -2))
+
+
 @dataclass(frozen=True)
 class PauliString:
-    """A scalar phase i**phase_power times a tensor product of Pauli axes."""
+    """A scalar phase i**phase_power times a tensor product of Pauli axes,
+    stored as one packed key of ``Axis`` codes, two bits per qubit.  Qubit
+    1 owns the most significant pair, so sorting keys gives the canonical
+    term order."""
 
     width: int
-    axes: tuple[int, ...]
+    key: int
     phase_power: int = 0
 
     def __post_init__(self):
         _check_width(self.width)
-        if len(self.axes) != self.width:
-            raise ValueError(
-                f"axes length {len(self.axes)} does not match width {self.width}"
-            )
-        if any(a not in (0, 1, 2, 3) for a in self.axes):
-            raise ValueError(f"invalid axis code in {self.axes}")
-        object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
+        key = operator.index(self.key)
+        if not 0 <= key < 4**self.width:
+            raise ValueError(f"key {key} outside 0..4**{self.width} - 1")
+        object.__setattr__(self, "key", key)
         object.__setattr__(self, "phase_power", int(self.phase_power) % 4)
 
     @classmethod
     def identity(cls, width: int) -> "PauliString":
-        return cls(width, (Axis.I,) * width)
+        return cls(width, 0)
 
     @classmethod
     def single(cls, width: int, qubit: int, axis: Axis) -> "PauliString":
         """Pauli ``axis`` on ``qubit`` (1-based), identity elsewhere."""
-        _check_width(width)
         _check_qubit(qubit, width)
-        axes = [Axis.I] * width
-        axes[qubit - 1] = Axis(axis)
-        return cls(width, tuple(axes))
+        return cls(width, int(Axis(axis)) << 2 * (width - qubit))
 
     @classmethod
     def from_ops(cls, width: int, ops: str, phase_power: int = 0) -> "PauliString":
         """Parse tokens like ``"Y2 X3"`` (axis letter + 1-based qubit)."""
-        axes = [Axis.I] * width
+        key, seen = 0, set()
         for token in ops.split():
             m = _TOKEN_RE.match(token)
             if m is None:
                 raise ValueError(f"bad Pauli token {token!r}")
             qubit = int(m.group(2))
             _check_qubit(qubit, width)
-            axes[qubit - 1] = Axis[m.group(1)]
-        return cls(width, tuple(axes), phase_power)
+            if qubit in seen:
+                raise ValueError(f"qubit {qubit} appears twice in {ops!r}")
+            seen.add(qubit)
+            key |= int(Axis[m.group(1)]) << 2 * (width - qubit)
+        return cls(width, key, phase_power)
+
+    @property
+    def axes(self) -> tuple[int, ...]:
+        """Axis code of each qubit, qubit 1 first."""
+        return _axis_codes(self.key, self.width)
 
     @property
     def phase(self) -> complex:
@@ -130,19 +144,6 @@ class PauliString:
     def __str__(self) -> str:
         sign = ("+", "+i", "-", "-i")[self.phase_power]
         return f"{sign}{_tokens(self.axes)}"
-
-
-def _pack(axes: Iterable[int]) -> int:
-    """Packed key of an axis tuple: qubit 1 is the most significant pair of
-    bits, so sorting keys gives the canonical term order."""
-    key = 0
-    for code in axes:
-        key = (key << 2) | code
-    return key
-
-
-def _unpack(key: int, width: int) -> tuple[int, ...]:
-    return tuple((key >> (2 * (width - q))) & 3 for q in range(1, width + 1))
 
 
 def _x_z(keys):
@@ -176,9 +177,8 @@ def multiply_strings(a: PauliString, b: PauliString) -> PauliString:
     """Group product a*b with the accumulated phase."""
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} != {b.width}")
-    key, exponent = _string_products(_pack(a.axes), _pack(b.axes))
-    phase = a.phase_power + b.phase_power + int(exponent)
-    return PauliString(a.width, _unpack(key, a.width), phase % 4)
+    key, exponent = _string_products(a.key, b.key)
+    return PauliString(a.width, key, a.phase_power + b.phase_power + int(exponent))
 
 
 def _tokens(axes: Iterable[int]) -> str:
@@ -276,7 +276,7 @@ class OperatorSum:
                 string = PauliString.from_ops(width, string)
             if string.width != width:
                 raise ValueError(f"width mismatch: {string.width} != {width}")
-            keys.append(_pack(string.axes))
+            keys.append(string.key)
             if np.ndim(coeff):
                 coeffs.append(np.asarray(coeff, dtype=complex) * string.phase)
             else:
@@ -344,9 +344,11 @@ class OperatorSum:
     def iter_terms(self) -> Iterator[tuple[PauliString, complex]]:
         """Yield (phase-free string, coefficient) in canonical order; a
         batched sum yields each term's row of per-column coefficients."""
-        coeffs = self._coeffs.tolist() if self._coeffs.ndim == 1 else self._coeffs
-        for key, coeff in zip(self._keys.tolist(), coeffs):
-            yield PauliString(self._width, _unpack(key, self._width)), coeff
+        return ((PauliString(self._width, key), coeff) for key, coeff in self._iter_keys())
+
+    def _iter_keys(self) -> Iterator[tuple[int, complex]]:
+        """(packed key, coefficient) pairs in canonical order, no string built."""
+        return zip(self._keys.tolist(), self._coeffs.tolist() if self._coeffs.ndim == 1 else self._coeffs)
 
     def coefficient(self, string: PauliString | str) -> complex:
         """Coefficient of ``string`` (0 if absent); phases are divided out."""
@@ -354,9 +356,8 @@ class OperatorSum:
             string = PauliString.from_ops(self._width, string)
         if string.width != self._width:
             raise ValueError(f"width mismatch: {string.width} != {self._width}")
-        key = _pack(string.axes)
-        pos = np.searchsorted(self._keys, key)
-        found = pos < len(self._keys) and self._keys[pos] == key
+        pos = np.searchsorted(self._keys, string.key)
+        found = pos < len(self._keys) and self._keys[pos] == string.key
         if self._coeffs.ndim == 2:
             return self._coeffs[pos] / string.phase if found else np.zeros(self._coeffs.shape[1], complex)
         if found:
@@ -367,7 +368,7 @@ class OperatorSum:
         """Qubits (1-based) on which any term acts non-trivially."""
         if self.is_zero:
             return frozenset()
-        occupied = _unpack(int(np.bitwise_or.reduce(self._keys)), self._width)
+        occupied = _axis_codes(int(np.bitwise_or.reduce(self._keys)), self._width)
         return frozenset(q for q, code in enumerate(occupied, start=1) if code)
 
     def is_hermitian(self, atol: float = 1e-12) -> bool:
@@ -417,7 +418,7 @@ class OperatorSum:
         if self.is_zero:
             return "0"
         lines = [
-            f"{_fmt_coeff(coeff)} * {_tokens(_unpack(key, self._width))}"
+            f"{_fmt_coeff(coeff)} * {_tokens(_axis_codes(key, self._width))}"
             for key, coeff in zip(self._keys.tolist(), self._coeffs)
         ]
         return "\n".join(lines)

@@ -13,8 +13,9 @@ A state may carry a leading batch axis, amplitudes of shape
 with a stack of matrices applies one matrix per row.  Each row goes
 through the same BLAS products and reductions as an unbatched state, so
 it comes out bit for bit the same.  ``expectation`` applies each Pauli
-term from its packed x/z masks: one copy of the amplitudes with every X/Y
-qubit's axis reversed, in-place signs for Z/Y and one exact i**k phase.
+term from its per-qubit axis codes: one copy of the amplitudes with every
+X/Y qubit's axis reversed, in-place signs for Z/Y and one exact i**k
+phase.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .gates import Gate
-from .pauli import _I_POWERS, MAX_WIDTH, OperatorSum, _common_batch, _x_z
+from .pauli import _I_POWERS, MAX_WIDTH, Axis, OperatorSum, _axis_codes, _common_batch
 
 NORM_ATOL = 1e-12
 
@@ -94,20 +95,15 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     k = gate.arity
     batch = _common_batch(state.batch, gate.batch)
     lead = [] if batch is None else [batch]
-    # Tensor axes of the gate's qubits, after the batch axis if any.
+    # Tensor axes of the gate's qubits, and where they go for the matmul,
+    # after the batch axis if any.
     axes = [q - 1 + len(lead) for q in gate.qubits]
-    amps = state.amplitudes
-    if gate.batch is None:
-        psi = amps.reshape(lead + [2] * state.width)
-        u = gate.matrix.reshape([2] * (2 * k))
-        psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), axes))
-        psi = np.moveaxis(psi, range(k), axes)
-    else:
-        psi = np.broadcast_to(amps, (batch, amps.shape[-1])).reshape(lead + [2] * state.width)
-        psi = np.moveaxis(psi, axes, range(1, k + 1))
-        shape = psi.shape
-        psi = np.matmul(gate.matrix, psi.reshape(batch, 2**k, -1)).reshape(shape)
-        psi = np.moveaxis(psi, range(1, k + 1), axes)
+    front = range(len(lead), len(lead) + k)
+    amps = state.amplitudes if batch is None else np.broadcast_to(state.amplitudes, (batch, 2**state.width))
+    psi = np.moveaxis(amps.reshape(lead + [2] * state.width), axes, front)
+    shape = psi.shape
+    psi = np.matmul(gate.matrix, psi.reshape(lead + [2**k, -1])).reshape(shape)
+    psi = np.moveaxis(psi, front, axes)
     out = psi.reshape(lead + [-1])
     if not np.all(np.abs(_norms(out) - 1.0) <= NORM_ATOL):
         raise AssertionError("gate application drifted the norm")
@@ -122,8 +118,9 @@ def apply_circuit(state: StateVector, gates) -> StateVector:
 
 def expectation(state: StateVector, op: OperatorSum):
     """<psi| op |psi> for a Hermitian operator sum without a batch axis;
-    one value per row of a batched state.  A term with masks x, z is
-    P = i**|x z| X^x Z^z, since Y = i X Z."""
+    one value per row of a batched state.  A term is P = i**(#Y) X^x Z^z,
+    with X on its X and Y qubits and Z on its Y and Z qubits, since
+    Y = i X Z."""
     if op.width != state.width:
         raise ValueError(f"width mismatch: state {state.width}, operator {op.width}")
     if op.batch is not None:
@@ -133,15 +130,15 @@ def expectation(state: StateVector, op: OperatorSum):
     n, amps = state.width, state.amplitudes
     psi = amps.reshape(amps.shape[:-1] + (2,) * n)
     keep, rev = slice(None), slice(None, None, -1)
-    shifts = range(2 * n - 2, -1, -2)  # qubit 1 owns a key's top bit pair
     value = 0.0 + 0.0j
-    for x, z, coeff in zip(*(m.tolist() for m in _x_z(op._keys)), op._coeffs.tolist()):
-        v = psi[(Ellipsis, *(rev if x >> s & 1 else keep for s in shifts))].copy()
-        for q, s in enumerate(shifts):
-            if z >> s & 1:  # Z negates slot 1, which an X flip (Y) moved to slot 0
-                half = v[(Ellipsis, 1 - (x >> s & 1)) + (keep,) * (n - 1 - q)]
+    for key, coeff in zip(op._keys.tolist(), op._coeffs.tolist()):
+        codes = _axis_codes(key, n)
+        v = psi[(Ellipsis, *(rev if code in (Axis.X, Axis.Y) else keep for code in codes))].copy()
+        for q, code in enumerate(codes):
+            if code >= Axis.Y:  # Z negates slot 1, which an X flip (Y) moved to slot 0
+                half = v[(Ellipsis, int(code == Axis.Z)) + (keep,) * (n - 1 - q)]
                 np.negative(half, out=half)
-        if phase := (x & z).bit_count() & 3:
+        if phase := codes.count(Axis.Y) & 3:
             v *= _I_POWERS[phase]
         # vecdot conjugates its first operand, as vdot does, row by row.
         value += coeff * np.vecdot(amps, v.reshape(amps.shape))

@@ -7,12 +7,19 @@ second opinion.  Cost is O(4**width); keep widths small.
 """
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from qpictures.gates import PAULI_MATRIX, Gate
 from qpictures.pauli import Axis, OperatorSum, PauliString
+
+
+def packed_key(axes) -> int:
+    """Packed key of an axis tuple, one qubit at a time, qubit 1 in the
+    most significant bit pair: the oracle for the key layout."""
+    key = 0
+    for code in axes:
+        key = key << 2 | code
+    return key
 
 
 def string_matrix(string: PauliString) -> np.ndarray:
@@ -37,8 +44,8 @@ def decompose(matrix: np.ndarray, width: int, atol: float = 1e-13) -> OperatorSu
     if matrix.shape != (dim, dim):
         raise ValueError(f"matrix shape {matrix.shape} does not fit width {width}")
     terms = []
-    for combo in product((Axis.I, Axis.X, Axis.Y, Axis.Z), repeat=width):
-        string = PauliString(width, combo)
+    for key in range(4**width):
+        string = PauliString(width, key)
         coeff = np.trace(string_matrix(string).conj().T @ matrix) / dim
         if abs(coeff) > atol:
             terms.append((string, coeff))

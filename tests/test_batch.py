@@ -1,7 +1,6 @@
 """Batched angle grids: one simulate call against a loop of single runs,
 pruning over batch columns, and the vectorised conjugation images."""
 import math
-from itertools import product
 
 import numpy as np
 import pytest
@@ -119,7 +118,7 @@ def _trace_images(gate):
     """The per-string trace derivation, one angle at a time."""
     k = gate.arity
     dim = 2**k
-    strings = [PauliString(k, combo) for combo in product((0, 1, 2, 3), repeat=k)]
+    strings = [PauliString(k, key) for key in range(4**k)]
     images = {}
     for slot in range(k):
         for axis in (Axis.X, Axis.Y, Axis.Z):

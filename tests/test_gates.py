@@ -62,6 +62,21 @@ def test_duplicate_qubits_rejected():
         Gate("bad", (2, 2), CN_MATRIX)
 
 
+@pytest.mark.parametrize("qubits", [(1, 1.5), (1.5, 2), ("1", 2)])
+def test_non_integral_qubits_rejected(qubits):
+    # (1, 1.5) is distinct as given but would collapse to (1, 1).
+    with pytest.raises(ValueError, match="integers"):
+        Gate("CN", qubits, CN_MATRIX)
+
+
+def test_integral_qubits_are_stored_as_ints():
+    gate = Gate("CN", (np.int64(2), 1.0), CN_MATRIX)
+    assert gate.qubits == (2, 1)
+    assert all(type(q) is int for q in gate.qubits)
+    with pytest.raises(ValueError, match="distinct"):
+        Gate("CN", (np.int64(2), 2.0), CN_MATRIX)
+
+
 def test_zero_based_qubits_rejected():
     with pytest.raises(ValueError, match="1-based"):
         Gate("bad", (0,), H_MATRIX)

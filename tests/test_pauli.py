@@ -1,5 +1,6 @@
 """Pauli-string and operator-sum algebra, checked against dense matrices."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qpictures import (
     max_term_deviation,
     multiply_strings,
 )
-from dense import operator_matrix, string_matrix
+from dense import operator_matrix, packed_key, string_matrix
 from qpictures import pauli
 from qpictures.pauli import MAX_WIDTH, pair_expectation_in_all_zeros
 
@@ -27,6 +28,12 @@ _PHASE_EXP = (
     (0, 3, 0, 1),
     (0, 1, 3, 0),
 )
+
+
+def _keys(width):
+    """Keys drawn one uniform axis code per qubit, so high qubits are as
+    often non-identity as low ones (a bounded integer draw is not)."""
+    return st.lists(st.integers(0, 3), min_size=width, max_size=width).map(packed_key)
 
 
 def _loop_string_product(a: PauliString, b: PauliString) -> tuple[tuple[int, ...], int]:
@@ -43,18 +50,14 @@ def _loop_sum_product(a: OperatorSum, b: OperatorSum) -> OperatorSum:
         for sb, cb in b.iter_terms():
             axes, power = _loop_string_product(sa, sb)
             acc[axes] = acc.get(axes, 0) + ca * cb * 1j**power
-    return OperatorSum(a.width, [(PauliString(a.width, axes), c) for axes, c in acc.items()])
+    return OperatorSum(a.width, [(PauliString(a.width, packed_key(axes)), c) for axes, c in acc.items()])
 
 
 @st.composite
 def string_tuples(draw, count=2, max_width=6):
     width = draw(st.integers(1, max_width))
     strings = tuple(
-        PauliString(
-            width,
-            tuple(draw(st.integers(0, 3)) for _ in range(width)),
-            draw(st.integers(0, 3)),
-        )
+        PauliString(width, draw(_keys(width)), draw(st.integers(0, 3)))
         for _ in range(count)
     )
     return strings
@@ -67,12 +70,12 @@ def operator_sums(draw, count=2, max_width=3, max_terms=4):
     for _ in range(count):
         terms = []
         for _ in range(draw(st.integers(0, max_terms))):
-            axes = tuple(draw(st.integers(0, 3)) for _ in range(width))
+            key = draw(_keys(width))
             coeff = complex(
                 draw(st.floats(-2, 2, allow_nan=False)),
                 draw(st.floats(-2, 2, allow_nan=False)),
             )
-            terms.append((PauliString(width, axes), coeff))
+            terms.append((PauliString(width, key), coeff))
         sums.append(OperatorSum(width, terms))
     return sums
 
@@ -131,9 +134,9 @@ def wide_sums(draw, count=2, max_terms=6):
     for _ in range(count):
         terms = []
         for _ in range(draw(st.integers(1, max_terms))):
-            axes = tuple(draw(st.integers(0, 3)) for _ in range(MAX_WIDTH))
+            key = draw(_keys(MAX_WIDTH))
             coeff = complex(draw(st.floats(0.5, 2)), draw(st.floats(-2, 2)))
-            terms.append((PauliString(MAX_WIDTH, axes, draw(st.integers(0, 3))), coeff))
+            terms.append((PauliString(MAX_WIDTH, key, draw(st.integers(0, 3))), coeff))
         sums.append(OperatorSum(MAX_WIDTH, terms))
     return sums
 
@@ -204,7 +207,7 @@ class TestOperatorSum:
             PauliString.single(2, 1, Axis.X), PauliString.single(2, 1, Axis.Y)
         )
         assert len(prod) == 1
-        assert prod.coefficient(PauliString(2, string.axes)) == pytest.approx(6.0 * string.phase)
+        assert prod.coefficient(PauliString(2, string.key)) == pytest.approx(6.0 * string.phase)
 
     def test_near_zero_terms_pruned(self):
         s = OperatorSum(2, [("X1", 1.0)])
@@ -225,7 +228,7 @@ class TestOperatorSum:
 
     def test_phases_fold_into_coefficients(self):
         s = OperatorSum(2, [(PauliString.from_ops(2, "X1", phase_power=1), 2.0)])
-        assert s.coefficient(PauliString(2, (Axis.X, Axis.I))) == pytest.approx(2.0j)
+        assert s.coefficient(PauliString.from_ops(2, "X1")) == pytest.approx(2.0j)
         assert not s.is_hermitian()
 
     def test_support(self):
@@ -310,13 +313,33 @@ def test_max_term_deviation_counts_missing_strings():
 
 def test_pauli_string_validation():
     with pytest.raises(ValueError):
-        PauliString(2, (0, 1, 2))
+        PauliString(2, -1)
     with pytest.raises(ValueError):
-        PauliString(2, (0, 7))
+        PauliString(2, 16)
     with pytest.raises(ValueError):
         PauliString.from_ops(2, "Q1")
     with pytest.raises(ValueError):
         PauliString.from_ops(2, "X3")
+    with pytest.raises(ValueError, match="qubit 1"):
+        PauliString.from_ops(2, "X1 Z1")
+    with pytest.raises(ValueError, match="qubit 1"):
+        OperatorSum(2, [("X1 Z1", 1.0)])
+
+
+@given(st.data())
+def test_key_layout_round_trips(data):
+    """Keys of up to 2 * MAX_WIDTH bits decode to the per-qubit packer's
+    axes, and a string's tokens parse back to the same key."""
+    width = data.draw(st.integers(1, MAX_WIDTH))
+    axes = tuple(data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width)))
+    s = PauliString(width, packed_key(axes), data.draw(st.integers(0, 3)))
+    assert s.axes == axes
+    sign, tokens = re.fullmatch(r"([+-]i?)(.*)", str(s)).groups()
+    parsed = PauliString.from_ops(width, "" if tokens == "I" else tokens, ("+", "+i", "-", "-i").index(sign))
+    assert parsed == s
+    for key in (-1, 4**width):
+        with pytest.raises(ValueError, match="key"):
+            PauliString(width, key)
 
 
 def test_string_phase_and_hermiticity():
@@ -339,9 +362,9 @@ def hermitian_pairs(draw, batched):
     for side_batched in batched:
         terms = []
         for _ in range(draw(st.integers(0, 8))):
-            axes = tuple(draw(st.integers(0, 3)) for _ in range(width))
+            key = draw(_keys(width))
             coeff = np.array([draw(reals) for _ in range(batch)]) if side_batched else draw(reals)
-            terms.append((PauliString(width, axes), coeff))
+            terms.append((PauliString(width, key), coeff))
         pair.append(OperatorSum(width, terms))
     return pair
 

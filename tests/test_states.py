@@ -10,6 +10,7 @@ from qpictures import (
     Axis,
     OperatorSum,
     StateVector,
+    analyzer_rotation,
     apply_circuit,
     apply_gate,
     basis_label,
@@ -23,7 +24,7 @@ from qpictures import (
     random_circuit,
     to_conventional,
 )
-from dense import circuit_unitary
+from dense import circuit_unitary, packed_key
 from qpictures.gates import PAULI_MATRIX
 from qpictures.pauli import PauliString
 
@@ -78,6 +79,19 @@ class TestApplyGate:
                 total += 1
                 assert abs(state.norm - 1.0) <= 1e-10
         assert total == 1000
+
+    @pytest.mark.parametrize("width", [2, 3, 4, 5])
+    def test_batched_rows_match_unbatched_runs_bit_for_bit(self, width):
+        # Bytes, not values: the signs of exact zeros must match too.
+        rng = np.random.default_rng(width)
+        angles = rng.uniform(0.0, 2.0 * math.pi, 3)
+        batched = apply_gate(new_all_zeros(width), analyzer_rotation(1, angles))
+        rows = [apply_gate(new_all_zeros(width), analyzer_rotation(1, a)) for a in angles]
+        for gate in random_circuit(width, 40, rng):
+            batched = apply_gate(batched, gate)
+            rows = [apply_gate(row, gate) for row in rows]
+            for j, row in enumerate(rows):
+                assert batched.amplitudes[j].tobytes() == row.amplitudes.tobytes(), (gate, j)
 
     @pytest.mark.parametrize("width,seed", [(2, 0), (3, 1), (4, 2), (4, 3)])
     def test_matches_dense_circuit_unitary(self, width, seed):
@@ -152,7 +166,7 @@ def states_and_sums(draw):
     amps[..., -1] += 1.0
     amps = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
     terms = [
-        (PauliString(width, tuple(draw(st.lists(st.integers(0, 3), min_size=width, max_size=width)))),
+        (PauliString(width, packed_key(draw(st.lists(st.integers(0, 3), min_size=width, max_size=width)))),
          draw(st.floats(-2.0, 2.0, allow_nan=False).filter(lambda c: c != 0.0)))
         for _ in range(draw(st.integers(1, 3)))
     ]
