@@ -11,17 +11,27 @@ descriptor engine: expectation values must agree between the two.
 A state may carry a leading batch axis, amplitudes of shape
 ``(batch, 2**width)``, and then every function acts on each row.  A gate
 with a stack of matrices applies one matrix per row.  Each row goes
-through the same BLAS products and reductions as an unbatched state, so
-it comes out bit for bit the same.  ``expectation`` applies each Pauli
-term from its per-qubit axis codes: one copy of the amplitudes with every
-X/Y qubit's axis reversed, in-place signs for Z/Y and one exact i**k
-phase.
+through the same products and reductions as an unbatched state, so it
+comes out bit for bit the same.
+
+``apply_gate`` reads the gate's matrix.  A single monomial matrix (one
+nonzero per row and column, each in {1, i, -1, -i}: X, Y, Z, CN) is one
+strided copy per slice of the gate's qubits, with exact signs or phases;
+every other matrix, and every stack, is one ``moveaxis`` / ``matmul`` /
+``moveaxis``.  Every gate output is held to unit norm within NORM_ATOL.
+
+``z_moments`` returns every <Z_q> and <Z_q Z_r> from one pass over
+|psi|^2.  ``expectation`` is the general kernel: it applies each Pauli
+term from its per-qubit axis codes, as one copy of the amplitudes with
+every X/Y qubit's axis reversed, in-place signs for Z/Y and one exact
+i**k phase.
 """
 from __future__ import annotations
 
 import io
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -33,9 +43,33 @@ NORM_ATOL = 1e-12
 
 
 def _norms(amps: np.ndarray):
-    """Norm of a state, or one per row.  The whole-array norm is a BLAS
-    dot product, several times faster than a reduction along an axis."""
-    return np.linalg.norm(amps) if amps.ndim == 1 else np.linalg.norm(amps, axis=-1)
+    """Norm of a state, or one per row: the square root of one dot product
+    per row, several times faster than ``np.linalg.norm``."""
+    return np.sqrt(np.vecdot(amps, amps).real)
+
+
+def _unit_norm(amps: np.ndarray, atol: float) -> bool:
+    """Whether the state, or every row of a batched one, has norm 1 within
+    ``atol``; a single norm is compared as a float, which is faster."""
+    norms = _norms(amps)
+    if amps.ndim == 1:
+        return abs(float(norms) - 1.0) <= atol
+    return bool(np.all(np.abs(norms - 1.0) <= atol))
+
+
+def _store(state, width: int, amplitudes, check_norm: bool) -> None:
+    """Validate width and shape, then set the fields of a frozen state with
+    read-only contiguous complex amplitudes."""
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    amps = np.ascontiguousarray(amplitudes, dtype=complex)
+    if amps.shape[-1:] != (2**width,) or amps.ndim > 2:
+        raise ValueError(f"expected {2**width} amplitudes, got {amps.shape}")
+    if check_norm and not _unit_norm(amps, 1e-9):
+        raise ValueError("state vector is not normalized")
+    amps.setflags(write=False)
+    object.__setattr__(state, "width", width)
+    object.__setattr__(state, "amplitudes", amps)
 
 
 @dataclass(frozen=True)
@@ -47,15 +81,15 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width}")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.shape[-1:] != (2**self.width,) or amps.ndim > 2:
-            raise ValueError(f"expected {2**self.width} amplitudes, got {amps.shape}")
-        if not np.all(np.abs(_norms(amps) - 1.0) <= 1e-9):
-            raise ValueError("state vector is not normalized")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        _store(self, self.width, self.amplitudes, check_norm=True)
+
+    @classmethod
+    def _normalized(cls, width: int, amplitudes: np.ndarray) -> "StateVector":
+        """A state from amplitudes the caller has already held to unit norm
+        within NORM_ATOL, so the looser 1e-9 check would only repeat it."""
+        state = object.__new__(cls)
+        _store(state, width, amplitudes, check_norm=False)
+        return state
 
     @property
     def norm(self):
@@ -84,30 +118,95 @@ def new_all_zeros(width: int) -> StateVector:
     return StateVector(width, amps)
 
 
+# The power of i of each unit entry a monomial gate matrix may hold, and
+# those units and zero as 0-d arrays, which ufuncs take faster than scalars.
+_UNIT_POWERS = {1: 0, 1j: 1, -1: 2, -1j: 3}
+_UNITS = tuple(np.array(unit) for unit in _I_POWERS)
+_ZERO = np.zeros((), dtype=complex)
+
+
+@lru_cache(maxsize=4096)
+def _monomial_plan(matrix_bytes: bytes, dim: int, axes: tuple[int, ...], ndim: int):
+    """How to apply a single ``dim x dim`` matrix, given by its bytes, at
+    the tensor axes ``axes`` of ``ndim``-axis amplitudes, if it is monomial:
+    exactly one nonzero per row and column, each in {1, i, -1, -i}, as for
+    X, Y, Z and CN.  Then per output slot a of the gate's qubits, the
+    index of slot a, the index of the input slot its row reads and that
+    entry's power of i; None for any other matrix."""
+    rows = np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim).tolist()
+    k = len(axes)
+
+    def slot(a: int) -> tuple:
+        index = [slice(None)] * ndim
+        for j, axis in enumerate(axes):
+            bit = (a >> (k - 1 - j)) & 1
+            index[axis] = slice(bit, bit + 1)
+        return tuple(index)
+
+    cols, powers = [], []
+    for row in rows:
+        nonzero = [(col, entry) for col, entry in enumerate(row) if entry != 0]
+        if len(nonzero) != 1 or nonzero[0][1] not in _UNIT_POWERS:
+            return None
+        cols.append(nonzero[0][0])
+        powers.append(_UNIT_POWERS[nonzero[0][1]])
+    if len(set(cols)) != dim:
+        return None
+    return tuple((slot(a), slot(col), power) for a, (col, power) in enumerate(zip(cols, powers)))
+
+
+def _apply_monomial(psi: np.ndarray, plan) -> np.ndarray:
+    """One strided copy per output slot, with its sign or phase applied
+    exactly.  Every value gets one more ``+ 0`` (or is ``0 - x``), which
+    turns each zero into +0, as the dense matrix product gives it."""
+    out = np.empty_like(psi)
+    for dst_index, src_index, power in plan:
+        dst, src = out[dst_index], psi[src_index]
+        if power == 0:
+            np.add(src, _ZERO, out=dst)
+        elif power == 2:
+            np.subtract(_ZERO, src, out=dst)
+        else:
+            np.multiply(src, _UNITS[power], out=dst)
+            np.add(dst, _ZERO, out=dst)
+    return out
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """New state with the gate unitary embedded at its target qubits.
 
     A gate with a stack of matrices applies matrix b to row b, and turns an
-    unbatched state into one row per matrix."""
+    unbatched state into one row per matrix.  A single monomial matrix
+    (X, Y, Z, CN) moves and phases slices of the amplitudes; any other
+    matrix, and every stack, goes through one ``matmul``."""
     for q in gate.qubits:
         if not 1 <= q <= state.width:
             raise ValueError(f"gate qubit {q} outside state width {state.width}")
     k = gate.arity
     batch = _common_batch(state.batch, gate.batch)
     lead = [] if batch is None else [batch]
-    # Tensor axes of the gate's qubits, and where they go for the matmul,
-    # after the batch axis if any.
+    # Tensor axes of the gate's qubits, after the batch axis if any.
     axes = [q - 1 + len(lead) for q in gate.qubits]
-    front = range(len(lead), len(lead) + k)
     amps = state.amplitudes if batch is None else np.broadcast_to(state.amplitudes, (batch, 2**state.width))
-    psi = np.moveaxis(amps.reshape(lead + [2] * state.width), axes, front)
-    shape = psi.shape
-    psi = np.matmul(gate.matrix, psi.reshape(lead + [2**k, -1])).reshape(shape)
-    psi = np.moveaxis(psi, front, axes)
+    psi = amps.reshape(lead + [2] * state.width)
+    m = gate.matrix
+    # A monomial matrix has exactly one nonzero per row; others skip the plan cache.
+    plan = None
+    if m.ndim == 2 and np.count_nonzero(m) == len(m):
+        plan = _monomial_plan(m.tobytes(), len(m), tuple(axes), psi.ndim)
+    if plan is not None:
+        psi = _apply_monomial(psi, plan)
+    else:
+        # Move the gate's axes to the front for the matmul, and back.
+        front = range(len(lead), len(lead) + k)
+        psi = np.moveaxis(psi, axes, front)
+        shape = psi.shape
+        psi = np.matmul(m, psi.reshape(lead + [2**k, -1])).reshape(shape)
+        psi = np.moveaxis(psi, front, axes)
     out = psi.reshape(lead + [-1])
-    if not np.all(np.abs(_norms(out) - 1.0) <= NORM_ATOL):
+    if not _unit_norm(out, NORM_ATOL):
         raise AssertionError("gate application drifted the norm")
-    return StateVector(state.width, out)
+    return StateVector._normalized(state.width, out)
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:
@@ -145,6 +244,45 @@ def expectation(state: StateVector, op: OperatorSum):
     if not np.all(np.abs(np.imag(value)) <= 1e-10):
         raise AssertionError("Hermitian expectation came out complex")
     return np.real(value) if state.batch is not None else float(value.real)
+
+
+@lru_cache(maxsize=MAX_WIDTH + 1)
+def _z_signs(bits: int) -> np.ndarray:
+    """``(2**bits, bits)`` Z eigenvalues: entry (k, j) is +1 when bit j of
+    k, most significant first, is 0 and -1 when it is 1 (Z negates slot 1)."""
+    index = np.arange(2**bits)[:, None]
+    shifts = np.arange(bits - 1, -1, -1)
+    signs = 1.0 - 2.0 * ((index >> shifts) & 1)
+    signs.setflags(write=False)
+    return signs
+
+
+def z_moments(state: StateVector):
+    """Every <Z_q> and <Z_q Z_r> from one pass over |psi|^2.
+
+    Returns ``(z, zz)`` with ``z[..., q-1] = <Z_q>`` and
+    ``zz[..., q-1, r-1] = <Z_q Z_r>``, the leading axis being the batch
+    axis of a batched state; the diagonal of ``zz`` is the total
+    probability.  The probabilities are split into a ``(2**h, 2**l)``
+    matrix P over the first h and the last l qubits: singles and pairs
+    within one half come from its row or column marginals, and the cross
+    pairs are ``Sh.T @ P @ Sl`` with the ±1 sign matrices of the halves.
+    """
+    n, amps = state.width, state.amplitudes
+    high = n // 2
+    low = n - high
+    lead = amps.shape[:-1]
+    probs = (amps.real**2 + amps.imag**2).reshape(lead + (2**high, 2**low))
+    sh, sl = _z_signs(high), _z_signs(low)
+    rows, cols = probs.sum(axis=-1), probs.sum(axis=-2)
+    z = np.concatenate([rows @ sh, cols @ sl], axis=-1)
+    zz = np.empty(lead + (n, n))
+    zz[..., :high, :high] = (sh.T * rows[..., None, :]) @ sh
+    zz[..., high:, high:] = (sl.T * cols[..., None, :]) @ sl
+    cross = sh.T @ (probs @ sl)
+    zz[..., :high, high:] = cross
+    zz[..., high:, :high] = np.swapaxes(cross, -1, -2)
+    return z, zz
 
 
 def joint_probability(state: StateVector, outcome: Mapping[int, int]) -> float:

@@ -6,12 +6,16 @@ matrix or a broken engine shows up as a named failure.  A check over a
 grid of angle pairs simulates the whole grid as one batched ``Run``.  The
 CLI ``verify`` subcommand and the acceptance test suite both run this
 registry.
+
+``compare_pictures``, behind ``picture_equivalence`` and the CLI
+``picture-check``, scores descriptor reads against the statevector: it
+reads every <q_z> and <q_z q_z'> of the state from one
+``states.z_moments`` pass over its probabilities.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .heisenberg import (
     init_descriptors,
     untouched_invariance_check,
 )
-from .pauli import MAX_WIDTH, Axis, OperatorSum, PauliString, max_term_deviation, multiply_strings
+from .pauli import max_term_deviation
 from .states import StateVector, apply_circuit, apply_gate, new_all_zeros
 
 PICTURE_CHECK_SEED = 1729
@@ -151,35 +155,19 @@ def check_sign_error_audit() -> CheckResult:
     )
 
 
-@lru_cache(maxsize=MAX_WIDTH)
-def _z_observables(width: int):
-    """Z_q for every qubit q and Z_q Z_r for every pair q < r, built once
-    per width from single-axis strings."""
-    z = [PauliString.single(width, q, Axis.Z) for q in range(1, width + 1)]
-    singles = tuple(OperatorSum(width, [(s, 1.0)]) for s in z)
-    pairs = tuple(
-        ((q, r), OperatorSum(width, [(multiply_strings(z[q - 1], z[r - 1]), 1.0)]))
-        for q in range(1, width + 1)
-        for r in range(q + 1, width + 1)
-    )
-    return singles, pairs
-
-
 def compare_pictures(gates, width: int) -> float:
     """Max deviation between descriptor-side and statevector-side
-    expectations of every q_z and pairwise q_z product."""
+    expectations of every q_z and pairwise q_z product.  The state side
+    reads all of them from one ``states.z_moments`` pass."""
+    gates = tuple(gates)
     ds = evolve_circuit(init_descriptors(width), gates)
-    state = apply_circuit(new_all_zeros(width), gates)
-    singles, pairs = _z_observables(width)
+    z, zz = states.z_moments(apply_circuit(new_all_zeros(width), gates))
+    z, zz = z.tolist(), zz.tolist()
     worst = 0.0
     for q in range(1, width + 1):
-        heis = descriptor_expectation(ds.z(q))
-        schro = states.expectation(state, singles[q - 1])
-        worst = max(worst, abs(heis - schro))
-    for (q, r), zz in pairs:
-        heis = descriptor_expectation(ds.z(q), ds.z(r))
-        schro = states.expectation(state, zz)
-        worst = max(worst, abs(heis - schro))
+        worst = max(worst, abs(descriptor_expectation(ds.z(q)) - z[q - 1]))
+        for r in range(q + 1, width + 1):
+            worst = max(worst, abs(descriptor_expectation(ds.z(q), ds.z(r)) - zz[q - 1][r - 1]))
     return worst
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qpictures import (
     Axis,
+    Gate,
     OperatorSum,
     StateVector,
     analyzer_rotation,
@@ -21,12 +22,16 @@ from qpictures import (
     joint_probability,
     new_all_zeros,
     pauli_x,
+    pauli_y,
+    pauli_z,
     random_circuit,
     to_conventional,
 )
-from dense import circuit_unitary, packed_key
+from dense import circuit_unitary, gate_matrix, packed_key
+from qpictures import states
 from qpictures.gates import PAULI_MATRIX
 from qpictures.pauli import PauliString
+from qpictures.states import z_moments
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -190,6 +195,125 @@ class TestMaskedKernel:
         for text in strings:
             op = OperatorSum(12, [(text, 1.0)])
             assert_same_bits(expectation(state, op), reference_expectation(state, op))
+
+
+def random_state(rng, width, batch=None):
+    """Random amplitudes whose real and imaginary parts are each an exact
+    zero half the time, +0 or -0 at random."""
+    shape = (2**width,) if batch is None else (batch, 2**width)
+    parts = rng.normal(size=(2,) + shape)
+    zeros = rng.random(parts.shape) < 0.5
+    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    parts[0][..., -1] += 1.0
+    # Real division keeps the sign of every zero; complex division may not.
+    parts /= np.sqrt((parts**2).sum(axis=(0, -1), keepdims=True))
+    amps = np.empty(shape, dtype=complex)
+    amps.real, amps.imag = parts
+    return StateVector(width, amps)
+
+
+def assert_z_moments_match_expectation(state, atol=1e-12):
+    """Every <Z_q> and <Z_q Z_r> of ``z_moments`` against the general kernel."""
+    n = state.width
+    z, zz = z_moments(state)
+    lead = () if state.batch is None else (state.batch,)
+    assert z.shape == lead + (n,) and zz.shape == lead + (n, n)
+    for q in range(1, n + 1):
+        want = expectation(state, OperatorSum.single_axis(n, q, Axis.Z))
+        np.testing.assert_allclose(z[..., q - 1], want, rtol=0, atol=atol)
+        for r in range(q + 1, n + 1):
+            want = expectation(state, OperatorSum(n, [(f"Z{q} Z{r}", 1.0)]))
+            np.testing.assert_allclose(zz[..., q - 1, r - 1], want, rtol=0, atol=atol)
+            np.testing.assert_allclose(zz[..., r - 1, q - 1], want, rtol=0, atol=atol)
+    np.testing.assert_allclose(np.diagonal(zz, axis1=-2, axis2=-1), 1.0, rtol=0, atol=atol)
+
+
+class TestZMoments:
+    """All single and pair Z moments from one pass over |psi|^2 equal the
+    general expectation kernel's values."""
+
+    @given(st.integers(1, 8), st.sampled_from([None, 1, 3]), st.integers(0, 2**32 - 1))
+    def test_matches_expectation(self, width, batch, seed):
+        assert_z_moments_match_expectation(random_state(np.random.default_rng(seed), width, batch))
+
+    def test_width_one_has_no_pairs(self):
+        state = apply_gate(new_all_zeros(1), pauli_x(1))
+        z, zz = z_moments(state)
+        assert z.tolist() == [1.0] and zz.tolist() == [[1.0]]
+        assert_z_moments_match_expectation(random_state(np.random.default_rng(1), 1, 2))
+
+    def test_width_eighteen(self):
+        state = random_state(np.random.default_rng(18), 18)
+        z, zz = z_moments(state)
+        n = 18
+        for q, r in [(1, 2), (1, 18), (5, 9), (9, 10), (10, 17), (17, 18)]:
+            want = expectation(state, OperatorSum(n, [(f"Z{q} Z{r}", 1.0)]))
+            assert zz[q - 1, r - 1] == pytest.approx(want, abs=1e-12)
+        for q in (1, 9, 10, 18):
+            assert z[q - 1] == pytest.approx(expectation(state, OperatorSum.single_axis(n, q, Axis.Z)), abs=1e-12)
+
+
+S_GATE_MATRIX = np.diag([1, 1j])
+
+
+def monomial_gates(rng, width):
+    q, r = (int(x) + 1 for x in rng.choice(width, size=2, replace=False))
+    return (pauli_x(q), pauli_y(q), pauli_z(r), cnot(q, r), cnot(r, q), Gate("S", (q,), S_GATE_MATRIX))
+
+
+def int64_bits(amps):
+    return np.ascontiguousarray(amps).view(np.int64)
+
+
+class TestMonomialGates:
+    """X, Y, Z, CN and other monomial matrices move and phase slices of the
+    amplitudes instead of a matmul; the result must be the dense product
+    bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("width", range(2, 11))
+    def test_equals_dense_product_bitwise(self, width, batch):
+        rng = np.random.default_rng(100 * width + (batch or 0))
+        state = random_state(rng, width, batch)
+        assert np.signbit(state.amplitudes.view(float)[state.amplitudes.view(float) == 0]).any()
+        for gate in monomial_gates(rng, width):
+            dense = gate_matrix(gate, width)
+            want = dense @ state.amplitudes if batch is None else np.stack([dense @ row for row in state.amplitudes])
+            got = apply_gate(state, gate).amplitudes
+            np.testing.assert_array_equal(int64_bits(got), int64_bits(want), err_msg=f"{gate.name}{gate.qubits}")
+
+    def test_detected_from_the_matrix_not_the_name(self, monkeypatch):
+        calls = []
+        monomial = states._apply_monomial
+        monkeypatch.setattr(states, "_apply_monomial", lambda psi, plan: calls.append(plan) or monomial(psi, plan))
+        state = random_state(np.random.default_rng(3), 3)
+        x_named_h = Gate("H", (2,), PAULI_MATRIX[Axis.X])
+        h_named_x = Gate("X", (2,), hadamard(2).matrix)
+        np.testing.assert_array_equal(apply_gate(state, x_named_h).amplitudes, apply_gate(state, pauli_x(2)).amplitudes)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(apply_gate(state, h_named_x).amplitudes, apply_gate(state, hadamard(2)).amplitudes)
+        assert len(calls) == 2  # H stays on the matmul path
+
+    def test_stacks_and_rotations_stay_on_matmul(self, monkeypatch):
+        def fail(psi, plan):
+            raise AssertionError("monomial path taken")
+
+        monkeypatch.setattr(states, "_apply_monomial", fail)
+        state = random_state(np.random.default_rng(4), 3, 2)
+        apply_gate(state, analyzer_rotation(1, [0.3, 1.2]))
+        apply_gate(state, analyzer_rotation(2, 0.7))
+        apply_gate(state, hadamard(3))
+        apply_gate(state, Gate("Xs", (1,), np.stack([PAULI_MATRIX[Axis.X]] * 2)))
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("gate", [pauli_y(1), cnot(1, 2), hadamard(2)], ids=["Y", "CN", "H"])
+    def test_norm_checked_on_every_output(self, gate, batch):
+        # The constructor accepts a norm 1e-10 off; a gate output is held
+        # to NORM_ATOL = 1e-12, on every path.
+        state = random_state(np.random.default_rng(5), 2, batch)
+        state = StateVector(2, state.amplitudes * (1 + 1e-10))
+        with pytest.raises(AssertionError, match="drifted the norm"):
+            apply_gate(state, gate)
 
 
 class TestJointProbability:
