@@ -338,6 +338,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.out not in (None, "-"):  # before any work; _emit reports later failures
         directory = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out):
+            parser.error(f"cannot write {args.out}: it is a directory")
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
             parser.error(f"cannot write {args.out}: {directory} is not a writable directory")
     if args.command in ("epr", "chsh"):

@@ -59,7 +59,7 @@ def _check_unitary(name: str, m: np.ndarray) -> None:
     if key in _UNITARY:
         return
     eye = np.eye(m.shape[-1])
-    if not np.allclose(np.swapaxes(m.conj(), -1, -2) @ m, eye, atol=UNITARY_ATOL):
+    if not np.allclose(np.swapaxes(m.conj(), -1, -2) @ m, eye, rtol=0, atol=UNITARY_ATOL):
         raise ValueError(f"gate {name!r} matrix is not unitary")
     if len(_UNITARY) >= _UNITARY_LIMIT:
         _UNITARY.clear()

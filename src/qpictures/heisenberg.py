@@ -40,6 +40,8 @@ from .pauli import (
     OperatorSum,
     PauliString,
     _axis_codes,
+    _check_width,
+    _prune,
     expectation_in_all_zeros,
     linear_combination,
     pair_expectation_in_all_zeros,
@@ -110,10 +112,8 @@ def _compute_conjugation_images(gate: Gate) -> dict[tuple[int, Axis], OperatorSu
         raise ValueError(f"gate {gate.name!r} conjugation image failed to recompose")
     images: dict[tuple[int, Axis], OperatorSum] = {}
     for i, key in enumerate(images_of):
-        image = coeffs[:, i]
-        keep = (image != 0).any(axis=1)
-        image = image[keep] + 0.0
-        images[key] = OperatorSum._raw(k, keys[keep], image if gate.batch is not None else image[:, 0])
+        # Only the zeroed coefficients fall below PRUNE_TOL.
+        images[key] = OperatorSum._raw(k, *_prune(keys, coeffs[:, i]), gate.batch)
     return images
 
 
@@ -160,8 +160,7 @@ class DescriptorSet:
 @lru_cache(maxsize=MAX_WIDTH)
 def init_descriptors(width: int) -> DescriptorSet:
     """Step-0 descriptors: each axis is its own single-qubit Pauli."""
-    if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    _check_width(width)
     table = {
         (qubit, axis): OperatorSum.single_axis(width, qubit, axis)
         for qubit in range(1, width + 1)

@@ -10,14 +10,16 @@ coefficients below ``PRUNE_TOL``.  Only this module knows the key
 layout: other modules read per-qubit axis codes through ``_axis_codes``
 and build keys through ``PauliString``.
 
-A sum's coefficients may carry a trailing batch axis, shape
-``(terms, batch)``: one column per member of a batch of operators that
-share their term strings, such as one descriptor evolved for many analyzer
-angles at once.  Every kernel works along axis 0, so a sum without a
-batch axis is the batch-free case of the same code, and each column is
-computed with the same floating-point operations, in the same order, as
-the batch-free sum it stands for.  A term is pruned only when it is below
-``PRUNE_TOL`` in every column.
+A sum's coefficients always have shape ``(terms, columns)``.  A batched
+sum has one column per member of a batch of operators that share their
+term strings, such as one descriptor evolved for many analyzer angles at
+once; a sum without a batch axis is the one-column case, and its column
+broadcasts against a batched operand.  Whether a sum is batched is a
+field, not a shape, so a batch of one stays distinct from an unbatched
+sum.  Every kernel works along axis 0, so each column is computed with
+the same floating-point operations, in the same order, as the unbatched
+sum it stands for.  A term is pruned only when it is below ``PRUNE_TOL``
+in every column.
 
 Conventions used throughout the package:
 
@@ -196,15 +198,8 @@ def _prune(keys: np.ndarray, coeffs: np.ndarray):
     """Drop terms below ``PRUNE_TOL`` in every batch column.  Adding +0.0
     turns a -0.0 component into +0.0, as summing into a zeroed accumulator
     does, so a merged and an unmerged path give bitwise-equal coefficients."""
-    keep = np.abs(coeffs) >= PRUNE_TOL
-    if coeffs.ndim == 2:
-        keep = keep.any(axis=1)
-    return keys[keep], coeffs[keep] + 0.0
-
-
-def _batch_of(coeffs) -> int | None:
-    """Batch size of a coefficient array, or None without a batch axis."""
-    return coeffs.shape[1] if np.ndim(coeffs) == 2 else None
+    keep = np.logical_or.reduce(np.abs(coeffs) >= PRUNE_TOL, axis=1)
+    return keys[keep], coeffs.compress(keep, axis=0) + 0.0
 
 
 def _common_batch(*batches) -> int | None:
@@ -214,34 +209,23 @@ def _common_batch(*batches) -> int | None:
     return sizes.pop() if sizes else None
 
 
-def _scaled(coeff, coeffs: np.ndarray) -> np.ndarray:
-    """coeff * coeffs, with a per-column coefficient vector broadcast over
-    the terms.  The coefficient stays the left operand: the vectorised
-    complex product rounds differently when the operands are swapped."""
-    if np.ndim(coeff) == 1 and coeffs.ndim == 1:
-        coeffs = coeffs[:, None]
-    return coeff * coeffs
-
-
-def _column_sums(values: np.ndarray):
-    """Sum over axis 0: a scalar without a batch axis, else one sum per
-    column.  Each column is summed as a contiguous row, which rounds
-    exactly like the batch-free ``values.sum()``."""
-    if values.ndim == 1:
-        return values.sum()
-    return np.ascontiguousarray(values.T).sum(axis=1)
+def _column_sums(values: np.ndarray, batch: int | None):
+    """One sum over axis 0 per column, or a complex scalar when ``batch``
+    is None.  Each column is summed as a contiguous row, so every column
+    rounds alike, whatever the number of columns."""
+    sums = np.ascontiguousarray(values.T).sum(axis=1)
+    return sums if batch is not None else complex(sums[0])
 
 
 def _group_sums(keys: np.ndarray, values: np.ndarray):
-    """Distinct keys in ascending order, and the sum of the values (rows,
-    with any batch axis kept) of each.  The sort is stable, so equal keys
-    are summed in a fixed order."""
+    """Distinct keys in ascending order, and the sum of the value rows of
+    each.  The sort is stable, so equal keys are summed in a fixed order."""
     if len(keys) <= 1:
         return keys, values
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(values[order], starts)
+    return keys[starts], np.add.reduceat(values.take(order, axis=0), starts)
 
 
 def _merge(keys: np.ndarray, coeffs: np.ndarray):
@@ -258,12 +242,13 @@ class OperatorSum:
 
     Terms are stored merged (no duplicate strings), pruned at
     ``PRUNE_TOL`` and canonically ordered, so equal operators have
-    identical term arrays.  Coefficients have shape ``(terms,)``, or
-    ``(terms, batch)`` for a batch of sums over the same strings.
-    Instances are immutable; all arithmetic returns new values.
+    identical term arrays.  Coefficients have shape ``(terms, columns)``:
+    one column per member of a batch of sums over the same strings, or a
+    single column when ``_batch`` is None.  Instances are immutable; all
+    arithmetic returns new values.
     """
 
-    __slots__ = ("_width", "_keys", "_coeffs")
+    __slots__ = ("_width", "_keys", "_coeffs", "_batch")
 
     def __init__(self, width: int, terms: Iterable[tuple[PauliString | str, complex]] = ()):
         """``terms`` pairs a string with a coefficient, or with a 1-D array
@@ -282,12 +267,12 @@ class OperatorSum:
             else:
                 coeffs.append(complex(coeff) * string.phase)
         batch = _common_batch(*(len(c) if isinstance(c, np.ndarray) else None for c in coeffs))
-        if batch is not None:
-            coeffs = [np.broadcast_to(c, (batch,)) for c in coeffs]
-        merged = _merge(np.array(keys, dtype=np.int64), np.array(coeffs, dtype=complex))
-        self._init_raw(width, *merged)
+        rows = np.empty((len(coeffs), 1 if batch is None else batch), dtype=complex)
+        for row, coeff in zip(rows, coeffs):
+            row[:] = coeff
+        self._init_raw(width, *_merge(np.array(keys, dtype=np.int64), rows), batch)
 
-    def _init_raw(self, width: int, keys: np.ndarray, coeffs: np.ndarray) -> None:
+    def _init_raw(self, width: int, keys: np.ndarray, coeffs: np.ndarray, batch: int | None) -> None:
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         coeffs = np.ascontiguousarray(coeffs, dtype=complex)
         keys.setflags(write=False)
@@ -295,15 +280,16 @@ class OperatorSum:
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_batch", batch)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorSum is immutable")
 
     @classmethod
-    def _raw(cls, width: int, keys: np.ndarray, coeffs: np.ndarray) -> "OperatorSum":
+    def _raw(cls, width: int, keys: np.ndarray, coeffs: np.ndarray, batch: int | None) -> "OperatorSum":
         """Internal: wrap already-merged canonical arrays."""
         out = cls.__new__(cls)
-        out._init_raw(width, keys, coeffs)
+        out._init_raw(width, keys, coeffs, batch)
         return out
 
     @classmethod
@@ -325,14 +311,14 @@ class OperatorSum:
     @property
     def batch(self) -> int | None:
         """Number of batch columns, or None for a sum without a batch axis."""
-        return _batch_of(self._coeffs)
+        return self._batch
 
     def column(self, j: int) -> "OperatorSum":
         """Batch column ``j`` as a sum without a batch axis, pruned at
         ``PRUNE_TOL``.  A sum without a batch axis stands for every column."""
-        if self._coeffs.ndim == 1:
+        if self._batch is None:
             return self
-        return OperatorSum._raw(self._width, *_prune(self._keys, self._coeffs[:, j]))
+        return OperatorSum._raw(self._width, *_prune(self._keys, self._coeffs[:, j : j + 1]), None)
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -348,7 +334,8 @@ class OperatorSum:
 
     def _iter_keys(self) -> Iterator[tuple[int, complex]]:
         """(packed key, coefficient) pairs in canonical order, no string built."""
-        return zip(self._keys.tolist(), self._coeffs.tolist() if self._coeffs.ndim == 1 else self._coeffs)
+        coeffs = self._coeffs if self._batch is not None else self._coeffs[:, 0].tolist()
+        return zip(self._keys.tolist(), coeffs)
 
     def coefficient(self, string: PauliString | str) -> complex:
         """Coefficient of ``string`` (0 if absent); phases are divided out."""
@@ -358,11 +345,8 @@ class OperatorSum:
             raise ValueError(f"width mismatch: {string.width} != {self._width}")
         pos = np.searchsorted(self._keys, string.key)
         found = pos < len(self._keys) and self._keys[pos] == string.key
-        if self._coeffs.ndim == 2:
-            return self._coeffs[pos] / string.phase if found else np.zeros(self._coeffs.shape[1], complex)
-        if found:
-            return complex(self._coeffs[pos] / string.phase)
-        return 0.0 + 0.0j
+        values = self._coeffs[pos] / string.phase if found else np.zeros(self._coeffs.shape[1], complex)
+        return values if self._batch is not None else complex(values[0])
 
     def support(self) -> frozenset[int]:
         """Qubits (1-based) on which any term acts non-trivially."""
@@ -385,7 +369,7 @@ class OperatorSum:
         return self + (-other)
 
     def __neg__(self) -> "OperatorSum":
-        return OperatorSum._raw(self._width, self._keys, -self._coeffs)
+        return OperatorSum._raw(self._width, self._keys, -self._coeffs, self._batch)
 
     def __mul__(self, other):
         if isinstance(other, OperatorSum):
@@ -394,7 +378,7 @@ class OperatorSum:
             c = complex(other)
             if abs(c) < PRUNE_TOL:
                 return OperatorSum.zero(self._width)
-            return OperatorSum._raw(self._width, self._keys, self._coeffs * c)
+            return OperatorSum._raw(self._width, self._keys, self._coeffs * c, self._batch)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -403,9 +387,11 @@ class OperatorSum:
         return NotImplemented
 
     def equal_terms(self, other: "OperatorSum") -> bool:
-        """Exact termwise equality (same strings, bitwise-equal coefficients)."""
+        """Exact termwise equality (same strings, bitwise-equal coefficients,
+        same batch)."""
         return (
             self._width == other._width
+            and self._batch == other._batch
             and np.array_equal(self._keys, other._keys)
             and np.array_equal(self._coeffs, other._coeffs)
         )
@@ -413,13 +399,13 @@ class OperatorSum:
     def render(self) -> str:
         """Canonical text form, one term per line: sign, coefficient with
         six decimals, axis-qubit tokens in ascending qubit order."""
-        if self._coeffs.ndim == 2:
+        if self._batch is not None:
             raise ValueError("render one column of a batched sum at a time")
         if self.is_zero:
             return "0"
         lines = [
             f"{_fmt_coeff(coeff)} * {_tokens(_axis_codes(key, self._width))}"
-            for key, coeff in zip(self._keys.tolist(), self._coeffs)
+            for key, coeff in zip(self._keys.tolist(), self._coeffs[:, 0])
         ]
         return "\n".join(lines)
 
@@ -437,20 +423,25 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
     distinct and canonically ordered.
     """
     parts = list(parts)
-    for _, part in parts:
+    scaled, sizes = [], []
+    for coeff, part in parts:
         if part._width != width:
             raise ValueError(f"width mismatch: {part._width} != {width}")
+        # The coefficient stays the left operand: the vectorised complex
+        # product rounds differently when the operands are swapped.
+        scaled.append(coeff * part._coeffs)
+        # Numbers, the common coefficients, skip the slow array test.
+        if part._batch is not None or not isinstance(coeff, Number) and np.ndim(coeff):
+            sizes.append(scaled[-1].shape[1])
     if not parts:
         return OperatorSum.zero(width)
+    batch = _common_batch(*sizes)
     if len(parts) == 1:
-        coeff, part = parts[0]
-        return OperatorSum._raw(width, *_prune(part._keys, _scaled(coeff, part._coeffs)))
-    scaled = [_scaled(coeff, part._coeffs) for coeff, part in parts]
-    batch = _common_batch(*(_batch_of(c) for c in scaled))
+        return OperatorSum._raw(width, *_prune(parts[0][1]._keys, scaled[0]), batch)
     if batch is not None:
-        scaled = [c if c.ndim == 2 else np.broadcast_to(c[:, None], (len(c), batch)) for c in scaled]
+        scaled = [c if c.shape[1] == batch else np.broadcast_to(c, (len(c), batch)) for c in scaled]
     keys = np.concatenate([part._keys for _, part in parts])
-    return OperatorSum._raw(width, *_merge(keys, np.concatenate(scaled)))
+    return OperatorSum._raw(width, *_merge(keys, np.concatenate(scaled)), batch)
 
 
 def _sum_multiply(a: OperatorSum, b: OperatorSum) -> OperatorSum:
@@ -461,31 +452,21 @@ def _sum_multiply(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     if ma == 0 or mb == 0:
         return OperatorSum.zero(width)
 
-    batch = _common_batch(a.batch, b.batch)
-    coeffs_a, coeffs_b = a._coeffs, b._coeffs
-    if batch is not None:
-        # A factor without a batch axis broadcasts over the columns.
-        coeffs_a = coeffs_a.reshape(ma, -1)[:, None, :]
-        coeffs_b = coeffs_b.reshape(mb, -1)[None, :, :]
-    else:
-        coeffs_a = coeffs_a[:, None]
-        coeffs_b = coeffs_b[None, :]
+    batch = _common_batch(a._batch, b._batch)
     chunk = max(1, _PAIR_CHUNK // (mb * (batch or 1)))
-    partial_keys = []
-    partial_coeffs = []
+    partial_keys, partial_coeffs = [], []
     for start in range(0, ma, chunk):
         keys, exponents = _string_products(a._keys[start : start + chunk, None], b._keys[None, :])
-        if batch is not None:
-            exponents = exponents[:, :, None]
-        coeffs = (coeffs_a[start : start + chunk] * coeffs_b) * _I_POWERS[exponents]
-        m_keys, m_coeffs = _merge(keys.reshape(-1), coeffs.reshape(-1, *coeffs.shape[2:]))
+        # A single-column factor broadcasts over the other's columns.
+        coeffs = (a._coeffs[start : start + chunk, None] * b._coeffs[None]) * _I_POWERS[exponents[:, :, None]]
+        m_keys, m_coeffs = _merge(keys.reshape(-1), coeffs.reshape(keys.size, -1))
         partial_keys.append(m_keys)
         partial_coeffs.append(m_coeffs)
     if len(partial_keys) == 1:
-        return OperatorSum._raw(width, partial_keys[0], partial_coeffs[0])
+        return OperatorSum._raw(width, partial_keys[0], partial_coeffs[0], batch)
     keys = np.concatenate(partial_keys)
     coeffs = np.concatenate(partial_coeffs)
-    return OperatorSum._raw(width, *_merge(keys, coeffs))
+    return OperatorSum._raw(width, *_merge(keys, coeffs), batch)
 
 
 def expectation_in_all_zeros(op: OperatorSum) -> complex:
@@ -498,9 +479,7 @@ def expectation_in_all_zeros(op: OperatorSum) -> complex:
     x, z = _x_z(op._keys)
     z_parity = np.bitwise_count(z) & 1
     signs = np.where(x != 0, 0.0, np.where(z_parity == 1, -1.0, 1.0))
-    if op._coeffs.ndim == 2:
-        return _column_sums(op._coeffs * signs[:, None])
-    return complex(_column_sums(op._coeffs * signs))
+    return _column_sums(op._coeffs * signs[:, None], op._batch)
 
 
 def _reference_images(op: OperatorSum, bra: bool = False):
@@ -513,8 +492,7 @@ def _reference_images(op: OperatorSum, bra: bool = False):
     xz = np.bitwise_count(x & z)
     exponents = (3 * xz if bra else xz) + 2 * np.bitwise_count(z)
     phases = _I_POWERS[exponents & 3]
-    amplitudes = op._coeffs * (phases[:, None] if op._coeffs.ndim == 2 else phases)
-    return _group_sums(x, amplitudes)
+    return _group_sums(x, op._coeffs * phases[:, None])
 
 
 def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
@@ -528,18 +506,11 @@ def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
     """
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} != {b.width}")
-    batch = _common_batch(a.batch, b.batch)
+    batch = _common_batch(a._batch, b._batch)
     keys_a, rows_a = _reference_images(a, bra=True)
     keys_b, rows_b = _reference_images(b)
     _, at_a, at_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
-    rows_a, rows_b = rows_a[at_a], rows_b[at_b]
-    if batch is None:
-        return complex(_column_sums(rows_a * rows_b))
-    if rows_a.ndim == 1:
-        rows_a = rows_a[:, None]
-    if rows_b.ndim == 1:
-        rows_b = rows_b[:, None]
-    return _column_sums(rows_a * rows_b)
+    return _column_sums(rows_a[at_a] * rows_b[at_b], batch)
 
 
 def isclose(a: OperatorSum, b: OperatorSum, atol: float = 1e-10) -> bool:

@@ -37,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .gates import Gate
-from .pauli import _I_POWERS, MAX_WIDTH, Axis, OperatorSum, _axis_codes, _common_batch
+from .pauli import _I_POWERS, MAX_WIDTH, Axis, OperatorSum, _axis_codes, _check_width, _common_batch
 
 NORM_ATOL = 1e-12
 
@@ -60,8 +60,7 @@ def _unit_norm(amps: np.ndarray, atol: float) -> bool:
 def _store(state, width: int, amplitudes, check_norm: bool) -> None:
     """Validate width and shape, then set the fields of a frozen state with
     read-only contiguous complex amplitudes."""
-    if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    _check_width(width)
     amps = np.ascontiguousarray(amplitudes, dtype=complex)
     if amps.shape[-1:] != (2**width,) or amps.ndim > 2:
         raise ValueError(f"expected {2**width} amplitudes, got {amps.shape}")
@@ -111,8 +110,7 @@ class StateVector:
 
 def new_all_zeros(width: int) -> StateVector:
     """|0...0>: amplitude 1 at the last basis index."""
-    if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    _check_width(width)
     amps = np.zeros(2**width, dtype=complex)
     amps[-1] = 1.0
     return StateVector(width, amps)
@@ -230,7 +228,7 @@ def expectation(state: StateVector, op: OperatorSum):
     psi = amps.reshape(amps.shape[:-1] + (2,) * n)
     keep, rev = slice(None), slice(None, None, -1)
     value = 0.0 + 0.0j
-    for key, coeff in zip(op._keys.tolist(), op._coeffs.tolist()):
+    for key, coeff in zip(op._keys.tolist(), op._coeffs[:, 0].tolist()):
         codes = _axis_codes(key, n)
         v = psi[(Ellipsis, *(rev if code in (Axis.X, Axis.Y) else keep for code in codes))].copy()
         for q, code in enumerate(codes):

@@ -179,6 +179,9 @@ class TestEpr:
         monkeypatch.setattr("qpictures.cli.run_all_checks", fail_evolution)
         last = assert_usage_error(capsys, argv + ["--out", str(tmp_path / "missing" / "x.out")])
         assert "cannot write" in last
+        # An existing directory is no file to write either.
+        last = assert_usage_error(capsys, argv + ["--out", str(tmp_path)])
+        assert "cannot write" in last and "is a directory" in last
 
     def test_angle_at_bound_is_accepted(self, capsys):
         code, out = run_cli(capsys, "epr", "--format", "json", "--", str(MAX_ANGLE), str(-MAX_ANGLE))

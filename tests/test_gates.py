@@ -57,6 +57,13 @@ def test_non_unitary_matrix_rejected():
         Gate("bad", (1,), np.array([[1, 0], [0, 2]], dtype=complex))
 
 
+def test_near_unitary_matrix_rejected_at_the_absolute_bound():
+    # 1e-7 off unitarity: inside numpy's default rtol of 1e-5, far outside
+    # UNITARY_ATOL, so only an absolute-only comparison rejects it.
+    with pytest.raises(ValueError, match="unitary"):
+        Gate("S", (1,), np.diag([1, 1 + 1e-7]))
+
+
 def test_duplicate_qubits_rejected():
     with pytest.raises(ValueError, match="distinct"):
         Gate("bad", (2, 2), CN_MATRIX)

@@ -303,6 +303,50 @@ class TestExpectationInAllZeros:
         assert abs(expectation_in_all_zeros(hermitian).imag) <= 1e-12
 
 
+def _bits(values) -> np.ndarray:
+    """The raw bits of complex values, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+def _results(width, terms_a, terms_b, scale, batched):
+    """Bits of every kernel's result on the sums built from the drawn
+    terms, unbatched or as a batch of one (length-1 coefficient arrays);
+    a batch of one contributes its column 0."""
+    a, b = (
+        OperatorSum(width, [(PauliString(width, key, power), np.array([c]) if batched else c) for key, power, c in terms])
+        for terms in (terms_a, terms_b)
+    )
+    sums = [a * b, b * a, a + b, a - b, scale * a, a * scale]
+    sums.append(pauli.linear_combination(width, [(scale, a), (0.5, b), (-1j, a)]))
+    reads = [expectation_in_all_zeros(a), pair_expectation_in_all_zeros(a, b), pair_expectation_in_all_zeros(b, a)]
+    if batched:
+        reads = [value[0] for value in reads]
+    else:
+        assert all(isinstance(value, complex) for value in reads)
+    terms = [[(s.key, c[0] if batched else c) for s, c in op.iter_terms()] for op in sums]
+    bits = [([key for key, _ in t], _bits([c for _, c in t]).tolist()) for t in terms]
+    return a, bits, _bits(reads).tolist()
+
+
+@given(data=st.data())
+def test_unbatched_sum_is_the_one_column_case_bit_for_bit(data):
+    """An unbatched sum and its batch of one give bitwise-equal results
+    through products, sums, scaling and both reference-state reads."""
+    width = data.draw(st.integers(1, 4))
+    values = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+    term = st.tuples(_keys(width), st.integers(0, 3), values)
+    # One term at least, or the batch of one has no array to read its batch from.
+    terms_a, terms_b = (data.draw(st.lists(term, min_size=1, max_size=8)) for _ in range(2))
+    scale = data.draw(values)
+    a, sums, reads = _results(width, terms_a, terms_b, scale, batched=False)
+    a1, sums1, reads1 = _results(width, terms_a, terms_b, scale, batched=True)
+    assert sums == sums1
+    assert reads == reads1
+    assert (a.batch, a1.batch) == (None, 1)
+    assert not a.equal_terms(a1)
+    assert a.equal_terms(a1.column(0))
+
+
 def test_max_term_deviation_counts_missing_strings():
     a = OperatorSum(2, [("X1", 1.0), ("Z2", 0.5)])
     b = OperatorSum(2, [("X1", 1.0)])
