@@ -337,6 +337,8 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     if args.out not in (None, "-"):  # before any work; _emit reports later failures
+        if not args.out:
+            parser.error("cannot write --out '': an empty path")
         directory = os.path.dirname(args.out) or "."
         if os.path.isdir(args.out):
             parser.error(f"cannot write {args.out}: it is a directory")

@@ -431,8 +431,9 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
         # product rounds differently when the operands are swapped.
         scaled.append(coeff * part._coeffs)
         # Numbers, the common coefficients, skip the slow array test.
-        if part._batch is not None or not isinstance(coeff, Number) and np.ndim(coeff):
-            sizes.append(scaled[-1].shape[1])
+        sizes.append(part._batch)
+        if not isinstance(coeff, Number) and np.ndim(coeff):
+            sizes.append(len(coeff))
     if not parts:
         return OperatorSum.zero(width)
     batch = _common_batch(*sizes)

@@ -14,11 +14,9 @@ with a stack of matrices applies one matrix per row.  Each row goes
 through the same products and reductions as an unbatched state, so it
 comes out bit for bit the same.
 
-``apply_gate`` reads the gate's matrix.  A single monomial matrix (one
-nonzero per row and column, each in {1, i, -1, -i}: X, Y, Z, CN) is one
-strided copy per slice of the gate's qubits, with exact signs or phases;
-every other matrix, and every stack, is one ``moveaxis`` / ``matmul`` /
-``moveaxis``.  Every gate output is held to unit norm within NORM_ATOL.
+``apply_gate`` has one kernel: one strided product per nonzero matrix
+entry, exact for X, Y, Z and CN, and a stack's entries broadcast over the
+rows.  Every gate output is held to unit norm within NORM_ATOL.
 
 ``z_moments`` returns every <Z_q> and <Z_q Z_r> from one pass over
 |psi|^2.  ``expectation`` is the general kernel: it applies each Pauli
@@ -116,92 +114,77 @@ def new_all_zeros(width: int) -> StateVector:
     return StateVector(width, amps)
 
 
-# The power of i of each unit entry a monomial gate matrix may hold, and
-# those units and zero as 0-d arrays, which ufuncs take faster than scalars.
-_UNIT_POWERS = {1: 0, 1j: 1, -1: 2, -1j: 3}
-_UNITS = tuple(np.array(unit) for unit in _I_POWERS)
 _ZERO = np.zeros((), dtype=complex)
 
 
 @lru_cache(maxsize=4096)
-def _monomial_plan(matrix_bytes: bytes, dim: int, axes: tuple[int, ...], ndim: int):
-    """How to apply a single ``dim x dim`` matrix, given by its bytes, at
-    the tensor axes ``axes`` of ``ndim``-axis amplitudes, if it is monomial:
-    exactly one nonzero per row and column, each in {1, i, -1, -i}, as for
-    X, Y, Z and CN.  Then per output slot a of the gate's qubits, the
-    index of slot a, the index of the input slot its row reads and that
-    entry's power of i; None for any other matrix."""
-    rows = np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim).tolist()
-    k = len(axes)
-
-    def slot(a: int) -> tuple:
+def _slots(qubits: tuple[int, ...], lead: int, ndim: int) -> tuple:
+    """Index of each slot a of the gate qubits ``qubits`` in ``ndim``-axis
+    amplitudes with ``lead`` batch axes first: bit j of a, most significant
+    first, picks the half of qubit ``qubits[j]``'s axis."""
+    slots = []
+    for a in range(2 ** len(qubits)):
         index = [slice(None)] * ndim
-        for j, axis in enumerate(axes):
-            bit = (a >> (k - 1 - j)) & 1
-            index[axis] = slice(bit, bit + 1)
-        return tuple(index)
-
-    cols, powers = [], []
-    for row in rows:
-        nonzero = [(col, entry) for col, entry in enumerate(row) if entry != 0]
-        if len(nonzero) != 1 or nonzero[0][1] not in _UNIT_POWERS:
-            return None
-        cols.append(nonzero[0][0])
-        powers.append(_UNIT_POWERS[nonzero[0][1]])
-    if len(set(cols)) != dim:
-        return None
-    return tuple((slot(a), slot(col), power) for a, (col, power) in enumerate(zip(cols, powers)))
+        for j, q in enumerate(qubits):
+            bit = (a >> (len(qubits) - 1 - j)) & 1
+            index[lead + q - 1] = slice(bit, bit + 1)
+        slots.append(tuple(index))
+    return tuple(slots)
 
 
-def _apply_monomial(psi: np.ndarray, plan) -> np.ndarray:
-    """One strided copy per output slot, with its sign or phase applied
-    exactly.  Every value gets one more ``+ 0`` (or is ``0 - x``), which
-    turns each zero into +0, as the dense matrix product gives it."""
-    out = np.empty_like(psi)
-    for dst_index, src_index, power in plan:
-        dst, src = out[dst_index], psi[src_index]
-        if power == 0:
-            np.add(src, _ZERO, out=dst)
-        elif power == 2:
-            np.subtract(_ZERO, src, out=dst)
-        else:
-            np.multiply(src, _UNITS[power], out=dst)
-            np.add(dst, _ZERO, out=dst)
-    return out
+# Small: fixed gates stay in it and rotations at fresh angles pass through;
+# a full 4096-entry cache (4 MiB) slowed width-6 checks ~12% by heap layout.
+@lru_cache(maxsize=64)
+def _single_rows(matrix_bytes: bytes, dim: int) -> tuple:
+    """Each row of a single ``dim x dim`` matrix, given by its bytes, as its
+    nonzero entries (b, m[a, b]).  A lone entry of exactly 1 or -1 is the
+    ufunc that applies it to zero, ``np.add`` or ``np.subtract``; any other
+    entry is a 0-d array, which ufuncs take faster than a scalar."""
+    rows = []
+    for row in np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim).tolist():
+        entries = [(b, e) for b, e in enumerate(row) if e != 0]
+        unit = len(entries) == 1 and {1: np.add, -1: np.subtract}.get(entries[0][1])
+        rows.append(((entries[0][0], unit),) if unit else tuple((b, np.array(e)) for b, e in entries))
+    return tuple(rows)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """New state with the gate unitary embedded at its target qubits.
 
-    A gate with a stack of matrices applies matrix b to row b, and turns an
-    unbatched state into one row per matrix.  A single monomial matrix
-    (X, Y, Z, CN) moves and phases slices of the amplitudes; any other
-    matrix, and every stack, goes through one ``matmul``."""
+    Output slot a of the gate's qubits is ``sum_b m[a, b] * slot_b`` over
+    the nonzero entries of row a, one strided product per entry.  A lone
+    entry of exactly 1 or -1 is ``0 + x`` or ``0 - x``, and any other lone
+    entry gets one more ``+ 0``, so every zero of a monomial row is +0, as
+    the dense product gives it.  A gate with a stack of matrices applies matrix b to row b,
+    and turns an unbatched state into one row per matrix: entry
+    ``m[:, a, b]`` broadcasts over each row's amplitudes, so every row goes
+    through the same products as an unbatched run."""
     for q in gate.qubits:
         if not 1 <= q <= state.width:
             raise ValueError(f"gate qubit {q} outside state width {state.width}")
-    k = gate.arity
     batch = _common_batch(state.batch, gate.batch)
     lead = [] if batch is None else [batch]
-    # Tensor axes of the gate's qubits, after the batch axis if any.
-    axes = [q - 1 + len(lead) for q in gate.qubits]
     amps = state.amplitudes if batch is None else np.broadcast_to(state.amplitudes, (batch, 2**state.width))
     psi = amps.reshape(lead + [2] * state.width)
-    m = gate.matrix
-    # A monomial matrix has exactly one nonzero per row; others skip the plan cache.
-    plan = None
-    if m.ndim == 2 and np.count_nonzero(m) == len(m):
-        plan = _monomial_plan(m.tobytes(), len(m), tuple(axes), psi.ndim)
-    if plan is not None:
-        psi = _apply_monomial(psi, plan)
+    slots = _slots(gate.qubits, len(lead), psi.ndim)
+    if gate.batch is None:
+        rows = _single_rows(gate.matrix.tobytes(), len(slots))
     else:
-        # Move the gate's axes to the front for the matmul, and back.
-        front = range(len(lead), len(lead) + k)
-        psi = np.moveaxis(psi, axes, front)
-        shape = psi.shape
-        psi = np.matmul(m, psi.reshape(lead + [2**k, -1])).reshape(shape)
-        psi = np.moveaxis(psi, front, axes)
-    out = psi.reshape(lead + [-1])
+        entries = gate.matrix.reshape(gate.matrix.shape + (1,) * state.width)
+        rows = [[(b, entries[:, a, b]) for b in range(len(slots))] for a in range(len(slots))]
+    out = np.empty(psi.shape, dtype=complex)
+    for dst_index, row in zip(slots, rows):
+        b, entry = row[0]
+        dst, src = out[dst_index], psi[slots[b]]
+        if isinstance(entry, np.ufunc):
+            entry(_ZERO, src, out=dst)
+        else:
+            np.multiply(entry, src, out=dst)
+            if len(row) == 1:
+                np.add(dst, _ZERO, out=dst)
+        for b, entry in row[1:]:
+            dst += entry * psi[slots[b]]
+    out = out.reshape(lead + [-1])
     if not _unit_norm(out, NORM_ATOL):
         raise AssertionError("gate application drifted the norm")
     return StateVector._normalized(state.width, out)

@@ -113,6 +113,15 @@ class TestPruning:
         with pytest.raises(ValueError, match="batch size mismatch"):
             self._batched(1.0, 1.0) * OperatorSum(2, [("Z1", [1.0, 2.0, 3.0])])
 
+    def test_linear_combination_rejects_mismatched_coefficient_lengths(self):
+        # As * and + do: an array coefficient must match its part's batch.
+        batch_of_one = OperatorSum(2, [("Z1", [1.0])])
+        batch_of_three = OperatorSum(2, [("Z1", [1.0, 2.0, 3.0])])
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            linear_combination(2, [(np.array([2.0]), batch_of_three)])
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            linear_combination(2, [(np.array([1.0, 2.0, 3.0]), batch_of_one)])
+
 
 def _trace_images(gate):
     """The per-string trace derivation, one angle at a time."""

@@ -182,6 +182,9 @@ class TestEpr:
         # An existing directory is no file to write either.
         last = assert_usage_error(capsys, argv + ["--out", str(tmp_path)])
         assert "cannot write" in last and "is a directory" in last
+        # Nor is an empty path.
+        last = assert_usage_error(capsys, argv + ["--out", ""])
+        assert "cannot write" in last and "empty path" in last
 
     def test_angle_at_bound_is_accepted(self, capsys):
         code, out = run_cli(capsys, "epr", "--format", "json", "--", str(MAX_ANGLE), str(-MAX_ANGLE))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qpictures import Gate, analyzer_rotation, cnot, hadamard, pauli_x, pauli_y, pauli_z, random_circuit
+from qpictures import gates
 from qpictures.gates import CN_MATRIX, H_MATRIX, rotation_matrix
 
 
@@ -136,3 +137,14 @@ def test_stack_with_one_non_unitary_matrix_rejected():
     stack = np.stack([H_MATRIX, np.array([[1, 0], [0, 2]], dtype=complex)])
     with pytest.raises(ValueError, match="unitary"):
         Gate("bad", (1,), stack)
+
+
+def test_stacks_are_not_remembered():
+    # Rotation angles rarely repeat, so remembering each checked stack
+    # would only hold its bytes; each stack is checked when built instead.
+    angles = np.linspace(0.0, 2.0 * math.pi, 4096)
+    analyzer_rotation(1, angles)
+    size = len(gates._UNITARY)
+    analyzer_rotation(1, angles)
+    analyzer_rotation(2, angles[::-1])
+    assert len(gates._UNITARY) == size

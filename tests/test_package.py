@@ -1,7 +1,8 @@
-"""The demo scripts run end to end, and the package exports what its
-callers import."""
+"""The demo scripts and the README's commands run end to end, and the
+package exports what its callers import."""
 import ast
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qpictures
+from qpictures import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(qpictures.__file__).resolve().parent.parent
@@ -35,6 +37,34 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert HEADLINES[demo] in result.stdout
+
+
+def _readme_commands():
+    """Every ``qpictures ...`` line in the code blocks of the README's
+    "Install and test" and "Command line" sections, comments stripped."""
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for heading in ("## Install and test", "## Command line"):
+        section = text.split(heading + "\n", 1)[1].split("\n## ", 1)[0]
+        for block in section.split("```")[1::2]:
+            commands += [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("qpictures ")]
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_its_commands():
+    assert len(README_COMMANDS) == 9
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(argv, tmp_path):
+    argv = argv[1:]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    assert cli.main(argv) == 0
 
 
 def _names_imported_from_package(paths):

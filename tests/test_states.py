@@ -28,7 +28,6 @@ from qpictures import (
     to_conventional,
 )
 from dense import circuit_unitary, gate_matrix, packed_key
-from qpictures import states
 from qpictures.gates import PAULI_MATRIX
 from qpictures.pauli import PauliString
 from qpictures.states import z_moments
@@ -267,8 +266,8 @@ def int64_bits(amps):
 
 class TestMonomialGates:
     """X, Y, Z, CN and other monomial matrices move and phase slices of the
-    amplitudes instead of a matmul; the result must be the dense product
-    bit for bit, signed zeros included."""
+    amplitudes exactly; the result must be the dense product bit for bit,
+    signed zeros included."""
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("width", range(2, 11))
@@ -282,28 +281,12 @@ class TestMonomialGates:
             got = apply_gate(state, gate).amplitudes
             np.testing.assert_array_equal(int64_bits(got), int64_bits(want), err_msg=f"{gate.name}{gate.qubits}")
 
-    def test_detected_from_the_matrix_not_the_name(self, monkeypatch):
-        calls = []
-        monomial = states._apply_monomial
-        monkeypatch.setattr(states, "_apply_monomial", lambda psi, plan: calls.append(plan) or monomial(psi, plan))
+    def test_detected_from_the_matrix_not_the_name(self):
         state = random_state(np.random.default_rng(3), 3)
         x_named_h = Gate("H", (2,), PAULI_MATRIX[Axis.X])
         h_named_x = Gate("X", (2,), hadamard(2).matrix)
         np.testing.assert_array_equal(apply_gate(state, x_named_h).amplitudes, apply_gate(state, pauli_x(2)).amplitudes)
-        assert len(calls) == 2
         np.testing.assert_array_equal(apply_gate(state, h_named_x).amplitudes, apply_gate(state, hadamard(2)).amplitudes)
-        assert len(calls) == 2  # H stays on the matmul path
-
-    def test_stacks_and_rotations_stay_on_matmul(self, monkeypatch):
-        def fail(psi, plan):
-            raise AssertionError("monomial path taken")
-
-        monkeypatch.setattr(states, "_apply_monomial", fail)
-        state = random_state(np.random.default_rng(4), 3, 2)
-        apply_gate(state, analyzer_rotation(1, [0.3, 1.2]))
-        apply_gate(state, analyzer_rotation(2, 0.7))
-        apply_gate(state, hadamard(3))
-        apply_gate(state, Gate("Xs", (1,), np.stack([PAULI_MATRIX[Axis.X]] * 2)))
 
     @pytest.mark.parametrize("batch", [None, 2])
     @pytest.mark.parametrize("gate", [pauli_y(1), cnot(1, 2), hadamard(2)], ids=["Y", "CN", "H"])
@@ -314,6 +297,42 @@ class TestMonomialGates:
         state = StateVector(2, state.amplitudes * (1 + 1e-10))
         with pytest.raises(AssertionError, match="drifted the norm"):
             apply_gate(state, gate)
+
+
+def random_unitary(rng, dim):
+    """A Haar-random unitary: QR of a complex Gaussian, phases fixed."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestGeneralGates:
+    """Dense and stacked matrices through the one kernel against the dense
+    embedding ``gate_matrix(gate, width) @ amps``, row by row."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("width", range(2, 7))
+    def test_matches_dense_embedding(self, width, batch):
+        rng = np.random.default_rng(200 + 10 * width + (batch or 0))
+        state = random_state(rng, width, batch)
+        q, r = (int(x) + 1 for x in rng.choice(width, size=2, replace=False))
+        gates = [
+            Gate("U", (q, r), random_unitary(rng, 4)),
+            Gate("Us", (r, q), np.stack([random_unitary(rng, 4) for _ in range(3)])),
+            analyzer_rotation(q, rng.uniform(0.0, 2.0 * math.pi, 3)),
+            analyzer_rotation(r, float(rng.uniform(0.0, 2.0 * math.pi))),
+            hadamard(q),
+            Gate("Xs", (r,), np.stack([PAULI_MATRIX[Axis.X]] * 3)),
+            # Unitary within UNITARY_ATOL: an exact 1 beside a tiny entry.
+            Gate("I~", (q,), np.array([[1, 1e-13], [-1e-13, 1]], dtype=complex)),
+        ]
+        for gate in gates:
+            got = apply_gate(state, gate)
+            rows = 3 if gate.batch is not None or batch is not None else None
+            assert got.batch == rows
+            for j in range(rows or 1):
+                matrix = gate.matrix if gate.batch is None else gate.matrix[j]
+                want = gate_matrix(Gate(gate.name, gate.qubits, matrix), width) @ state.row(j).amplitudes
+                np.testing.assert_allclose(got.row(j).amplitudes, want, rtol=0, atol=1e-12, err_msg=f"{gate!r} row {j}")
 
 
 class TestJointProbability:
