@@ -8,12 +8,14 @@ sight.
 
 ``correlation`` maps two equal-length angle sequences to an array of
 correlations, so every correlation a CHSH value or a scan needs comes from
-one batched simulation of all the angle pairs involved.
+one batched simulation of all the angle pairs involved.  A scan is one
+array computation: an (n, n) correlation table, S for every setting as one
+(n, n, n, n) array, and the best setting by argmax.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -74,31 +76,37 @@ class ChshResult:
         return (self.e_ab, self.e_ab_prime, self.e_a_prime_b, self.e_a_prime_b_prime)
 
 
-def chsh(setting: ChshSetting) -> ChshResult:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime = correlation(
-        [setting.a, setting.a, setting.a_prime, setting.a_prime],
-        [setting.b, setting.b_prime, setting.b, setting.b_prime],
-    ).tolist()
+def _result(setting: ChshSetting, correlations: list[float]) -> ChshResult:
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') from the four correlations."""
+    e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime = correlations
     s = e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime
     if not abs(s) <= TSIRELSON + 1e-9:
         raise AssertionError("CHSH value exceeded the quantum bound")
-    return ChshResult(
-        setting,
-        e_ab,
-        e_ab_prime,
-        e_a_prime_b,
-        e_a_prime_b_prime,
-        s,
-        violates=abs(s) > 2.0 + 1e-12,
+    return ChshResult(setting, *correlations, s, violates=abs(s) > 2.0 + 1e-12)
+
+
+def chsh(setting: ChshSetting) -> ChshResult:
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
+    correlations = correlation(
+        [setting.a, setting.a, setting.a_prime, setting.a_prime],
+        [setting.b, setting.b_prime, setting.b, setting.b_prime],
     )
+    return _result(setting, correlations.tolist())
 
 
 @dataclass(frozen=True)
 class ScanResult:
+    """A scan's best setting, and ``values[i, j, k, l]``: S at the setting
+    ``angles[i], angles[j], angles[k], angles[l]``."""
+
     resolution: float
     best: ChshResult
-    evaluated: int
+    angles: tuple[float, ...] = field(repr=False)
+    values: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def evaluated(self) -> int:
+        return self.values.size
 
 
 def scan_grid(resolution: float) -> list[float]:
@@ -122,49 +130,31 @@ def scan_grid(resolution: float) -> list[float]:
     return [k * resolution for k in range(count)]
 
 
-def _correlation_table(angles: list[float]) -> dict[tuple[float, float], float]:
-    """E(x, y) for every pair of scan angles, from one batched simulation.
-    Only pairwise correlations enter S, so a scan tabulates these once."""
-    pairs = list(product(angles, repeat=2))
-    values = correlation([x for x, _ in pairs], [y for _, y in pairs]).tolist()
-    return dict(zip(pairs, values))
-
-
-def _settings(angles: list[float], corr: dict[tuple[float, float], float]):
-    for a, a_prime, b, b_prime in product(angles, repeat=4):
-        s = corr[(a, b)] - corr[(a, b_prime)] + corr[(a_prime, b)] + corr[(a_prime, b_prime)]
-        yield a, a_prime, b, b_prime, s
-
-
 def scan_rows(resolution: float):
     """Yield (a, a', b, b', S) for every setting on the scan grid, in
     lexicographic angle order."""
-    angles = scan_grid(resolution)
-    yield from _settings(angles, _correlation_table(angles))
+    scan = chsh_scan(resolution)
+    for setting, s in zip(product(scan.angles, repeat=4), scan.values.ravel().tolist()):
+        yield *setting, s
 
 
 def chsh_scan(resolution: float) -> ScanResult:
     """Exhaustive CHSH search over angle multiples of ``resolution``.
 
-    ``resolution`` must divide pi.  Ties are broken towards the
-    lexicographically smallest angle tuple, so output is deterministic.
+    ``resolution`` must divide pi.  Only pairwise correlations enter S, so
+    one batched simulation tabulates ``e[x, y]`` for every pair of angles,
+    and S for every setting is one array, summed left to right as ``chsh``
+    sums it, so each value is bitwise the scalar one.  Ties are broken
+    towards the lexicographically smallest angle tuple (the first argmax in
+    C order), so output is deterministic.
     """
     angles = scan_grid(resolution)
-    corr = _correlation_table(angles)
-    best = None
-    evaluated = 0
-    for a, a_prime, b, b_prime, s in _settings(angles, corr):
-        evaluated += 1
-        if best is None or abs(s) > abs(best[0]):
-            best = (s, (a, a_prime, b, b_prime))
-    s, (a, a_prime, b, b_prime) = best
-    result = ChshResult(
-        ChshSetting(a, a_prime, b, b_prime),
-        corr[(a, b)],
-        corr[(a, b_prime)],
-        corr[(a_prime, b)],
-        corr[(a_prime, b_prime)],
-        s,
-        violates=abs(s) > 2.0 + 1e-12,
-    )
-    return ScanResult(resolution, result, evaluated)
+    grid, n = np.asarray(angles), len(angles)
+    e = correlation(np.repeat(grid, n), np.tile(grid, n)).reshape(n, n)
+    values = (e[:, None, :, None] - e[:, None, None, :]) + e[None, :, :, None]
+    values += e[None, :, None, :]  # in place: one (n, n, n, n) array at a time
+    values.setflags(write=False)  # the result is frozen, its array too
+    i, j, k, l = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    setting = ChshSetting(angles[i], angles[j], angles[k], angles[l])
+    best = _result(setting, e[[i, i, j, j], [k, l, k, l]].tolist())
+    return ScanResult(resolution, best, tuple(angles), values)

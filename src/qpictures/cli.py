@@ -25,9 +25,10 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
+from itertools import product
 
-from .bell import ChshSetting, TSIRELSON, chsh, chsh_scan, scan_grid, scan_rows
+from .bell import ChshSetting, TSIRELSON, chsh, chsh_scan, scan_grid
 from .experiment import (
     MAX_ANGLE,
     MAX_BATCH,
@@ -88,17 +89,29 @@ def _json_floats(obj):
     return obj
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text, out_path: str | None) -> None:
+    """Write ``text``, a string or an iterable of string blocks, to stdout
+    or to ``out_path``, with the same bytes either way: a final newline is
+    added if the text lacks one."""
+    def write(fh):
+        last = ""
+        for last in [text] if isinstance(text, str) else text:
+            fh.write(last)
+        if not last.endswith("\n"):
+            fh.write("\n")
+
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
         try:
-            with open(out_path, "w", encoding="ascii", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            _parser().error(f"cannot write {out_path}: {exc.strerror or exc}")
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left early (`| head`): drop the rest
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    try:
+        with open(out_path, "w", encoding="ascii", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        _parser().error(f"cannot write {out_path}: {exc.strerror or exc}")
 
 
 def _csv_text(header, rows) -> str:
@@ -107,6 +120,21 @@ def _csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
+
+
+def _scan_csv_blocks(scan):
+    """The scan's CSV, one block of rows per leading angle a.  Each angle
+    label and each (a', b, b') prefix is formatted once, each S once."""
+    labels = [f"{x:.12g}" for x in scan.angles]
+    prefixes = [f"{ap},{b},{bp}," for ap, b, bp in product(labels, repeat=3)]
+    flags = (",0\n", ",1\n")
+    yield ",".join(_CHSH_CSV_HEADER) + "\n"
+    for label, block in zip(labels, scan.values):
+        violations = (np.abs(block) > 2.0 + 1e-12).ravel().tolist()
+        yield "".join([
+            f"{label},{prefix}{s:.12g}{flags[v]}"
+            for prefix, s, v in zip(prefixes, block.ravel().tolist(), violations)
+        ])
 
 
 def _scale(value: float, degrees: bool) -> float:
@@ -194,76 +222,50 @@ def cmd_sweep(args) -> int:
 
 def cmd_chsh(args) -> int:
     if args.scan is not None:
-        resolution = _scale(args.scan, args.degrees)
-        if args.format == "csv":
-            # A scan has few distinct angles: format each once, not per row.
-            label = {x: f"{x:.12g}" for x in scan_grid(resolution)}
-            rows = (
-                [label[a], label[ap], label[b], label[bp], s, int(abs(s) > 2.0 + 1e-12)]
-                for a, ap, b, bp, s in scan_rows(resolution)
-            )
-            _emit(_csv_text(_CHSH_CSV_HEADER, rows), args.out)
-            return 0
-        result = chsh_scan(resolution)
+        result = chsh_scan(_scale(args.scan, args.degrees))
         best = result.best
-        payload = {
-            "resolution": result.resolution,
-            "evaluated": result.evaluated,
-            "max_abs_s": abs(best.s),
-            "best": {
-                "a": best.setting.a,
-                "a_prime": best.setting.a_prime,
-                "b": best.setting.b,
-                "b_prime": best.setting.b_prime,
-                "S": best.s,
-                "violation": best.violates,
-            },
-        }
-        if args.format == "json":
+        if args.format == "csv":
+            _emit(_scan_csv_blocks(result), args.out)
+        elif args.format == "json":
+            payload = {
+                "resolution": result.resolution,
+                "evaluated": result.evaluated,
+                "max_abs_s": abs(best.s),
+                "best": {**asdict(best.setting), "S": best.s, "violation": best.violates},
+            }
             _emit(json.dumps(_json_floats(payload), indent=2), args.out)
         else:
-            _emit(
-                "\n".join(
-                    [
-                        f"scan resolution {result.resolution:.6g} rad, {result.evaluated} settings",
-                        f"max |S| = {abs(best.s):.6g} (local bound 2, quantum bound {TSIRELSON:.6g})",
-                        f"best setting: a={best.setting.a:.6g} a'={best.setting.a_prime:.6g} "
-                        f"b={best.setting.b:.6g} b'={best.setting.b_prime:.6g}",
-                        f"violation: {'yes' if best.violates else 'no'}",
-                    ]
-                ),
-                args.out,
-            )
+            lines = [
+                f"scan resolution {result.resolution:.6g} rad, {result.evaluated} settings",
+                f"max |S| = {abs(best.s):.6g} (local bound 2, quantum bound {TSIRELSON:.6g})",
+                f"best setting: a={best.setting.a:.6g} a'={best.setting.a_prime:.6g} "
+                f"b={best.setting.b:.6g} b'={best.setting.b_prime:.6g}",
+                f"violation: {'yes' if best.violates else 'no'}",
+            ]
+            _emit("\n".join(lines), args.out)
         return 0
 
-    a, ap, b, bp = (_scale(v, args.degrees) for v in args.angles)
-    result = chsh(ChshSetting(a, ap, b, bp))
+    setting = ChshSetting(*(_scale(v, args.degrees) for v in args.angles))
+    result = chsh(setting)
     if args.format == "csv":
-        rows = [[a, ap, b, bp, result.s, int(result.violates)]]
+        rows = [[*astuple(setting), result.s, int(result.violates)]]
         _emit(_csv_text(_CHSH_CSV_HEADER, rows), args.out)
     elif args.format == "json":
         payload = {
-            "a": a,
-            "a_prime": ap,
-            "b": b,
-            "b_prime": bp,
+            **asdict(setting),
             "correlations": list(result.correlations),
             "S": result.s,
             "violation": result.violates,
         }
         _emit(json.dumps(_json_floats(payload), indent=2), args.out)
     else:
-        _emit(
-            "\n".join(
-                [
-                    f"E(a,b)={result.e_ab:.6g}  E(a,b')={result.e_ab_prime:.6g}  "
-                    f"E(a',b)={result.e_a_prime_b:.6g}  E(a',b')={result.e_a_prime_b_prime:.6g}",
-                    f"S = {result.s:.6g}",
-                    f"violation: {'yes' if result.violates else 'no'}",
-                ]
-            ),
-            args.out,
-        )
+        lines = [
+            f"E(a,b)={result.e_ab:.6g}  E(a,b')={result.e_ab_prime:.6g}  "
+            f"E(a',b)={result.e_a_prime_b:.6g}  E(a',b')={result.e_a_prime_b_prime:.6g}",
+            f"S = {result.s:.6g}",
+            f"violation: {'yes' if result.violates else 'no'}",
+        ]
+        _emit("\n".join(lines), args.out)
     return 0
 
 

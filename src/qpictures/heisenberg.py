@@ -183,6 +183,10 @@ def _substitute(image: OperatorSum, operands: tuple[int, ...], ds: DescriptorSet
         ]
         term = reduce(mul, factors) if factors else OperatorSum.identity(ds.width)
         parts.append((coeff, term))
+    # A product is already merged, pruned and canonical.  A lone factor is not
+    # skipped: whether a rotation's coefficient is exactly 1 varies by angle.
+    if len(parts) == 1 and len(factors) > 1 and image.batch is None and coeff == 1:
+        return term
     return linear_combination(ds.width, parts)
 
 

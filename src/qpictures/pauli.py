@@ -510,8 +510,12 @@ def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
     batch = _common_batch(a._batch, b._batch)
     keys_a, rows_a = _reference_images(a, bra=True)
     keys_b, rows_b = _reference_images(b)
-    _, at_a, at_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
-    return _column_sums(rows_a[at_a] * rows_b[at_b], batch)
+    # Both key arrays ascend, so looking each bra mask up among the ket's
+    # pairs the shared masks in ascending order.
+    at_b = np.searchsorted(keys_b, keys_a)
+    hit = at_b < len(keys_b)
+    hit[hit] = keys_b[at_b[hit]] == keys_a[hit]
+    return _column_sums(rows_a[hit] * rows_b[at_b[hit]], batch)
 
 
 def isclose(a: OperatorSum, b: OperatorSum, atol: float = 1e-10) -> bool:

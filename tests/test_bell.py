@@ -17,6 +17,7 @@ from qpictures import (
     scan_rows,
     simulate,
 )
+from scan_oracle import loop_scan
 
 CANONICAL_S = 2.0 * math.sqrt(2.0)
 
@@ -119,6 +120,16 @@ class TestChshScan:
         best_abs = max(abs(s) for *_, s in rows)
         winners = [tuple(r[:4]) for r in rows if abs(abs(r[4]) - best_abs) == 0.0]
         assert first.best.setting == ChshSetting(*min(winners))
+
+    @pytest.mark.parametrize("resolution", [math.pi / 2, math.pi / 4, math.pi / 8])
+    def test_scan_matches_the_loop_oracle(self, resolution):
+        # pi/2 has tied maxima; the first in lexicographic order must win.
+        rows, (a, ap, b, bp, s), correlations = loop_scan(resolution)
+        result = chsh_scan(resolution)
+        assert result.values.ravel().tolist() == [row[4] for row in rows]
+        assert result.best.setting == ChshSetting(a, ap, b, bp)
+        assert (result.best.s, result.best.correlations) == (s, correlations)
+        assert result.evaluated == len(rows)
 
     def test_scan_rows_stay_below_quantum_bound(self):
         for *_, s in scan_rows(math.pi / 4):

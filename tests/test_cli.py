@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from qpictures import cli
-from qpictures.bell import scan_rows
+from qpictures.bell import TSIRELSON
 from qpictures.experiment import MAX_ANGLE
+from scan_oracle import loop_scan, loop_scan_csv
 
 
 def fail_evolution(*args):
@@ -281,13 +282,25 @@ class TestChsh:
 
     def test_scan_csv_formats_every_field_with_12_digits(self, capsys):
         _, out = run_cli(capsys, "chsh", "--scan", "pi/4", "--format", "csv")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["a", "a_prime", "b", "b_prime", "S", "violation"])
-        for a, ap, b, bp, s in scan_rows(math.pi / 4):
-            writer.writerow([f"{a:.12g}", f"{ap:.12g}", f"{b:.12g}", f"{bp:.12g}", f"{s:.12g}",
-                             int(abs(s) > 2.0 + 1e-12)])
-        assert out == buf.getvalue()
+        assert out == loop_scan_csv(loop_scan(math.pi / 4)[0])
+
+    def test_scan_csv_matches_the_loop_oracle_at_pi_8(self, capsys):
+        _, out = run_cli(capsys, "chsh", "--scan", "pi/8", "--format", "csv")
+        assert out == loop_scan_csv(loop_scan(math.pi / 8)[0])
+
+    def test_scan_json_and_table_match_the_loop_oracle(self, capsys):
+        rows, (a, ap, b, bp, s), _ = loop_scan(math.pi / 4)
+        best = {"a": a, "a_prime": ap, "b": b, "b_prime": bp, "S": s, "violation": abs(s) > 2.0 + 1e-12}
+        payload = {"resolution": math.pi / 4, "evaluated": len(rows), "max_abs_s": abs(s), "best": best}
+        _, out = run_cli(capsys, "chsh", "--scan", "pi/4", "--format", "json")
+        assert out == json.dumps(cli._json_floats(payload), indent=2) + "\n"
+        _, out = run_cli(capsys, "chsh", "--scan", "pi/4")
+        assert out == (
+            f"scan resolution {math.pi / 4:.6g} rad, {len(rows)} settings\n"
+            f"max |S| = {abs(s):.6g} (local bound 2, quantum bound {TSIRELSON:.6g})\n"
+            f"best setting: a={a:.6g} a'={ap:.6g} b={b:.6g} b'={bp:.6g}\n"
+            "violation: yes\n"
+        )
 
     def test_missing_angles_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -326,6 +339,38 @@ class TestPictureCheck:
     def test_negative_seed_is_usage_error(self, capsys):
         last = assert_usage_error(capsys, ["picture-check", "--seed", "-1"])
         assert "seed" in last
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["verify", "--json"],
+        ["epr", "0.3", "1.1"],
+        ["epr", "0.3", "1.1", "--format", "json"],
+        ["sweep", "4", "--format", "json"],
+        ["chsh", "--scan", "pi/4"],
+        ["chsh", "--scan", "pi/4", "--format", "json"],
+        ["chsh", "--scan", "pi/4", "--format", "csv"],
+        ["picture-check"],
+    ],
+)
+def test_out_file_holds_the_bytes_stdout_gets(capsys, tmp_path, argv):
+    _, out = run_cli(capsys, *argv)
+    path = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "")
+    assert path.read_bytes() == out.encode("ascii")
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    argv = [sys.executable, "-m", "qpictures", "chsh", "--scan", "pi/8", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"a,a_prime,b,b_prime,S,violation\n"
+        proc.stdout.close()  # as `| head -1` does, long before the 4.7 MB are written
+        err = proc.stderr.read()
+    assert proc.returncode == 0
+    assert err == b""
 
 
 class TestParserReuse:

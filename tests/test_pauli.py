@@ -347,6 +347,20 @@ def test_unbatched_sum_is_the_one_column_case_bit_for_bit(data):
     assert a.equal_terms(a1.column(0))
 
 
+@given(operator_sums(count=2, max_width=4, max_terms=8), st.booleans())
+def test_pair_read_matches_the_intersect1d_form_bit_for_bit(sums, batched):
+    """The pair read equals the earlier form, which paired the shared x masks
+    with np.intersect1d, in every bit."""
+    a, b = sums
+    if batched:
+        a = pauli.linear_combination(a.width, [(np.array([1.0, -0.5j, 2.0]), a)])
+    keys_a, rows_a = pauli._reference_images(a, bra=True)
+    keys_b, rows_b = pauli._reference_images(b)
+    _, at_a, at_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
+    expected = pauli._column_sums(rows_a[at_a] * rows_b[at_b], a.batch)
+    assert _bits(pair_expectation_in_all_zeros(a, b)).tolist() == _bits(expected).tolist()
+
+
 def test_max_term_deviation_counts_missing_strings():
     a = OperatorSum(2, [("X1", 1.0), ("Z2", 0.5)])
     b = OperatorSum(2, [("X1", 1.0)])
