@@ -25,6 +25,9 @@ from .experiment import ExperimentConfig, correlation_t2, simulate
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
+# |S| above this breaks the local bound 2 by more than rounding.
+VIOLATION_BOUND = 2.0 + 1e-12
+
 CANONICAL_SETTING_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
 # A scan takes at most this many angles per arm: 32**4 = 1048576 settings
@@ -82,7 +85,7 @@ def _result(setting: ChshSetting, correlations: list[float]) -> ChshResult:
     s = e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime
     if not abs(s) <= TSIRELSON + 1e-9:
         raise AssertionError("CHSH value exceeded the quantum bound")
-    return ChshResult(setting, *correlations, s, violates=abs(s) > 2.0 + 1e-12)
+    return ChshResult(setting, *correlations, s, violates=abs(s) > VIOLATION_BOUND)
 
 
 def chsh(setting: ChshSetting) -> ChshResult:

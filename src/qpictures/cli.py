@@ -28,7 +28,7 @@ import sys
 from dataclasses import asdict, astuple
 from itertools import product
 
-from .bell import ChshSetting, TSIRELSON, chsh, chsh_scan, scan_grid
+from .bell import ChshSetting, TSIRELSON, VIOLATION_BOUND, chsh, chsh_scan, scan_grid
 from .experiment import (
     MAX_ANGLE,
     MAX_BATCH,
@@ -40,7 +40,7 @@ from .experiment import (
     sweep_reports,
 )
 from .states import dump_csv
-from .verification import compare_pictures, run_all_checks
+from .verification import PICTURE_CHECK_TOL, compare_pictures, run_all_checks
 from .gates import random_circuit
 
 import numpy as np
@@ -130,7 +130,7 @@ def _scan_csv_blocks(scan):
     flags = (",0\n", ",1\n")
     yield ",".join(_CHSH_CSV_HEADER) + "\n"
     for label, block in zip(labels, scan.values):
-        violations = (np.abs(block) > 2.0 + 1e-12).ravel().tolist()
+        violations = (np.abs(block) > VIOLATION_BOUND).ravel().tolist()
         yield "".join([
             f"{label},{prefix}{s:.12g}{flags[v]}"
             for prefix, s, v in zip(prefixes, block.ravel().tolist(), violations)
@@ -179,10 +179,9 @@ def cmd_epr(args) -> int:
         if args.show_descriptors:
             data["descriptor_qz2_t2"] = qz2.render().split("\n")
             data["descriptor_qz3_t2"] = qz3.render().split("\n")
-        _emit(json.dumps(_json_floats(data), indent=2), args.out)
+        text = json.dumps(_json_floats(data), indent=2)
     elif args.format == "csv":
-        header, rows = _report_rows([report])
-        _emit(_csv_text(header, rows), args.out)
+        text = _csv_text(*_report_rows([report]))
     else:
         lines = [f"theta = {cfg.theta:.6g}  phi = {cfg.phi:.6g}  (radians)"]
         lines.append(f"t=2  P(Q2, Q3 both |1>)        = {data['p_joint_t2']:.6g}")
@@ -202,9 +201,11 @@ def cmd_epr(args) -> int:
             lines.extend("  " + line for line in qz2.render().split("\n"))
             lines.append("q_z3(t=2):")
             lines.extend("  " + line for line in qz3.render().split("\n"))
-        _emit("\n".join(lines), args.out)
+        text = "\n".join(lines)
     if args.dump_state is not None:
-        sys.stdout.write(dump_csv(run.states[args.dump_state].row(0)))
+        # The report ends in one newline, as _emit would end it, then the dump.
+        text = [text, "" if text.endswith("\n") else "\n", dump_csv(run.states[args.dump_state].row(0))]
+    _emit(text, args.out)
     return 0
 
 
@@ -273,7 +274,7 @@ def cmd_picture_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     gates = random_circuit(args.qubits, args.depth, rng)
     deviation = compare_pictures(gates, args.qubits)
-    passed = deviation <= 1e-10
+    passed = deviation <= PICTURE_CHECK_TOL
     lines = [
         f"qubits={args.qubits} depth={args.depth} seed={args.seed}",
         "circuit: " + " ".join(repr(g) for g in gates),

@@ -296,6 +296,12 @@ CANDIDATE_FORMULAS: Mapping[str, object] = {
     "sin2_half_sum": lambda theta, phi: math.sin((theta + phi) / 2) ** 2,
 }
 
+
+def _candidate_deviations(simulated: float, cfg: ExperimentConfig) -> dict[str, float]:
+    """|simulated - f(theta, phi)| for each candidate closed form f."""
+    return {name: abs(simulated - f(cfg.theta, cfg.phi)) for name, f in CANDIDATE_FORMULAS.items()}
+
+
 # Two candidates count as distinguished at a point when their closed
 # forms are at least this far apart.
 _DISCRIMINATION_GAP = 1e-3
@@ -341,7 +347,7 @@ def sign_error_audit(grid: Iterable[ExperimentConfig]) -> SignErrorAudit:
     max_dev = {name: 0.0 for name in names}
     for cfg, simulated in zip(configs, p_diff.schrodinger.tolist()):
         values = {name: f(cfg.theta, cfg.phi) for name, f in CANDIDATE_FORMULAS.items()}
-        deviations = {name: abs(simulated - v) for name, v in values.items()}
+        deviations = _candidate_deviations(simulated, cfg)
         non_disc = []
         for pair in separated:
             gap = abs(values[pair[0]] - values[pair[1]])
@@ -434,10 +440,6 @@ def reports(run: Run) -> list[ExperimentReport]:
                 raise AssertionError(f"{name} outside [0, 1]: {float(outside[0])!r}")
     out = []
     for j, cfg in enumerate(run.configs):
-        simulated = float(p_diff.schrodinger[j])
-        deviations = {
-            name: abs(simulated - f(cfg.theta, cfg.phi)) for name, f in CANDIDATE_FORMULAS.items()
-        }
         out.append(
             ExperimentReport(
                 theta=cfg.theta,
@@ -448,7 +450,7 @@ def reports(run: Run) -> list[ExperimentReport]:
                 lin_qz2_t2=float(lin2[j]),
                 lin_qz3_t2=float(lin3[j]),
                 record_marginal_t3=marginal.column(j),
-                audit_deviations=deviations,
+                audit_deviations=_candidate_deviations(float(p_diff.schrodinger[j]), cfg),
             )
         )
     return out

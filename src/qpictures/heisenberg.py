@@ -20,8 +20,8 @@ A gate with a stack of matrices (an analyzer rotation over a batch of
 angles) has one image coefficient per batch column, so substitution
 yields batched descriptors: the same strings for every column, with a
 ``(terms, batch)`` coefficient array.  Images are derived by one
-vectorised trace over the stack and checked by recomposition; those of
-fixed-matrix gates are cached, those of parametrised gates are not.
+vectorised trace over the stack; those of fixed-matrix gates are cached
+by their matrix bytes, those of parametrised gates are not.
 """
 from __future__ import annotations
 
@@ -57,11 +57,11 @@ class TermGrowthError(RuntimeError):
     """Raised when descriptor evolution exceeds the term-count cap."""
 
 
-# Conjugation rules of fixed-matrix gates, keyed by the gate's actual
-# matrix bytes, so a gate constructed from a patched matrix never reuses a
-# stale rule.  Parametrised gates (analyzer rotations) are not cached:
-# their images are cheap to derive and their angles rarely repeat.
-_IMAGE_CACHE: dict[tuple, Mapping[tuple[int, Axis], OperatorSum]] = {}
+# Conjugation rules of fixed-matrix gates, keyed by the matrix bytes
+# alone (a complex128 matrix's byte count fixes the arity), so a patched
+# matrix never reuses a stale rule.  Parametrised gates (analyzer
+# rotations) are not cached: their angles rarely repeat.
+_IMAGE_CACHE: dict[bytes, Mapping[tuple[int, Axis], OperatorSum]] = {}
 _IMAGE_CACHE_LIMIT = 4096
 
 # Image coefficients at or below this magnitude are dropped.
@@ -72,13 +72,11 @@ def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
     """Per-operand images U^dag P U expanded over the gate's operands.
 
     Keys are (operand slot, axis); values are operator sums of width
-    ``gate.arity``, batched when the gate holds a stack of matrices.  The
-    expansion is recomposed and checked against the dense conjugation
-    before being returned.
+    ``gate.arity``, batched when the gate holds a stack of matrices.
     """
     if gate.params or gate.batch is not None:
         return MappingProxyType(_compute_conjugation_images(gate))
-    key = (gate.name, gate.arity, gate.params, gate.matrix.tobytes())
+    key = gate.matrix.tobytes()
     cached = _IMAGE_CACHE.get(key)
     if cached is None:
         if len(_IMAGE_CACHE) >= _IMAGE_CACHE_LIMIT:
@@ -90,44 +88,37 @@ def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
 
 def _compute_conjugation_images(gate: Gate) -> dict[tuple[int, Axis], OperatorSum]:
     """Each image coefficient is tr(B^dag U^dag P U) / 2**k over the local
-    Pauli basis B, for every operand Pauli P and every matrix U of the
-    gate's stack in one vectorised product.  Each product is the same
-    2**k-dimensional matmul a single matrix takes, so a stacked
-    coefficient equals the unstacked one bit for bit."""
+    Pauli basis B, which is complete, for every operand Pauli P and every
+    matrix U of the gate's stack in one vectorised product.  Each product
+    is the same 2**k-dimensional matmul a single matrix takes, so a
+    stacked coefficient equals the unstacked one bit for bit."""
     k = gate.arity
-    dim = 2**k
-    keys, basis = _local_basis(k)
+    basis = _local_basis(k)
     images_of = [(slot, axis) for slot in range(k) for axis in _NONTRIVIAL_AXES]
-    # Basis entry i is the local string with key i.
     paulis = basis[[PauliString.single(k, slot + 1, axis).key for slot, axis in images_of]]
     stack = gate.matrix if gate.batch is not None else gate.matrix[None]
     adjoint = np.swapaxes(stack.conj(), -1, -2)
     # conjugated[i, b] = U_b^dag P_i U_b; coeffs[s, i, b] over basis strings s.
     conjugated = adjoint[None] @ paulis[:, None] @ stack[None]
     basis_adjoint = np.swapaxes(basis.conj(), -1, -2)[:, None, None]
-    coeffs = np.trace(basis_adjoint @ conjugated[None], axis1=-2, axis2=-1) / dim
+    coeffs = np.trace(basis_adjoint @ conjugated[None], axis1=-2, axis2=-1) / 2**k
     coeffs[np.abs(coeffs) <= _IMAGE_TOL] = 0.0
-    recomposed = np.einsum("sib,sxy->ibxy", coeffs, basis)
-    if not np.allclose(recomposed, conjugated, atol=1e-12):
-        raise ValueError(f"gate {gate.name!r} conjugation image failed to recompose")
-    images: dict[tuple[int, Axis], OperatorSum] = {}
-    for i, key in enumerate(images_of):
-        # Only the zeroed coefficients fall below PRUNE_TOL.
-        images[key] = OperatorSum._raw(k, *_prune(keys, coeffs[:, i]), gate.batch)
-    return images
+    keys = np.arange(len(basis), dtype=np.int64)
+    # Only the zeroed coefficients fall below PRUNE_TOL.
+    return {
+        key: OperatorSum._raw(k, *_prune(keys, coeffs[:, i]), gate.batch) for i, key in enumerate(images_of)
+    }
 
 
 @lru_cache(maxsize=None)
-def _local_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed keys and dense matrices of the 4**k local Pauli strings, in
-    canonical (ascending key) order: the keys are 0..4**k - 1."""
-    keys = np.arange(4**k, dtype=np.int64)
+def _local_basis(k: int) -> np.ndarray:
+    """Dense matrices of the 4**k local Pauli strings, in canonical order:
+    entry i is the string whose packed key is i."""
     matrices = np.stack(
         [reduce(np.kron, [PAULI_MATRIX[Axis(code)] for code in _axis_codes(key, k)]) for key in range(4**k)]
     )
-    keys.setflags(write=False)
     matrices.setflags(write=False)
-    return keys, matrices
+    return matrices
 
 
 @dataclass(frozen=True)
@@ -169,43 +160,33 @@ def init_descriptors(width: int) -> DescriptorSet:
     return DescriptorSet(width, 0, MappingProxyType(table))
 
 
-def _substitute(image: OperatorSum, operands: tuple[int, ...], ds: DescriptorSet) -> OperatorSum:
-    """Replace each local axis in ``image`` by the operand qubit's current
-    descriptor, multiply out the non-identity factors of each term and
-    sum the scaled products with one merge."""
-    parts = []
-    for key, coeff in image._iter_keys():
-        # Axis is an IntEnum, so a plain axis code finds the (qubit, Axis) key.
-        factors = [
-            ds._descriptors[(operands[slot], code)]
-            for slot, code in enumerate(_axis_codes(key, image.width))
-            if code != Axis.I
-        ]
-        term = reduce(mul, factors) if factors else OperatorSum.identity(ds.width)
-        parts.append((coeff, term))
-    # A product is already merged, pruned and canonical.  A lone factor is not
-    # skipped: whether a rotation's coefficient is exactly 1 varies by angle.
-    if len(parts) == 1 and len(factors) > 1 and image.batch is None and coeff == 1:
-        return term
-    return linear_combination(ds.width, parts)
-
-
 def evolve(ds: DescriptorSet, gate: Gate) -> DescriptorSet:
-    """Descriptors after appending ``gate`` to the circuit."""
-    for q in gate.qubits:
+    """Descriptors after appending ``gate`` to the circuit: each image's
+    local axes are replaced by the operand qubits' current descriptors,
+    the non-identity factors of each term multiplied out, and the scaled
+    products summed with one merge."""
+    operands = gate.qubits
+    for q in operands:
         if not 1 <= q <= ds.width:
             raise ValueError(f"gate qubit {q} outside width {ds.width}")
-    images = conjugation_images(gate)
     table = dict(ds._descriptors)
-    for slot, qubit in enumerate(gate.qubits):
-        for axis in _NONTRIVIAL_AXES:
-            new = _substitute(images[(slot, axis)], gate.qubits, ds)
-            if len(new) > TERM_CAP:
-                raise TermGrowthError(
-                    f"descriptor for qubit {qubit} axis {axis.name} grew to "
-                    f"{len(new)} terms at step {ds.step + 1} (cap {TERM_CAP})"
-                )
-            table[(qubit, axis)] = new
+    for (slot, axis), image in conjugation_images(gate).items():
+        parts = []
+        for key, coeff in image._iter_keys():
+            # Axis is an IntEnum, so a plain axis code finds the (qubit, Axis) key.
+            factors = [
+                ds._descriptors[(operands[s], code)]
+                for s, code in enumerate(_axis_codes(key, image.width))
+                if code != Axis.I
+            ]
+            parts.append((coeff, reduce(mul, factors) if factors else OperatorSum.identity(ds.width)))
+        new = linear_combination(ds.width, parts)
+        if len(new) > TERM_CAP:
+            raise TermGrowthError(
+                f"descriptor for qubit {operands[slot]} axis {axis.name} grew to "
+                f"{len(new)} terms at step {ds.step + 1} (cap {TERM_CAP})"
+            )
+        table[(operands[slot], axis)] = new
     return DescriptorSet(ds.width, ds.step + 1, MappingProxyType(table))
 
 

@@ -241,10 +241,10 @@ class OperatorSum:
     """A finite weighted sum of phase-free Pauli strings of equal width.
 
     Terms are stored merged (no duplicate strings), pruned at
-    ``PRUNE_TOL`` and canonically ordered, so equal operators have
-    identical term arrays.  Coefficients have shape ``(terms, columns)``:
-    one column per member of a batch of sums over the same strings, or a
-    single column when ``_batch`` is None.  Instances are immutable; all
+    ``PRUNE_TOL``, free of -0.0 components and canonically ordered, so
+    equal operators have identical term arrays.  Coefficients have shape
+    ``(terms, columns)``: one column per member of a batch of sums over
+    the same strings, or a single column when ``_batch`` is None.  Instances are immutable; all
     arithmetic returns new values.
     """
 
@@ -369,7 +369,7 @@ class OperatorSum:
         return self + (-other)
 
     def __neg__(self) -> "OperatorSum":
-        return OperatorSum._raw(self._width, self._keys, -self._coeffs, self._batch)
+        return OperatorSum._raw(self._width, *_prune(self._keys, -self._coeffs), self._batch)
 
     def __mul__(self, other):
         if isinstance(other, OperatorSum):
@@ -378,7 +378,7 @@ class OperatorSum:
             c = complex(other)
             if abs(c) < PRUNE_TOL:
                 return OperatorSum.zero(self._width)
-            return OperatorSum._raw(self._width, self._keys, self._coeffs * c, self._batch)
+            return OperatorSum._raw(self._width, *_prune(self._keys, self._coeffs * c), self._batch)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -420,7 +420,9 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
     A coefficient c_k may be a 1-D array of per-column coefficients, and
     the result is batched if any coefficient or part is.  A single part
     is scaled and pruned without a merge, since its terms are already
-    distinct and canonically ordered.
+    distinct and canonically ordered; with a coefficient of exactly 1 it
+    is returned as it is, since every sum is already pruned and holds no
+    -0.0 component.
     """
     parts = list(parts)
     scaled, sizes = [], []
@@ -438,7 +440,10 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
         return OperatorSum.zero(width)
     batch = _common_batch(*sizes)
     if len(parts) == 1:
-        return OperatorSum._raw(width, *_prune(parts[0][1]._keys, scaled[0]), batch)
+        coeff, part = parts[0]
+        if isinstance(coeff, Number) and coeff == 1:
+            return part
+        return OperatorSum._raw(width, *_prune(part._keys, scaled[0]), batch)
     if batch is not None:
         scaled = [c if c.shape[1] == batch else np.broadcast_to(c, (len(c), batch)) for c in scaled]
     keys = np.concatenate([part._keys for _, part in parts])

@@ -48,6 +48,8 @@ from .states import StateVector, apply_circuit, apply_gate, new_all_zeros
 
 PICTURE_CHECK_SEED = 1729
 PICTURE_CHECK_CIRCUITS = 200
+# Largest cross-engine deviation a picture check passes with.
+PICTURE_CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,7 @@ def check_picture_equivalence() -> CheckResult:
         gates = random_circuit(width, depth, rng)
         worst = max(worst, compare_pictures(gates, width))
     return CheckResult(
-        "picture_equivalence", worst <= 1e-10, worst, 1e-10,
+        "picture_equivalence", worst <= PICTURE_CHECK_TOL, worst, PICTURE_CHECK_TOL,
         f"{PICTURE_CHECK_CIRCUITS} random circuits, widths 2-5, depth <= 12",
     )
 

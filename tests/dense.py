@@ -101,3 +101,9 @@ def heisenberg_descriptor(gates, width: int, qubit: int, axis: Axis) -> Operator
     """Dense-conjugation route to a descriptor, as an independent oracle."""
     initial = OperatorSum.single_axis(width, qubit, axis)
     return decompose(conjugated_observable(gates, width, initial), width)
+
+
+def random_unitary(rng, dim):
+    """A Haar-random unitary: QR of a complex Gaussian, phases fixed."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

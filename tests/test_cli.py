@@ -348,6 +348,8 @@ class TestPictureCheck:
         ["verify", "--json"],
         ["epr", "0.3", "1.1"],
         ["epr", "0.3", "1.1", "--format", "json"],
+        ["epr", "0.3", "1.1", "--dump-state", "4"],
+        ["epr", "0.3", "1.1", "--dump-state", "4", "--format", "json"],
         ["sweep", "4", "--format", "json"],
         ["chsh", "--scan", "pi/4"],
         ["chsh", "--scan", "pi/4", "--format", "json"],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qpictures import (
     Axis,
+    Gate,
     OperatorSum,
     analyzer_rotation,
     cnot,
@@ -25,7 +26,7 @@ from qpictures import (
     random_circuit,
     untouched_invariance_check,
 )
-from dense import conjugated_observable, heisenberg_descriptor, operator_matrix
+from dense import conjugated_observable, heisenberg_descriptor, operator_matrix, random_unitary
 from qpictures.heisenberg import TermGrowthError
 from qpictures.pauli import PRUNE_TOL
 
@@ -57,7 +58,10 @@ class TestInitDescriptors:
 class TestConjugationImages:
     @pytest.mark.parametrize(
         "gate",
-        [hadamard(1), pauli_x(1), pauli_y(1), pauli_z(1), analyzer_rotation(1, 0.9), cnot(1, 2)],
+        [
+            hadamard(1), pauli_x(1), pauli_y(1), pauli_z(1), analyzer_rotation(1, 0.9), cnot(1, 2),
+            Gate("U", (1, 2), random_unitary(np.random.default_rng(3), 4)),
+        ],
     )
     def test_images_match_dense_conjugation(self, gate):
         images = conjugation_images(gate)
@@ -213,6 +217,25 @@ class TestEvolutionProperties:
                 np.testing.assert_allclose(
                     operator_matrix(ds.descriptor(qubit, axis)), dense, atol=1e-10
                 )
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_general_two_qubit_gate_matches_dense_conjugation(self, batch):
+        # A generic unitary's images hold every multi-factor term, where each
+        # catalog gate's image is a single string.
+        rng = np.random.default_rng(11)
+        stack = np.stack([random_unitary(rng, 4) for _ in range(batch or 1)])
+        gate = Gate("U", (1, 3), stack if batch else stack[0])
+        assert all(len(image) == 15 for image in conjugation_images(gate).values())
+        ds = evolve_circuit(init_descriptors(3), [hadamard(1), gate])
+        for j, matrix in enumerate(stack):
+            gates = [hadamard(1), Gate("U", (1, 3), matrix)]
+            for qubit in range(1, 4):
+                for axis in (Axis.X, Axis.Y, Axis.Z):
+                    got = ds.descriptor(qubit, axis)
+                    dense = conjugated_observable(gates, 3, OperatorSum.single_axis(3, qubit, axis))
+                    np.testing.assert_allclose(
+                        operator_matrix(got if batch is None else got.column(j)), dense, atol=1e-12
+                    )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_hermiticity_preserved(self, seed):

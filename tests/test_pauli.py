@@ -361,6 +361,19 @@ def test_pair_read_matches_the_intersect1d_form_bit_for_bit(sums, batched):
     assert _bits(pair_expectation_in_all_zeros(a, b)).tolist() == _bits(expected).tolist()
 
 
+@given(operator_sums(count=2, max_width=4, max_terms=8), st.complex_numbers(max_magnitude=2, allow_nan=False))
+def test_every_sum_is_already_pruned_and_free_of_negative_zeros(sums, scale):
+    """linear_combination returns a lone part with coefficient 1 as it is,
+    which is exact only because every sum is a fixed point of the prune."""
+    a, b = sums
+    batched = pauli.linear_combination(a.width, [(np.array([1.0, -0.5j]), a)])
+    for op in (a, a * b, a + b, a - b, -a, scale * a, batched, -batched, batched.column(1)):
+        keys, coeffs = pauli._prune(op._keys, op._coeffs)
+        assert keys.tolist() == op._keys.tolist()
+        assert _bits(coeffs).tolist() == _bits(op._coeffs).tolist()
+        assert pauli.linear_combination(op.width, [(1, op)]) is op
+
+
 def test_max_term_deviation_counts_missing_strings():
     a = OperatorSum(2, [("X1", 1.0), ("Z2", 0.5)])
     b = OperatorSum(2, [("X1", 1.0)])

@@ -27,7 +27,7 @@ from qpictures import (
     random_circuit,
     to_conventional,
 )
-from dense import circuit_unitary, gate_matrix, packed_key
+from dense import circuit_unitary, gate_matrix, packed_key, random_unitary
 from qpictures.gates import PAULI_MATRIX
 from qpictures.pauli import PauliString
 from qpictures.states import z_moments
@@ -297,12 +297,6 @@ class TestMonomialGates:
         state = StateVector(2, state.amplitudes * (1 + 1e-10))
         with pytest.raises(AssertionError, match="drifted the norm"):
             apply_gate(state, gate)
-
-
-def random_unitary(rng, dim):
-    """A Haar-random unitary: QR of a complex Gaussian, phases fixed."""
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 class TestGeneralGates:
