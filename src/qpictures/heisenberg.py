@@ -141,7 +141,8 @@ class DescriptorSet:
         return self._descriptors.items()
 
     def column(self, j: int) -> "DescriptorSet":
-        """Batch column ``j``: every descriptor without its batch axis."""
+        """Batch column ``j``: every descriptor without its batch axis;
+        IndexError unless 0 <= j < batch."""
         table = {key: op.column(j) for key, op in self._descriptors.items()}
         return DescriptorSet(self.width, self.step, MappingProxyType(table))
 

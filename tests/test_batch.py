@@ -113,6 +113,35 @@ class TestPruning:
         with pytest.raises(ValueError, match="batch size mismatch"):
             self._batched(1.0, 1.0) * OperatorSum(2, [("Z1", [1.0, 2.0, 3.0])])
 
+    def test_empty_operand_keeps_the_batch_check_and_field(self):
+        a = OperatorSum(2, [("X1", [1.0, 2.0, 3.0])])
+        b = OperatorSum(2, [("Z2", [1.0, 2.0])])
+        empty = a - a
+        assert empty.is_zero and empty.batch == 3
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            empty * b
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            b * empty
+        for zero in (empty * OperatorSum(2, [("Z2", 1.0)]), OperatorSum.zero(2) * a, a * 0.0, 1e-15 * a):
+            assert zero.is_zero and zero.batch == 3
+            assert zero._coeffs.shape == (0, 3)
+        assert heisenberg.descriptor_expectation(a * 0.0).tolist() == [0.0, 0.0, 0.0]
+        assert heisenberg.descriptor_expectation(OperatorSum(2, [("Z1", 1.0)]) * 0.0) == 0.0
+
+    def test_column_outside_the_batch_rejected(self):
+        op = OperatorSum(2, [("X1", [1.0, 2.0, 3.0])])
+        assert op.column(2).coefficient("X1") == 3.0
+        for j in (-1, 3, 5):
+            with pytest.raises(IndexError, match="column"):
+                op.column(j)
+        ds = evolve(init_descriptors(2), analyzer_rotation(1, [0.1, 0.2, 0.3]))
+        assert ds.column(2).z(1).batch is None
+        with pytest.raises(IndexError, match="column"):
+            ds.column(-1)
+        # A sum without a batch axis stands for every column.
+        single = OperatorSum(2, [("X1", 1.0)])
+        assert single.column(5) is single
+
     def test_linear_combination_rejects_mismatched_coefficient_lengths(self):
         # As * and + do: an array coefficient must match its part's batch.
         batch_of_one = OperatorSum(2, [("Z1", [1.0])])

@@ -4,21 +4,27 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qpictures import (
     Axis,
     OperatorSum,
     PauliString,
+    analyzer_rotation,
+    cnot,
+    evolve_circuit,
     expectation_in_all_zeros,
+    hadamard,
+    init_descriptors,
     isclose,
     max_term_deviation,
     multiply_strings,
 )
 from dense import operator_matrix, packed_key, string_matrix
-from qpictures import pauli
+from qpictures import cli, pauli
 from qpictures.pauli import MAX_WIDTH, pair_expectation_in_all_zeros
+from qpictures.verification import ALL_CHECKS
 
 # _PHASE_EXP[a, b] = k such that sigma_a sigma_b = i**k sigma_(a XOR b):
 # the per-qubit table the packed kernel is checked against.
@@ -367,7 +373,9 @@ def test_every_sum_is_already_pruned_and_free_of_negative_zeros(sums, scale):
     which is exact only because every sum is a fixed point of the prune."""
     a, b = sums
     batched = pauli.linear_combination(a.width, [(np.array([1.0, -0.5j]), a)])
-    for op in (a, a * b, a + b, a - b, -a, scale * a, batched, -batched, batched.column(1)):
+    dense = OperatorSum._raw(a.width, *pauli._dense_product(a, b), None)
+    dense_batched = OperatorSum._raw(a.width, *pauli._dense_product(batched, b), 2)
+    for op in (a, a * b, a + b, a - b, -a, scale * a, batched, -batched, batched.column(1), dense, dense_batched):
         keys, coeffs = pauli._prune(op._keys, op._coeffs)
         assert keys.tolist() == op._keys.tolist()
         assert _bits(coeffs).tolist() == _bits(op._coeffs).tolist()
@@ -496,3 +504,131 @@ class TestPairExpectationInAllZeros:
         b = OperatorSum(1, [("Z1", np.array([1.0, 2.0, 3.0]))])
         with pytest.raises(ValueError, match="batch"):
             pair_expectation_in_all_zeros(a, b)
+
+
+@st.composite
+def dense_route_pairs(draw, batched):
+    """Two non-zero sums of width 1-6 over distinct strings, each batched over
+    a shared batch size or not, as ``batched`` says.  Coefficient parts are
+    0 or at least 1/8 in magnitude, so no product term lands near
+    ``PRUNE_TOL`` by chance."""
+    width = draw(st.integers(1, 6))
+    batch = draw(st.integers(1, 3))
+    part = st.one_of(st.just(0.0), st.floats(0.125, 1.0), st.floats(-1.0, -0.125))
+    value = st.builds(complex, part, part)
+    pair = []
+    for side_batched in batched:
+        keys = draw(st.lists(_keys(width), min_size=1, max_size=min(4**width, 24), unique=True))
+        terms = [
+            (PauliString(width, key), np.array([draw(value) for _ in range(batch)]) if side_batched else draw(value))
+            for key in keys
+        ]
+        pair.append(OperatorSum(width, terms))
+    assume(not any(op.is_zero for op in pair))
+    return pair
+
+
+def _brickwork(width: int, layers: int, seed: int):
+    """Analyzer rotations on every qubit, a CN ladder on alternating offsets
+    and H on every qubit every third layer: descriptors grow to ~10**3
+    terms at width 6."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for layer in range(layers):
+        out += [analyzer_rotation(q, float(rng.uniform(0.0, 2.0 * math.pi))) for q in range(1, width + 1)]
+        out += [cnot(t, t + 1) for t in range(1 + layer % 2, width, 2)]
+        if layer % 3 == 2:
+            out += [hadamard(q) for q in range(1, width + 1)]
+    return out
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Record the (width, terms, terms) of every dense-route product."""
+    calls = []
+    real = pauli._dense_product
+
+    def spy(a, b):
+        calls.append((a.width, len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(pauli, "_dense_product", spy)
+    return calls
+
+
+class TestDenseRoute:
+    """Products formed as 2**n x 2**n matrix products, against the pair route."""
+
+    @pytest.mark.parametrize("batched", [(False, False), (True, False), (False, True), (True, True)])
+    @given(data=st.data())
+    def test_matches_the_sparse_route(self, batched, data):
+        a, b = data.draw(dense_route_pairs(batched))
+        keys, coeffs = pauli._dense_product(a, b)
+        want_keys, want_coeffs = pauli._sparse_product(a, b)
+        assert keys.tolist() == want_keys.tolist()
+        scale = float(np.abs(a._coeffs).max() * np.abs(b._coeffs).max())
+        assert coeffs.shape == want_coeffs.shape
+        assert np.abs(coeffs - want_coeffs).max(initial=0.0) <= 1e-13 * scale
+
+    @given(data=st.data())
+    def test_batched_column_is_the_unbatched_product_bit_for_bit(self, data):
+        a, b = data.draw(dense_route_pairs((True, False)))
+        got = OperatorSum._raw(a.width, *pauli._dense_product(a, b), a.batch)
+        for j in range(a.batch):
+            want = OperatorSum._raw(a.width, *pauli._dense_product(a.column(j), b), None)
+            assert got.column(j).equal_terms(want)
+
+    def test_prune_boundary(self):
+        # Terms at 2e-14 and 5e-15 on either side of PRUNE_TOL = 1e-14.
+        a = OperatorSum(3, [("X1", 2.0), ("Z2", 0.5)])
+        b = OperatorSum(3, [(PauliString.identity(3), 1e-14)])
+        keys, coeffs = pauli._dense_product(a, b)
+        assert keys.tolist() == [PauliString.from_ops(3, "X1").key]
+        assert coeffs[:, 0] == pytest.approx([2e-14], rel=1e-12)
+
+    def test_route_guard(self, dense_calls, capsys):
+        """The CLI's small-width products stay on the pair route, so their
+        outputs keep every bit; a width-6 brickwork takes the dense route."""
+        for check in ALL_CHECKS:
+            assert check().passed, check.__name__
+        assert cli.main(["epr", "0.3", "1.1", "--format", "json", "--show-descriptors"]) == 0
+        assert cli.main(["sweep", "64"]) == 0
+        capsys.readouterr()
+        assert dense_calls == []
+        evolve_circuit(init_descriptors(6), _brickwork(6, 7, seed=1))
+        assert dense_calls and all(width == 6 for width, _, _ in dense_calls)
+
+    def test_cost_rule(self):
+        assert not pauli._takes_dense_route(2, 256, 1)  # below the pair floor
+        assert not pauli._takes_dense_route(6, 4096, 1)  # 8**6 / 64 pairs
+        assert pauli._takes_dense_route(6, 4097, 1)
+        assert pauli._takes_dense_route(8, 8**8, 4)
+        assert not pauli._takes_dense_route(8, 8**8, 5)  # columns * 4**n over the cap
+        assert not pauli._takes_dense_route(9, 8**9, 1)  # over the width cap
+
+    def test_caps_fall_back_to_the_sparse_route(self, dense_calls, monkeypatch):
+        # Integer coefficients keep both routes exact.
+        a = OperatorSum(4, [(PauliString(4, key), 1.0 + key) for key in range(64)])
+        batched = pauli.linear_combination(4, [(np.array([1.0, 2.0, 3.0]), a)])
+        want = OperatorSum._raw(4, *pauli._sparse_product(a, a), None)
+        assert (a * a).equal_terms(want)
+        assert len(dense_calls) == 1
+        monkeypatch.setattr(pauli, "_DENSE_MAX_WIDTH", 3)
+        assert (a * a).equal_terms(want)
+        monkeypatch.setattr(pauli, "_DENSE_MAX_WIDTH", 8)
+        monkeypatch.setattr(pauli, "_DENSE_MAX_ENTRIES", 2 * 4**4)
+        assert (batched * a).column(2).equal_terms(3.0 * want)
+        assert len(dense_calls) == 1
+
+    def test_refuses_past_its_caps(self, monkeypatch):
+        a = OperatorSum(4, [("X1 Z4", 1.0)])
+        batched = pauli.linear_combination(4, [(np.array([1.0, 2.0, 3.0]), a)])
+        monkeypatch.setattr(pauli, "_DENSE_MAX_WIDTH", 3)
+        with pytest.raises(ValueError, match="caps"):
+            pauli._dense_product(a, a)
+        monkeypatch.setattr(pauli, "_DENSE_MAX_WIDTH", 8)
+        monkeypatch.setattr(pauli, "_DENSE_MAX_ENTRIES", 2 * 4**4)
+        with pytest.raises(ValueError, match="caps"):
+            pauli._dense_product(batched, a)
+        keys, coeffs = pauli._dense_product(a, a)
+        assert keys.tolist() == [0] and coeffs.tolist() == [[1.0]]
