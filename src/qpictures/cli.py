@@ -59,14 +59,9 @@ def parse_angle(text: str) -> float:
         if m is None:
             value = float(text)
         else:
-            coeff_text = m.group(1)
-            if coeff_text in ("", "+"):
-                coeff = 1.0
-            elif coeff_text == "-":
-                coeff = -1.0
-            else:
-                coeff = float(coeff_text)
-            value = coeff * math.pi
+            # A bare sign stands for a coefficient of 1.
+            coeff = m.group(1) + "1" if m.group(1) in ("", "+", "-") else m.group(1)
+            value = float(coeff) * math.pi
             if m.group(2):
                 value /= float(m.group(2))
     except (ValueError, ZeroDivisionError):
@@ -143,23 +138,18 @@ def _scale(value: float, degrees: bool) -> float:
 
 def cmd_verify(args) -> int:
     results = run_all_checks()
+    failed = [r.name for r in results if not r.passed]
     if args.json:
-        payload = {
-            "all_passed": all(r.passed for r in results),
-            "checks": [asdict(r) for r in results],
-        }
+        payload = {"all_passed": not failed, "checks": [asdict(r) for r in results]}
         _emit(json.dumps(_json_floats(payload), indent=2), args.out)
     else:
         lines = [f"{'check':<24} {'status':<6} {'max deviation':>14} {'tolerance':>10}"]
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             lines.append(f"{r.name:<24} {status:<6} {r.max_deviation:>14.6g} {r.tolerance:>10.3g}")
-        failed = [r.name for r in results if not r.passed]
-        lines.append(
-            "all checks passed" if not failed else "FAILED: " + ", ".join(failed)
-        )
+        lines.append("FAILED: " + ", ".join(failed) if failed else "all checks passed")
         _emit("\n".join(lines), args.out)
-    return 0 if all(r.passed for r in results) else 1
+    return 1 if failed else 0
 
 
 def _report_rows(reports):

@@ -200,7 +200,10 @@ class BothPictures:
         return np.maximum(abs(self.heisenberg - self.closed), abs(self.schrodinger - self.closed))
 
     def column(self, j: int) -> "BothPictures":
-        """The values of config ``j`` of a Run, as floats."""
+        """The values of config ``j`` of a Run, as floats; IndexError
+        unless 0 <= j < configs."""
+        if not 0 <= j < len(self.closed):
+            raise IndexError(f"column {j} outside 0..{len(self.closed) - 1}")
         return BothPictures(float(self.closed[j]), float(self.heisenberg[j]), float(self.schrodinger[j]))
 
     def require_agreement(self) -> "BothPictures":
@@ -297,9 +300,14 @@ CANDIDATE_FORMULAS: Mapping[str, object] = {
 }
 
 
-def _candidate_deviations(simulated: float, cfg: ExperimentConfig) -> dict[str, float]:
-    """|simulated - f(theta, phi)| for each candidate closed form f."""
-    return {name: abs(simulated - f(cfg.theta, cfg.phi)) for name, f in CANDIDATE_FORMULAS.items()}
+def _candidate_values(cfg: ExperimentConfig) -> dict[str, float]:
+    """f(theta, phi) for each candidate closed form f."""
+    return {name: f(cfg.theta, cfg.phi) for name, f in CANDIDATE_FORMULAS.items()}
+
+
+def _candidate_deviations(simulated: float, values: Mapping[str, float]) -> dict[str, float]:
+    """|simulated - f(theta, phi)| from each candidate's value f(theta, phi)."""
+    return {name: abs(simulated - value) for name, value in values.items()}
 
 
 # Two candidates count as distinguished at a point when their closed
@@ -344,22 +352,16 @@ def sign_error_audit(grid: Iterable[ExperimentConfig]) -> SignErrorAudit:
     names = list(CANDIDATE_FORMULAS)
     separated = {(a, b): False for i, a in enumerate(names) for b in names[i + 1 :]}
     points = []
-    max_dev = {name: 0.0 for name in names}
     for cfg, simulated in zip(configs, p_diff.schrodinger.tolist()):
-        values = {name: f(cfg.theta, cfg.phi) for name, f in CANDIDATE_FORMULAS.items()}
-        deviations = _candidate_deviations(simulated, cfg)
+        values = _candidate_values(cfg)
         non_disc = []
         for pair in separated:
-            gap = abs(values[pair[0]] - values[pair[1]])
-            if gap > _DISCRIMINATION_GAP:
+            if abs(values[pair[0]] - values[pair[1]]) > _DISCRIMINATION_GAP:
                 separated[pair] = True
             else:
                 non_disc.append(pair)
-        for name in names:
-            max_dev[name] = max(max_dev[name], deviations[name])
-        points.append(
-            AuditPoint(cfg.theta, cfg.phi, simulated, deviations, tuple(non_disc))
-        )
+        deviations = _candidate_deviations(simulated, values)
+        points.append(AuditPoint(cfg.theta, cfg.phi, simulated, deviations, tuple(non_disc)))
 
     missing = [pair for pair, ok in separated.items() if not ok]
     if missing:
@@ -368,7 +370,7 @@ def sign_error_audit(grid: Iterable[ExperimentConfig]) -> SignErrorAudit:
             + ", ".join(f"{a}/{b}" for a, b in missing)
             + " coincide at every supplied point"
         )
-    matching = tuple(name for name in names if max_dev[name] <= ENGINE_ATOL)
+    matching = tuple(name for name in names if max(p.deviations[name] for p in points) <= ENGINE_ATOL)
     return SignErrorAudit(tuple(points), matching)
 
 
@@ -450,7 +452,7 @@ def reports(run: Run) -> list[ExperimentReport]:
                 lin_qz2_t2=float(lin2[j]),
                 lin_qz3_t2=float(lin3[j]),
                 record_marginal_t3=marginal.column(j),
-                audit_deviations=_candidate_deviations(float(p_diff.schrodinger[j]), cfg),
+                audit_deviations=_candidate_deviations(float(p_diff.schrodinger[j]), _candidate_values(cfg)),
             )
         )
     return out

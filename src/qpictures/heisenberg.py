@@ -19,9 +19,10 @@ Substitution reads each image key's per-operand axis codes through
 A gate with a stack of matrices (an analyzer rotation over a batch of
 angles) has one image coefficient per batch column, so substitution
 yields batched descriptors: the same strings for every column, with a
-``(terms, batch)`` coefficient array.  Images are derived by one
-vectorised trace over the stack; those of fixed-matrix gates are cached
-by their matrix bytes, those of parametrised gates are not.
+``(terms, batch)`` coefficient array.  Images are derived through
+``pauli``'s Walsh-Hadamard pair between Pauli sums and matrices, for the
+whole stack at once; those of fixed-matrix gates are cached by their
+matrix bytes, those of parametrised gates are not.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .gates import PAULI_MATRIX, Gate
+from .gates import Gate
 from .pauli import (
     MAX_WIDTH,
     Axis,
@@ -41,7 +42,9 @@ from .pauli import (
     PauliString,
     _axis_codes,
     _check_width,
+    _from_matrices,
     _prune,
+    _to_matrices,
     expectation_in_all_zeros,
     linear_combination,
     pair_expectation_in_all_zeros,
@@ -87,38 +90,27 @@ def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
 
 
 def _compute_conjugation_images(gate: Gate) -> dict[tuple[int, Axis], OperatorSum]:
-    """Each image coefficient is tr(B^dag U^dag P U) / 2**k over the local
-    Pauli basis B, which is complete, for every operand Pauli P and every
-    matrix U of the gate's stack in one vectorised product.  Each product
-    is the same 2**k-dimensional matmul a single matrix takes, so a
-    stacked coefficient equals the unstacked one bit for bit."""
+    """The operand Paulis P, one column each of an identity-coefficient
+    sum, become matrices through ``pauli``'s transform; each U^dag P U,
+    for every matrix U of the gate's stack, goes back through its inverse
+    in one call.  Each conjugation is the matmul a single matrix takes, so
+    a stacked coefficient equals the unstacked one bit for bit."""
     k = gate.arity
-    basis = _local_basis(k)
     images_of = [(slot, axis) for slot in range(k) for axis in _NONTRIVIAL_AXES]
-    paulis = basis[[PauliString.single(k, slot + 1, axis).key for slot, axis in images_of]]
+    singles = np.array([PauliString.single(k, slot + 1, axis).key for slot, axis in images_of], dtype=np.int64)
+    # The transform reads keys in any order, so they need no sorting.
+    paulis = _to_matrices(OperatorSum._raw(k, singles, np.eye(len(singles)), len(singles)))
     stack = gate.matrix if gate.batch is not None else gate.matrix[None]
     adjoint = np.swapaxes(stack.conj(), -1, -2)
     # conjugated[i, b] = U_b^dag P_i U_b; coeffs[s, i, b] over basis strings s.
     conjugated = adjoint[None] @ paulis[:, None] @ stack[None]
-    basis_adjoint = np.swapaxes(basis.conj(), -1, -2)[:, None, None]
-    coeffs = np.trace(basis_adjoint @ conjugated[None], axis1=-2, axis2=-1) / 2**k
+    coeffs = _from_matrices(k, conjugated).reshape(4**k, len(singles), len(stack))
     coeffs[np.abs(coeffs) <= _IMAGE_TOL] = 0.0
-    keys = np.arange(len(basis), dtype=np.int64)
+    keys = np.arange(4**k, dtype=np.int64)
     # Only the zeroed coefficients fall below PRUNE_TOL.
     return {
         key: OperatorSum._raw(k, *_prune(keys, coeffs[:, i]), gate.batch) for i, key in enumerate(images_of)
     }
-
-
-@lru_cache(maxsize=None)
-def _local_basis(k: int) -> np.ndarray:
-    """Dense matrices of the 4**k local Pauli strings, in canonical order:
-    entry i is the string whose packed key is i."""
-    matrices = np.stack(
-        [reduce(np.kron, [PAULI_MATRIX[Axis(code)] for code in _axis_codes(key, k)]) for key in range(4**k)]
-    )
-    matrices.setflags(write=False)
-    return matrices
 
 
 @dataclass(frozen=True)

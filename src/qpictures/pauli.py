@@ -26,7 +26,9 @@ canonically ordered.  The pair route forms every term pair.  The dense
 route multiplies the sums' 2**n x 2**n matrices: with
 P|c> = i**|x z| (-1)**|z c| |c ^ x>, a sum becomes a matrix by one
 Walsh-Hadamard transform over the z masks of each x mask, and goes back
-the same way, so its cost is O(8**n) whatever the term counts.  A product
+the same way, so its cost is O(8**n) whatever the term counts.  This
+pair is the package's one Pauli decomposition; ``heisenberg`` derives
+conjugation images through it too.  A product
 takes the dense route when it forms more than 8**n / 64 pairs, and at
 least 1024, at width n <= 8 with columns * 4**n <= 2**18.  The pair route
 costs ~0.1 us per pair and the dense route ~0.7 ns per 8**n plus ~40 us
@@ -117,7 +119,7 @@ class PauliString:
         if not 0 <= key < 4**self.width:
             raise ValueError(f"key {key} outside 0..4**{self.width} - 1")
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "phase_power", int(self.phase_power) % 4)
+        object.__setattr__(self, "phase_power", operator.index(self.phase_power) % 4)
 
     @classmethod
     def identity(cls, width: int) -> "PauliString":
@@ -219,6 +221,8 @@ def _prune(keys: np.ndarray, coeffs: np.ndarray):
 
 def _common_batch(*batches) -> int | None:
     sizes = {b for b in batches if b is not None}
+    if 0 in sizes:
+        raise ValueError("a batch needs at least one column")
     if len(sizes) > 1:
         raise ValueError(f"batch size mismatch: {sorted(sizes)}")
     return sizes.pop() if sizes else None
@@ -498,7 +502,9 @@ def _takes_dense_route(width: int, pairs: int, columns: int) -> bool:
 
 @lru_cache(maxsize=_DENSE_MAX_WIDTH)
 def _dense_tables(width: int):
-    """Per-width tables of the dense route, for the 4**n keys in order:
+    """Per-width tables of the transform pair ``_to_matrices`` and
+    ``_from_matrices``, which the dense route and the conjugation images
+    share, for the 4**n keys in order:
 
     * ``grid``: each key's flat position z * 2**n + x in a (z, x) grid of
       compact masks, qubit 1 in the most significant bit;
@@ -554,6 +560,16 @@ def _to_matrices(op: OperatorSum) -> np.ndarray:
     return _hadamard_transform(hadamard, grids).take(to_matrix, axis=1).reshape(columns, n, n)
 
 
+def _from_matrices(width: int, matrices: np.ndarray) -> np.ndarray:
+    """The inverse of ``_to_matrices``: the ``(4**n, columns)`` coefficients,
+    over keys 0..4**n - 1, of a ``(columns, 2**n, 2**n)`` stack, each
+    diagonal c -> c ^ x read into row x of a grid and transformed back."""
+    grid, _, unphases, hadamard, _, from_matrix = _dense_tables(width)
+    n = len(hadamard)
+    rows = matrices.reshape(-1, n * n).take(from_matrix, axis=1)
+    return _hadamard_transform(hadamard, rows).take(grid, axis=1).T * unphases[:, None]
+
+
 def _dense_product(a: OperatorSum, b: OperatorSum):
     """Keys and coefficients of a * b through the product of the two sums'
     matrices: O(8**n) work whatever the term counts.  Every key comes out,
@@ -562,13 +578,8 @@ def _dense_product(a: OperatorSum, b: OperatorSum):
     columns = max(a._coeffs.shape[1], b._coeffs.shape[1])
     if not _dense_fits(width, columns):
         raise ValueError(f"dense product of width {width} with {columns} columns exceeds the dense route's caps")
-    grid, _, unphases, hadamard, _, from_matrix = _dense_tables(width)
-    n = len(hadamard)
     # A single-column factor broadcasts over the other's columns.
-    product = _to_matrices(a) @ _to_matrices(b)
-    rows = product.reshape(columns, n * n).take(from_matrix, axis=1)
-    coeffs = _hadamard_transform(hadamard, rows).take(grid, axis=1).T * unphases[:, None]
-    return _prune(np.arange(4**width, dtype=np.int64), coeffs)
+    return _prune(np.arange(4**width, dtype=np.int64), _from_matrices(width, _to_matrices(a) @ _to_matrices(b)))
 
 
 def _sum_multiply(a: OperatorSum, b: OperatorSum) -> OperatorSum:
@@ -650,8 +661,6 @@ def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
 
 def isclose(a: OperatorSum, b: OperatorSum, atol: float = 1e-10) -> bool:
     """Termwise comparison; strings missing on one side count as 0."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} != {b.width}")
     return max_term_deviation(a, b) <= atol
 
 

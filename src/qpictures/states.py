@@ -62,6 +62,8 @@ def _store(state, width: int, amplitudes, check_norm: bool) -> None:
     amps = np.ascontiguousarray(amplitudes, dtype=complex)
     if amps.shape[-1:] != (2**width,) or amps.ndim > 2:
         raise ValueError(f"expected {2**width} amplitudes, got {amps.shape}")
+    if not len(amps):
+        raise ValueError("a batched state needs at least one row")
     if check_norm and not _unit_norm(amps, 1e-9):
         raise ValueError("state vector is not normalized")
     amps.setflags(write=False)
@@ -100,9 +102,12 @@ class StateVector:
         return len(self.amplitudes) if self.amplitudes.ndim == 2 else None
 
     def row(self, j: int) -> "StateVector":
-        """Row ``j`` of a batched state; an unbatched state is every row."""
+        """Row ``j`` of a batched state, IndexError unless 0 <= j < batch;
+        an unbatched state is every row."""
         if self.batch is None:
             return self
+        if not 0 <= j < self.batch:
+            raise IndexError(f"row {j} outside 0..{self.batch - 1}")
         return StateVector(self.width, self.amplitudes[j])
 
 

@@ -12,6 +12,7 @@ from qpictures import (
     ExperimentConfig,
     OperatorSum,
     PauliString,
+    StateVector,
     analyzer_rotation,
     cnot,
     conjugation_images,
@@ -23,7 +24,7 @@ from qpictures import (
 )
 from qpictures import heisenberg
 from dense import string_matrix
-from qpictures.experiment import MAX_BATCH, N_QUBITS, reports, simulate
+from qpictures.experiment import MAX_BATCH, N_QUBITS, prob_outcomes_differ_at_t4, reports, simulate
 from qpictures.pauli import linear_combination
 
 SPECIAL_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi, math.pi / 4)
@@ -141,6 +142,27 @@ class TestPruning:
         # A sum without a batch axis stands for every column.
         single = OperatorSum(2, [("X1", 1.0)])
         assert single.column(5) is single
+
+    def test_state_row_and_report_column_outside_the_batch_rejected(self):
+        run = simulate([ExperimentConfig(0.1, 0.2), ExperimentConfig(0.3, 0.4)])
+        state = run.states[2]
+        assert state.row(1).amplitudes.tolist() == state.amplitudes[1].tolist()
+        p_diff = prob_outcomes_differ_at_t4(run)
+        assert p_diff.column(1).schrodinger == float(p_diff.schrodinger[1])
+        for j in (-1, 2, 5):
+            with pytest.raises(IndexError, match="row"):
+                state.row(j)
+            with pytest.raises(IndexError, match="column"):
+                p_diff.column(j)
+
+    def test_zero_size_batch_rejected(self):
+        op = OperatorSum(2, [("X1", 1.0)])
+        with pytest.raises(ValueError, match="at least one column"):
+            OperatorSum(2, [("X1", np.array([]))])
+        with pytest.raises(ValueError, match="at least one column"):
+            linear_combination(2, [(np.array([]), op)])
+        with pytest.raises(ValueError, match="at least one row"):
+            StateVector(2, np.zeros((0, 4)))
 
     def test_linear_combination_rejects_mismatched_coefficient_lengths(self):
         # As * and + do: an array coefficient must match its part's batch.

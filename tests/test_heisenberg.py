@@ -61,6 +61,7 @@ class TestConjugationImages:
         [
             hadamard(1), pauli_x(1), pauli_y(1), pauli_z(1), analyzer_rotation(1, 0.9), cnot(1, 2),
             Gate("U", (1, 2), random_unitary(np.random.default_rng(3), 4)),
+            Gate("U", (1, 2, 3), random_unitary(np.random.default_rng(5), 8)),
         ],
     )
     def test_images_match_dense_conjugation(self, gate):

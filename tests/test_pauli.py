@@ -426,6 +426,10 @@ def test_string_phase_and_hermiticity():
     assert s.phase == -1
     assert s.is_hermitian
     assert not PauliString.from_ops(2, "X1", phase_power=1).is_hermitian
+    assert PauliString(2, 1, np.int64(-1)).phase_power == 3
+    for power in (1.5, 1.0):
+        with pytest.raises(TypeError):
+            PauliString(2, 1, power)
 
 
 @st.composite
@@ -577,6 +581,25 @@ class TestDenseRoute:
         for j in range(a.batch):
             want = OperatorSum._raw(a.width, *pauli._dense_product(a.column(j), b), None)
             assert got.column(j).equal_terms(want)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @given(data=st.data())
+    def test_transform_pair_round_trips(self, batched, data):
+        """``_to_matrices`` gives the dense oracle's matrix of each column,
+        and ``_from_matrices`` gives the coefficients back."""
+        width = data.draw(st.integers(1, 4))
+        batch = data.draw(st.integers(1, 3)) if batched else 1
+        values = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+        keys = data.draw(st.lists(_keys(width), min_size=1, max_size=12, unique=True))
+        coeffs = [np.array([data.draw(values) for _ in range(batch)]) for _ in keys]
+        op = OperatorSum(width, [(PauliString(width, k), c if batched else c[0]) for k, c in zip(keys, coeffs)])
+        matrices = pauli._to_matrices(op)
+        assert matrices.shape == (batch, 2**width, 2**width)
+        for j, matrix in enumerate(matrices):
+            np.testing.assert_allclose(matrix, operator_matrix(op.column(j)), rtol=0, atol=1e-12)
+        full = np.zeros((4**width, batch), complex)
+        full[op._keys] = op._coeffs
+        np.testing.assert_allclose(pauli._from_matrices(width, matrices), full, rtol=0, atol=1e-12)
 
     def test_prune_boundary(self):
         # Terms at 2e-14 and 5e-15 on either side of PRUNE_TOL = 1e-14.
