@@ -16,7 +16,6 @@ from .bell import (
     chsh,
     chsh_scan,
     correlation,
-    scan_rows,
 )
 from .experiment import (
     ExperimentConfig,
@@ -57,7 +56,6 @@ from .pauli import (
     OperatorSum,
     PauliString,
     expectation_in_all_zeros,
-    isclose,
     max_term_deviation,
     multiply_strings,
 )
@@ -108,7 +106,6 @@ __all__ = [
     "expectation_in_all_zeros",
     "hadamard",
     "init_descriptors",
-    "isclose",
     "joint_prob_both_one_at_t2",
     "joint_probability",
     "linear_terms_t2",
@@ -122,7 +119,6 @@ __all__ = [
     "random_circuit",
     "record_marginal_t3",
     "reports",
-    "scan_rows",
     "sign_error_audit",
     "simulate",
     "sweep_reports",

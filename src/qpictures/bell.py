@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -131,14 +130,6 @@ def scan_grid(resolution: float) -> list[float]:
     if count == 0:
         raise ValueError("empty scan grid")
     return [k * resolution for k in range(count)]
-
-
-def scan_rows(resolution: float):
-    """Yield (a, a', b, b', S) for every setting on the scan grid, in
-    lexicographic angle order."""
-    scan = chsh_scan(resolution)
-    for setting, s in zip(product(scan.angles, repeat=4), scan.values.ravel().tolist()):
-        yield *setting, s
 
 
 def chsh_scan(resolution: float) -> ScanResult:

@@ -38,7 +38,7 @@ from .heisenberg import (
     evolve,
     init_descriptors,
 )
-from .pauli import Axis, OperatorSum, PauliString, multiply_strings
+from .pauli import OperatorSum
 from .states import StateVector, apply_gate, joint_probability, new_all_zeros
 
 N_QUBITS = 4
@@ -206,9 +206,17 @@ class BothPictures:
             raise IndexError(f"column {j} outside 0..{len(self.closed) - 1}")
         return BothPictures(float(self.closed[j]), float(self.heisenberg[j]), float(self.schrodinger[j]))
 
+    @property
+    def worst(self) -> float:
+        """The largest closed-form deviation or engine gap over every
+        config; NaN if any value is NaN."""
+        return float(np.max(np.maximum(self.closed_deviation, self.engine_delta)))
+
     def require_agreement(self) -> "BothPictures":
-        """Self, unless some config's values split by more than ENGINE_ATOL."""
-        failed = np.flatnonzero((self.closed_deviation > ENGINE_ATOL) | (self.engine_delta > ENGINE_ATOL))
+        """Self, unless some config's values split by more than
+        ENGINE_ATOL; a NaN split fails too."""
+        split = np.maximum(self.closed_deviation, self.engine_delta)
+        failed = np.flatnonzero(~(split <= ENGINE_ATOL))
         if len(failed):
             at = self.column(int(failed[0]))
             raise AssertionError(
@@ -219,10 +227,7 @@ class BothPictures:
 
 
 # Z2 Z3, the statevector side of the t=2 correlation.
-_ZZ_T2 = OperatorSum(
-    N_QUBITS,
-    [(multiply_strings(*(PauliString.single(N_QUBITS, q, Axis.Z) for q in (SYSTEM_A, SYSTEM_B))), 1.0)],
-)
+_ZZ_T2 = OperatorSum(N_QUBITS, [("Z2 Z3", 1.0)])
 
 
 def correlation_t2(run: Run) -> BothPictures:
@@ -370,7 +375,7 @@ def sign_error_audit(grid: Iterable[ExperimentConfig]) -> SignErrorAudit:
             + ", ".join(f"{a}/{b}" for a, b in missing)
             + " coincide at every supplied point"
         )
-    matching = tuple(name for name in names if max(p.deviations[name] for p in points) <= ENGINE_ATOL)
+    matching = tuple(name for name in names if np.max([p.deviations[name] for p in points]) <= ENGINE_ATOL)
     return SignErrorAudit(tuple(points), matching)
 
 

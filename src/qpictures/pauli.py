@@ -212,10 +212,11 @@ def _fmt_coeff(c: complex) -> str:
 
 
 def _prune(keys: np.ndarray, coeffs: np.ndarray):
-    """Drop terms below ``PRUNE_TOL`` in every batch column.  Adding +0.0
-    turns a -0.0 component into +0.0, as summing into a zeroed accumulator
-    does, so a merged and an unmerged path give bitwise-equal coefficients."""
-    keep = np.logical_or.reduce(np.abs(coeffs) >= PRUNE_TOL, axis=1)
+    """Drop terms below ``PRUNE_TOL`` in every batch column; a NaN is never
+    below it, so a NaN term survives.  Adding +0.0 turns a -0.0 component
+    into +0.0, as summing into a zeroed accumulator does, so a merged and an
+    unmerged path give bitwise-equal coefficients."""
+    keep = np.logical_or.reduce(~(np.abs(coeffs) < PRUNE_TOL), axis=1)
     return keys[keep], coeffs.compress(keep, axis=0) + 0.0
 
 
@@ -657,11 +658,6 @@ def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
     hit = at_b < len(keys_b)
     hit[hit] = keys_b[at_b[hit]] == keys_a[hit]
     return _column_sums(rows_a[hit] * rows_b[at_b[hit]], batch)
-
-
-def isclose(a: OperatorSum, b: OperatorSum, atol: float = 1e-10) -> bool:
-    """Termwise comparison; strings missing on one side count as 0."""
-    return max_term_deviation(a, b) <= atol
 
 
 def max_term_deviation(a: OperatorSum, b: OperatorSum) -> float:

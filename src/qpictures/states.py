@@ -215,7 +215,7 @@ def expectation(state: StateVector, op: OperatorSum):
     n, amps = state.width, state.amplitudes
     psi = amps.reshape(amps.shape[:-1] + (2,) * n)
     keep, rev = slice(None), slice(None, None, -1)
-    value = 0.0 + 0.0j
+    value = np.zeros(amps.shape[:-1], complex)
     for key, coeff in zip(op._keys.tolist(), op._coeffs[:, 0].tolist()):
         codes = _axis_codes(key, n)
         v = psi[(Ellipsis, *(rev if code in (Axis.X, Axis.Y) else keep for code in codes))].copy()

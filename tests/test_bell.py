@@ -14,7 +14,6 @@ from qpictures import (
     chsh_scan,
     correlation,
     joint_probability,
-    scan_rows,
     simulate,
 )
 from scan_oracle import loop_scan
@@ -116,9 +115,10 @@ class TestChshScan:
         second = chsh_scan(math.pi / 2)
         assert first.best.setting == second.best.setting
         # no other maximal setting precedes the reported one
-        rows = list(scan_rows(math.pi / 2))
-        best_abs = max(abs(s) for *_, s in rows)
-        winners = [tuple(r[:4]) for r in rows if abs(abs(r[4]) - best_abs) == 0.0]
+        magnitudes = np.abs(first.values).ravel().tolist()
+        best_abs = max(magnitudes)
+        settings = product(first.angles, repeat=4)
+        winners = [setting for setting, m in zip(settings, magnitudes) if m == best_abs]
         assert first.best.setting == ChshSetting(*min(winners))
 
     @pytest.mark.parametrize("resolution", [math.pi / 2, math.pi / 4, math.pi / 8])
@@ -132,8 +132,7 @@ class TestChshScan:
         assert result.evaluated == len(rows)
 
     def test_scan_rows_stay_below_quantum_bound(self):
-        for *_, s in scan_rows(math.pi / 4):
-            assert abs(s) <= TSIRELSON + 1e-9
+        assert np.all(np.abs(chsh_scan(math.pi / 4).values) <= TSIRELSON + 1e-9)
 
     @pytest.mark.parametrize("resolution", [1.0, -0.5, 0.0])
     def test_bad_resolution_rejected(self, resolution):

@@ -23,7 +23,7 @@ from qpictures import (
     sweep_reports,
 )
 from qpictures import heisenberg
-from qpictures.experiment import RECORD_A, ExperimentReport
+from qpictures.experiment import RECORD_A, BothPictures, ExperimentReport
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -103,6 +103,23 @@ class TestDescriptorsAtT2:
         qz2, _ = descriptors_t2(ExperimentConfig(math.pi / 2, 0.0))
         assert len(qz2) == 1
         assert qz2.coefficient("Y2 X3") == pytest.approx(1.0)
+
+
+class TestBothPictures:
+    def test_worst_is_the_largest_split(self):
+        both = BothPictures(np.array([1.0, 0.0]), np.array([1.0, 0.25]), np.array([1.0, 0.5]))
+        assert both.worst == 0.5
+        with pytest.raises(AssertionError, match="heisenberg=0.25"):
+            both.require_agreement()
+
+    @pytest.mark.parametrize("field", ["closed", "heisenberg", "schrodinger"])
+    def test_nan_fails_agreement(self, field):
+        values = dict.fromkeys(("closed", "heisenberg", "schrodinger"), np.array([0.5, 0.5]))
+        values[field] = np.array([0.5, math.nan])
+        both = BothPictures(**values)
+        with pytest.raises(AssertionError, match=f"{field}=nan"):
+            both.require_agreement()
+        assert math.isnan(both.worst)
 
 
 class TestJointProbability:

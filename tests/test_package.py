@@ -30,7 +30,7 @@ def test_every_demo_has_a_headline():
 @pytest.mark.parametrize("demo", sorted(HEADLINES))
 def test_demo_runs(demo):
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},

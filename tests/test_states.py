@@ -135,12 +135,17 @@ class TestExpectation:
         with pytest.raises(ValueError, match="width"):
             expectation(new_all_zeros(2), OperatorSum(3, [("Z1", 1.0)]))
 
+    def test_zero_operator_gives_one_value_per_row(self):
+        batched = StateVector(2, np.tile(new_all_zeros(2).amplitudes, (3, 1)))
+        assert expectation(batched, OperatorSum.zero(2)).tolist() == [0.0, 0.0, 0.0]
+        assert expectation(new_all_zeros(2), OperatorSum.zero(2)) == 0.0
+
 
 def reference_expectation(state, op):
     """The per-qubit kernel: a tensordot with each factor's 2x2 matrix."""
     amps = state.amplitudes
     lead = list(amps.shape[:-1])
-    value = 0.0 + 0.0j
+    value = np.zeros(lead, complex)
     for string, coeff in op.iter_terms():
         psi = amps.reshape(lead + [2] * state.width)
         for q_idx, code in enumerate(string.axes, start=len(lead)):

@@ -1,8 +1,10 @@
 """compare_pictures: the two-picture check behind picture-check and the
-picture_equivalence criterion."""
+picture_equivalence criterion; and the one pass rule every check shares."""
+import math
+
 import numpy as np
 
-from qpictures import random_circuit
+from qpictures import random_circuit, verification
 from qpictures.verification import compare_pictures
 
 
@@ -12,3 +14,28 @@ def test_one_shot_iterable_feeds_both_pictures():
     assert compare_pictures(circuit, 3) <= 1e-12
     assert compare_pictures(iter(circuit), 3) == compare_pictures(circuit, 3)
     assert compare_pictures((gate for gate in circuit), 3) == compare_pictures(circuit, 3)
+
+
+def test_nan_state_moment_fails_picture_equivalence(monkeypatch):
+    # A NaN <Z_1> on the state side must neither pass nor vanish from the max.
+    z_moments = verification.states.z_moments
+
+    def nan_first_moment(state):
+        z, zz = z_moments(state)
+        z = z.copy()
+        z[0] = math.nan
+        return z, zz
+
+    monkeypatch.setattr(verification.states, "z_moments", nan_first_moment)
+    assert math.isnan(compare_pictures(random_circuit(3, 8, np.random.default_rng(0)), 3))
+    result = verification.check_picture_equivalence()
+    assert not result.passed
+    assert math.isnan(result.max_deviation)
+
+
+def test_scored_pass_rule():
+    assert verification._scored("probe", 1e-10, 1e-10, "").passed
+    assert not verification._scored("probe", 2e-10, 1e-10, "").passed
+    nan = verification._scored("probe", math.nan, 1e-10, "")
+    assert not nan.passed
+    assert math.isnan(nan.max_deviation)
