@@ -16,7 +16,7 @@ timeline = build_timeline(cfg)
 run = simulate([cfg])  # a batch of one angle pair
 
 print("analyzer angles: theta = pi/3, phi = 0")
-for step, segment in enumerate(timeline.steps, start=1):
+for step, segment in enumerate(timeline, start=1):
     print(f"t={step}: " + ", ".join(repr(g) for g in segment))
 print()
 

@@ -9,14 +9,14 @@ sine-of-half-difference form survives.
 """
 import numpy as np
 
-from qpictures import ExperimentConfig, sign_error_audit, sweep_reports
+from qpictures import ExperimentConfig, reports, sign_error_audit, simulate
 from qpictures.experiment import default_grid_configs
 
 diffs = [k * np.pi / 8 for k in range(9)]
-reports = sweep_reports(ExperimentConfig(d, 0.0) for d in diffs)
+sweep = reports(simulate(ExperimentConfig(d, 0.0) for d in diffs))
 
 print(f"{'diff':>8} {'P(joint) t=2':>14} {'corr t=2':>10} {'P(differ) t=4':>14}")
-for d, r in zip(diffs, reports):
+for d, r in zip(diffs, sweep):
     data = r.to_dict()
     print(
         f"{d:>8.4f} {data['p_joint_t2']:>14.6f} {data['corr_t2']:>10.6f} "
@@ -24,7 +24,7 @@ for d, r in zip(diffs, reports):
     )
 print()
 print("the t=2 joint probability spans 0.5 down to 0.0 across the sweep:")
-values = [r.p_joint_t2.schrodinger for r in reports]
+values = [r.p_joint_t2.schrodinger for r in sweep]
 print(f"  spread = {max(values) - min(values):.6f}  (an angle-independent")
 print("  constant could never do that)")
 print()

@@ -31,7 +31,6 @@ from .experiment import (
     reports,
     sign_error_audit,
     simulate,
-    sweep_reports,
 )
 from .gates import (
     Gate,
@@ -57,7 +56,6 @@ from .pauli import (
     PauliString,
     expectation_in_all_zeros,
     max_term_deviation,
-    multiply_strings,
 )
 from .states import (
     StateVector,
@@ -68,7 +66,6 @@ from .states import (
     expectation,
     joint_probability,
     new_all_zeros,
-    to_conventional,
 )
 
 __version__ = "0.1.0"
@@ -110,7 +107,6 @@ __all__ = [
     "joint_probability",
     "linear_terms_t2",
     "max_term_deviation",
-    "multiply_strings",
     "new_all_zeros",
     "pauli_x",
     "pauli_y",
@@ -121,7 +117,5 @@ __all__ = [
     "reports",
     "sign_error_audit",
     "simulate",
-    "sweep_reports",
-    "to_conventional",
     "untouched_invariance_check",
 ]

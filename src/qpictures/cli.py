@@ -37,7 +37,6 @@ from .experiment import (
     descriptors_at_t2,
     reports,
     simulate,
-    sweep_reports,
 )
 from .states import dump_csv
 from .verification import PICTURE_CHECK_TOL, compare_pictures, run_all_checks
@@ -52,7 +51,9 @@ _CHSH_CSV_HEADER = ["a", "a_prime", "b", "b_prime", "S", "violation"]
 
 def parse_angle(text: str) -> float:
     """Parse a finite float or a pi expression like ``pi``, ``-pi/3``,
-    ``3pi/4``."""
+    ``3pi/4``.  On the command line a negative angle other than a plain
+    decimal such as ``-0.5`` follows ``--``, or argparse reads it as an
+    option: ``qpictures epr -- -pi/3 0``."""
     text = text.strip()
     m = _PI_RE.match(text)
     try:
@@ -201,8 +202,7 @@ def cmd_epr(args) -> int:
 
 def cmd_sweep(args) -> int:
     diffs = [k * 2.0 * math.pi / args.grid_points for k in range(args.grid_points)]
-    reports = sweep_reports(ExperimentConfig(d, 0.0) for d in diffs)
-    header, rows = _report_rows(reports)
+    header, rows = _report_rows(reports(simulate(ExperimentConfig(d, 0.0) for d in diffs)))
     if args.format == "json":
         payload = {"rows": [dict(zip(header, row)) for row in rows]}
         _emit(json.dumps(_json_floats(payload), indent=2), args.out)
@@ -275,7 +275,9 @@ def cmd_picture_check(args) -> int:
     return 0 if passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qpictures",
         description="Dual-picture qubit simulator: descriptor engine vs statevector oracle.",
@@ -287,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_epr = sub.add_parser("epr", help="full report for one pair of analyzer angles")
-    p_epr.add_argument("theta", type=parse_angle)
+    p_epr.add_argument("theta", type=parse_angle,
+                       help="Q2's analyzer angle; a negative one goes after --, as in: epr -- -pi/3 0")
     p_epr.add_argument("phi", type=parse_angle)
     p_epr.add_argument("--degrees", action="store_true", help="interpret angles as degrees")
     p_epr.add_argument("--show-descriptors", action="store_true",
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chsh = sub.add_parser("chsh", help="CHSH value for one setting, or an exhaustive scan")
     p_chsh.add_argument("angles", type=parse_angle, nargs="*", metavar="ANGLE",
-                        help="a a' b b' (exactly four)")
+                        help="a a' b b' (exactly four), after -- if one is negative: chsh -- -pi/4 0 0 0")
     p_chsh.add_argument("--scan", type=parse_angle, default=None, metavar="STEP",
                         help="scan all settings on a grid with this step (must divide pi)")
     p_chsh.add_argument("--degrees", action="store_true")
@@ -318,12 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pc.add_argument("--out", default=None)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,7 @@
 """The four-qubit record-and-compare experiment, computed in both pictures.
 
 Qubits: Q1 and Q4 are recording ancillas, Q2 and Q3 the entangled pair.
-Timeline steps:
+The timeline, step by step:
 
   t=1  entangler: H on Q3, then CN (target Q2, control Q3),
        preparing (|1,1> - |0,0>)/sqrt(2) on (Q2, Q3);
@@ -73,43 +73,30 @@ class ExperimentConfig:
         return self.theta - self.phi
 
 
-@dataclass(frozen=True)
-class Timeline:
-    """Gate lists per timeline step t = 1..4."""
-
-    steps: tuple[tuple[Gate, ...], ...]
-
-    @property
-    def all_gates(self) -> tuple[Gate, ...]:
-        return tuple(g for segment in self.steps for g in segment)
-
-
-def build_timeline(cfg: ExperimentConfig | Sequence[ExperimentConfig]) -> Timeline:
-    """The timeline of one config, or of a batch of configs: then each
-    analyzer rotation holds one angle per config."""
+def build_timeline(cfg: ExperimentConfig | Sequence[ExperimentConfig]) -> tuple[tuple[Gate, ...], ...]:
+    """The gates of each timeline step t = 1..4, for one config or for a
+    batch of configs: then each analyzer rotation holds one angle per
+    config."""
     if isinstance(cfg, ExperimentConfig):
         theta, phi = cfg.theta, cfg.phi
     else:
         theta, phi = [c.theta for c in cfg], [c.phi for c in cfg]
-    return Timeline(
-        (
-            (hadamard(SYSTEM_B), cnot(SYSTEM_A, SYSTEM_B)),
-            (analyzer_rotation(SYSTEM_A, theta), analyzer_rotation(SYSTEM_B, phi)),
-            (cnot(RECORD_A, SYSTEM_A), cnot(RECORD_B, SYSTEM_B)),
-            (cnot(RECORD_A, RECORD_B),),
-        )
+    return (
+        (hadamard(SYSTEM_B), cnot(SYSTEM_A, SYSTEM_B)),
+        (analyzer_rotation(SYSTEM_A, theta), analyzer_rotation(SYSTEM_B, phi)),
+        (cnot(RECORD_A, SYSTEM_A), cnot(RECORD_B, SYSTEM_B)),
+        (cnot(RECORD_A, RECORD_B),),
     )
 
 
 def _evolution(configs: tuple[ExperimentConfig, ...]):
     """States and descriptor sets per timeline step 0..4, for every config
     at once."""
-    timeline = build_timeline(configs)
     state = StateVector(N_QUBITS, np.tile(new_all_zeros(N_QUBITS).amplitudes, (len(configs), 1)))
     ds = init_descriptors(N_QUBITS)
     state_by_step = [state]
     ds_by_step = [ds]
-    for segment in timeline.steps:
+    for segment in build_timeline(configs):
         for gate in segment:
             state = apply_gate(state, gate)
             ds = evolve(ds, gate)
@@ -337,10 +324,6 @@ class SignErrorAudit:
     points: tuple[AuditPoint, ...]
     matching: tuple[str, ...]
 
-    @property
-    def verdict(self) -> str | None:
-        return self.matching[0] if len(self.matching) == 1 else None
-
 
 def sign_error_audit(grid: Iterable[ExperimentConfig]) -> SignErrorAudit:
     """Run the disagreement probability over a grid of angle pairs and
@@ -462,16 +445,3 @@ def reports(run: Run) -> list[ExperimentReport]:
         )
     return out
 
-
-def sweep_reports(configs: Iterable[ExperimentConfig]) -> list[ExperimentReport]:
-    """Reports over a grid from one batched run, checking that the
-    simulated t=2 joint probability tracks the full angle dependence of
-    its closed form."""
-    out = reports(simulate(configs))
-    closed = [r.p_joint_t2.closed for r in out]
-    simulated = [r.p_joint_t2.schrodinger for r in out]
-    closed_spread = max(closed) - min(closed)
-    simulated_spread = max(simulated) - min(simulated)
-    if simulated_spread < closed_spread - 1e-9:
-        raise AssertionError("t=2 joint probability failed to track the swept angle dependence")
-    return out

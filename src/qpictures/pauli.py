@@ -156,10 +156,6 @@ class PauliString:
     def phase(self) -> complex:
         return complex(_I_POWERS[self.phase_power])
 
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase_power % 2 == 0
-
     def __str__(self) -> str:
         sign = ("+", "+i", "-", "-i")[self.phase_power]
         return f"{sign}{_tokens(self.axes)}"
@@ -190,14 +186,6 @@ def _string_products(keys_a, keys_b):
         + 3 * np.bitwise_count(x & z)
     ) & 3
     return keys, exponents
-
-
-def multiply_strings(a: PauliString, b: PauliString) -> PauliString:
-    """Group product a*b with the accumulated phase."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} != {b.width}")
-    key, exponent = _string_products(a.key, b.key)
-    return PauliString(a.width, key, a.phase_power + b.phase_power + int(exponent))
 
 
 def _tokens(axes: Iterable[int]) -> str:
@@ -350,13 +338,9 @@ class OperatorSum:
     def is_zero(self) -> bool:
         return len(self._coeffs) == 0
 
-    def iter_terms(self) -> Iterator[tuple[PauliString, complex]]:
-        """Yield (phase-free string, coefficient) in canonical order; a
-        batched sum yields each term's row of per-column coefficients."""
-        return ((PauliString(self._width, key), coeff) for key, coeff in self._iter_keys())
-
     def _iter_keys(self) -> Iterator[tuple[int, complex]]:
-        """(packed key, coefficient) pairs in canonical order, no string built."""
+        """(packed key, coefficient) pairs in canonical order; a batched sum
+        gives each term's row of per-column coefficients."""
         coeffs = self._coeffs if self._batch is not None else self._coeffs[:, 0].tolist()
         return zip(self._keys.tolist(), coeffs)
 

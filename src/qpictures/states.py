@@ -40,16 +40,11 @@ from .pauli import _I_POWERS, MAX_WIDTH, Axis, OperatorSum, _axis_codes, _check_
 NORM_ATOL = 1e-12
 
 
-def _norms(amps: np.ndarray):
-    """Norm of a state, or one per row: the square root of one dot product
-    per row, several times faster than ``np.linalg.norm``."""
-    return np.sqrt(np.vecdot(amps, amps).real)
-
-
 def _unit_norm(amps: np.ndarray, atol: float) -> bool:
     """Whether the state, or every row of a batched one, has norm 1 within
-    ``atol``; a single norm is compared as a float, which is faster."""
-    norms = _norms(amps)
+    ``atol``.  One dot product per row is several times faster than
+    ``np.linalg.norm``, and a single norm is compared as a float."""
+    norms = np.sqrt(np.vecdot(amps, amps).real)
     if amps.ndim == 1:
         return abs(float(norms) - 1.0) <= atol
     return bool(np.all(np.abs(norms - 1.0) <= atol))
@@ -89,12 +84,6 @@ class StateVector:
         state = object.__new__(cls)
         _store(state, width, amplitudes, check_norm=False)
         return state
-
-    @property
-    def norm(self):
-        """The norm, or one norm per row of a batched state."""
-        norms = _norms(self.amplitudes)
-        return norms if self.batch is not None else float(norms)
 
     @property
     def batch(self) -> int | None:
@@ -296,16 +285,6 @@ def basis_label(index: int, width: int) -> str:
     """Ket label such as ``|1,0>`` for a basis index."""
     values = [1 - ((index >> (width - q)) & 1) for q in range(1, width + 1)]
     return "|" + ",".join(str(v) for v in values) + ">"
-
-
-def to_conventional(state: StateVector) -> np.ndarray:
-    """Amplitudes re-indexed to the usual |0>-first ordering.
-
-    Conventional index k' = sum_i v_i * 2**(n-i) over ket values v_i
-    (qubit 1 most significant); complementing every bit just reverses
-    the array.
-    """
-    return state.amplitudes[..., ::-1].copy()
 
 
 def dump_csv(state: StateVector) -> str:

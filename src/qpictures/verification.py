@@ -210,11 +210,12 @@ def check_descriptor_locality() -> CheckResult:
     failures = 0
     for cfg in (ExperimentConfig(0.3, 1.0), ExperimentConfig(math.pi / 3, math.pi / 7)):
         ds = init_descriptors(4)
-        for gate in build_timeline(cfg).all_gates:
-            after = evolve(ds, gate)
-            if not untouched_invariance_check(ds, after, gate):
-                failures += 1
-            ds = after
+        for segment in build_timeline(cfg):
+            for gate in segment:
+                after = evolve(ds, gate)
+                if not untouched_invariance_check(ds, after, gate):
+                    failures += 1
+                ds = after
     return _scored(
         "descriptor_locality", failures, 0.0,
         "gates only rewrite descriptors of their operand qubits",

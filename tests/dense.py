@@ -30,10 +30,16 @@ def string_matrix(string: PauliString) -> np.ndarray:
     return string.phase * out
 
 
+def terms(op: OperatorSum) -> list[tuple[PauliString, complex]]:
+    """(phase-free string, coefficient) pairs of ``op`` in canonical order;
+    a batched sum gives each term's row of per-column coefficients."""
+    return [(PauliString(op.width, key), coeff) for key, coeff in op._iter_keys()]
+
+
 def operator_matrix(op: OperatorSum) -> np.ndarray:
     dim = 2**op.width
     out = np.zeros((dim, dim), dtype=complex)
-    for string, coeff in op.iter_terms():
+    for string, coeff in terms(op):
         out += coeff * string_matrix(string)
     return out
 

@@ -1,0 +1,129 @@
+"""Which verification checks catch which physics fault.
+
+Each row injects one fault with monkeypatch and names the registry
+checks that must then fail.  Only the named checks run, and a check that
+raises counts as failed, as in ``run_all_checks``.  A check may newly
+catch a fault; a named check that stops catching it fails its row.
+
+Faults not tested here, with the reason:
+
+* The pair read's operands swapped (``pair_expectation_in_all_zeros(b,
+  a)``) and ``states.z_moments``' ``zz`` transposed are equivalent
+  faults: the z descriptors commute, so <0|b a|0> = <0|a b|0>, and
+  ``zz`` is symmetric.
+* ``pauli._dense_product`` conjugating its result fails no registry
+  check: no CLI command reaches the dense route (CLI products form at
+  most 24 term pairs, the route starts at 1024), so ``verify`` cannot
+  see it.  Tier-1's ``TestDenseRoute`` in ``test_pauli.py``, which
+  compares the dense route with the pair route, is its only guard.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from qpictures import experiment, gates, heisenberg, pauli, states
+from qpictures.verification import ALL_CHECKS
+
+CHECKS = {check.__name__.removeprefix("check_"): check for check in ALL_CHECKS}
+
+
+def _rotation_minus(angle):
+    """R = exp(-i*angle*sigma_x/2), the opposite sign convention.  It builds
+    a stack itself: a wrapper around ``gates.rotation_matrix`` would be
+    applied twice on a stack, which that function builds by calling itself
+    through the module global."""
+    if np.ndim(angle):
+        return np.stack([_rotation_minus(float(a)) for a in angle])
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def _products_without_cross_term(keys_a, keys_b):
+    """``pauli._string_products`` with the 2 |z_a x_b| phase term dropped."""
+    xa, za = pauli._x_z(keys_a)
+    xb, zb = pauli._x_z(keys_b)
+    x, z = xa ^ xb, za ^ zb
+    exponents = (np.bitwise_count(xa & za) + np.bitwise_count(xb & zb) + 3 * np.bitwise_count(x & z)) & 3
+    return keys_a ^ keys_b, exponents
+
+
+_single_read = pauli.expectation_in_all_zeros
+_reference_images = pauli._reference_images
+_joint_probability = states.joint_probability
+
+# fault -> (module, attribute, faulty value), and the checks that must fail.
+FAULTS = {
+    "hadamard_rows_swapped": (
+        (gates, "H_MATRIX", np.array([[1, 1], [-1, 1]], dtype=complex) / math.sqrt(2)),
+        {"entangled_state", "analyzer_descriptors", "zz_correlation", "joint_probability",
+         "sign_error_audit", "bell_violation"},
+    ),
+    "cnot_control_and_target_swapped": (
+        (gates, "CN_MATRIX", np.eye(4, dtype=complex)[[1, 0, 2, 3]]),
+        set(CHECKS) - {"picture_equivalence", "descriptor_locality"},
+    ),
+    "rotation_sign_flipped": (
+        (gates, "rotation_matrix", _rotation_minus),
+        {"analyzer_descriptors"},
+    ),
+    "string_product_cross_phase_dropped": (
+        (pauli, "_string_products", _products_without_cross_term),
+        {"sign_error_audit", "picture_equivalence"},
+    ),
+    "single_descriptor_read_negated": (
+        (heisenberg, "expectation_in_all_zeros", lambda op: -_single_read(op)),
+        {"sign_error_audit", "picture_equivalence"},
+    ),
+    "pair_read_bra_not_conjugated": (
+        (pauli, "_reference_images", lambda op, bra=False: _reference_images(op)),
+        {"zz_correlation", "joint_probability", "sign_error_audit", "picture_equivalence", "bell_violation"},
+    ),
+    "experiment_ket_values_swapped": (
+        (experiment, "joint_probability",
+         lambda state, outcome: _joint_probability(state, {q: 1 - v for q, v in outcome.items()})),
+        {"sign_error_audit"},
+    ),
+    "image_tolerance_loosened": (
+        (heisenberg, "_IMAGE_TOL", 2e-2),
+        {"picture_equivalence"},
+    ),
+    "prune_tolerance_loosened": (
+        (pauli, "PRUNE_TOL", 1e-2),
+        {"picture_equivalence"},
+    ),
+}
+
+
+def _clear_caches():
+    """Forget every gate matrix, conjugation image and gate row built so
+    far, so a fault reaches all of them and leaves none behind."""
+    heisenberg._IMAGE_CACHE.clear()
+    gates._UNITARY.clear()
+    states._single_rows.cache_clear()
+
+
+def _fails(check) -> bool:
+    try:
+        return not check().passed
+    except Exception:
+        return True
+
+
+def test_every_named_check_is_registered():
+    for _, must_fail in FAULTS.values():
+        assert must_fail <= set(CHECKS)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_fails_its_checks(fault):
+    (owner, attr, value), must_fail = FAULTS[fault]
+    _clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(owner, attr, value)
+            _clear_caches()
+            missed = sorted(name for name in must_fail if not _fails(CHECKS[name]))
+    finally:
+        _clear_caches()
+    assert not missed, f"{fault} slipped past {missed}"

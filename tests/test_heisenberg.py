@@ -25,7 +25,7 @@ from qpictures import (
     random_circuit,
     untouched_invariance_check,
 )
-from dense import conjugated_observable, heisenberg_descriptor, operator_matrix, random_unitary
+from dense import conjugated_observable, heisenberg_descriptor, operator_matrix, random_unitary, terms
 from qpictures.heisenberg import TermGrowthError
 from qpictures.pauli import PRUNE_TOL
 
@@ -291,8 +291,8 @@ def test_descriptors_stay_canonical_after_every_step(circuit):
     for gate in gates:
         ds = evolve(ds, gate)
         for _, op in ds.items():
-            terms = list(op.iter_terms())
+            pairs = terms(op)
             # axis tuples sort like the packed keys: qubit 1 first, I < X < Y < Z
-            axes = [string.axes for string, _ in terms]
+            axes = [string.axes for string, _ in pairs]
             assert all(a < b for a, b in zip(axes, axes[1:]))
-            assert all(abs(coeff) >= PRUNE_TOL for _, coeff in terms)
+            assert all(abs(coeff) >= PRUNE_TOL for _, coeff in pairs)

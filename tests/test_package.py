@@ -55,7 +55,7 @@ README_COMMANDS = _readme_commands()
 
 
 def test_readme_lists_its_commands():
-    assert len(README_COMMANDS) == 9
+    assert len(README_COMMANDS) == 10
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
