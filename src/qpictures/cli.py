@@ -8,10 +8,12 @@ grid), ``chsh`` (one setting or an exhaustive scan), ``picture-check``
 Angles are radians unless ``--degrees`` is given; ``pi`` expressions
 such as ``pi/4`` or ``3pi/4`` are accepted.  Exit codes: 0 success,
 1 failed check, 2 usage error.  An analyzer angle larger in magnitude
-than ``experiment.MAX_ANGLE`` radians is a usage error.  Work is bounded
-before it starts: a sweep takes at most ``experiment.MAX_BATCH`` points
-and a scan at most ``bell.MAX_SCAN_ANGLES`` angles per arm, and a larger
-grid is a usage error.  All output is plain ASCII; JSON floats carry 12
+than ``experiment.MAX_ANGLE`` radians is a usage error.  A negative angle
+other than a plain decimal goes after ``--``, or argparse reads it as an
+option; the error line of a parse failure names such a token.  Work is
+bounded before it starts: a sweep takes at most ``experiment.MAX_BATCH``
+points and a scan at most ``bell.MAX_SCAN_ANGLES`` angles per arm, and a
+larger grid is a usage error.  All output is plain ASCII; JSON floats carry 12
 significant digits, human tables 6.
 """
 from __future__ import annotations
@@ -275,10 +277,39 @@ def cmd_picture_check(args) -> int:
     return 0 if passed else 1
 
 
+class _UsageError(Exception):
+    """A usage error, raised as ``(parser, message)`` with the parser that
+    found it, so that ``main`` can reword a parse failure before reporting
+    it."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, except that ``error`` raises ``_UsageError``;
+    ``main`` reports it as argparse would, with exit code 2."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _angle_read_as_option(argv) -> str | None:
+    """The first token before ``--`` that starts with ``-`` and parses as
+    an angle.  argparse reads a token such as ``-pi/3`` or ``-1e-3`` as an
+    option, so a parse failure next to one most likely stems from it."""
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    for token in head:
+        if token.startswith("-"):
+            try:
+                parse_angle(token)
+            except argparse.ArgumentTypeError:
+                continue
+            return token
+    return None
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qpictures",
         description="Dual-picture qubit simulator: descriptor engine vs statevector oracle.",
     )
@@ -324,8 +355,27 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        return _run(argv)
+    except _UsageError as exc:
+        argparse.ArgumentParser.error(*exc.args)
+
+
+def _run(argv) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        token = _angle_read_as_option(argv)
+        if token is None:
+            raise
+        failed, message = exc.args
+        raise _UsageError(
+            failed,
+            f"{message} ({token} was read as an option: a negative angle goes after --, "
+            f"with every option before it, as in: qpictures epr --format csv -- -pi/3 0)",
+        ) from None
     if args.out not in (None, "-"):  # before any work; _emit reports later failures
         if not args.out:
             parser.error("cannot write --out '': an empty path")

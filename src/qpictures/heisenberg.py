@@ -22,7 +22,13 @@ yields batched descriptors: the same strings for every column, with a
 ``(terms, batch)`` coefficient array.  Images are derived through
 ``pauli``'s Walsh-Hadamard pair between Pauli sums and matrices, for the
 whole stack at once; those of fixed-matrix gates are cached by their
-matrix bytes, those of parametrised gates are not.
+matrix bytes, those of parametrised gates are not.  The operand Paulis
+they conjugate depend only on the arity, and are built once per arity.
+
+Descriptors are read at the reference state: ``descriptor_expectation``
+reads one descriptor or one pair, and ``z_moments`` every <q_z> and
+<q_z q_z'> of a set at once, the twin of ``states.z_moments``.  Both
+require Hermitian descriptors and a real result, and raise explicitly.
 """
 from __future__ import annotations
 
@@ -48,6 +54,7 @@ from .pauli import (
     expectation_in_all_zeros,
     linear_combination,
     pair_expectation_in_all_zeros,
+    pair_matrix_in_all_zeros,
 )
 
 # Evolution aborts once any descriptor would exceed this many terms.
@@ -89,24 +96,38 @@ def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
     return cached
 
 
-def _compute_conjugation_images(gate: Gate) -> dict[tuple[int, Axis], OperatorSum]:
-    """The operand Paulis P, one column each of an identity-coefficient
-    sum, become matrices through ``pauli``'s transform; each U^dag P U,
-    for every matrix U of the gate's stack, goes back through its inverse
-    in one call.  Each conjugation is the matmul a single matrix takes, so
-    a stacked coefficient equals the unstacked one bit for bit."""
-    k = gate.arity
-    images_of = [(slot, axis) for slot in range(k) for axis in _NONTRIVIAL_AXES]
+# The operand Paulis depend only on the arity, so they are built once per
+# arity, read-only, as the step-0 descriptors are built once per width.
+@lru_cache(maxsize=MAX_WIDTH)
+def _operand_paulis(k: int):
+    """The (slot, axis) pairs of a k-operand gate, the ``(3k, 2**k, 2**k)``
+    stack of their Pauli matrices (one column each of an
+    identity-coefficient sum put through ``pauli``'s transform), and the
+    local basis keys 0..4**k - 1."""
+    images_of = tuple((slot, axis) for slot in range(k) for axis in _NONTRIVIAL_AXES)
     singles = np.array([PauliString.single(k, slot + 1, axis).key for slot, axis in images_of], dtype=np.int64)
     # The transform reads keys in any order, so they need no sorting.
     paulis = _to_matrices(OperatorSum._raw(k, singles, np.eye(len(singles)), len(singles)))
+    keys = np.arange(4**k, dtype=np.int64)
+    paulis.setflags(write=False)
+    keys.setflags(write=False)
+    return images_of, paulis, keys
+
+
+def _compute_conjugation_images(gate: Gate) -> dict[tuple[int, Axis], OperatorSum]:
+    """The operand Paulis P (``_operand_paulis``) are conjugated by every
+    matrix U of the gate's stack, and each U^dag P U goes back through the
+    inverse of ``pauli``'s transform in one call.  Each conjugation is the
+    matmul a single matrix takes, so a stacked coefficient equals the
+    unstacked one bit for bit."""
+    k = gate.arity
+    images_of, paulis, keys = _operand_paulis(k)
     stack = gate.matrix if gate.batch is not None else gate.matrix[None]
     adjoint = np.swapaxes(stack.conj(), -1, -2)
     # conjugated[i, b] = U_b^dag P_i U_b; coeffs[s, i, b] over basis strings s.
     conjugated = adjoint[None] @ paulis[:, None] @ stack[None]
-    coeffs = _from_matrices(k, conjugated).reshape(4**k, len(singles), len(stack))
+    coeffs = _from_matrices(k, conjugated).reshape(4**k, len(images_of), len(stack))
     coeffs[np.abs(coeffs) <= _IMAGE_TOL] = 0.0
-    keys = np.arange(4**k, dtype=np.int64)
     # Only the zeroed coefficients fall below PRUNE_TOL.
     return {
         key: OperatorSum._raw(k, *_prune(keys, coeffs[:, i]), gate.batch) for i, key in enumerate(images_of)
@@ -195,15 +216,43 @@ def descriptor_expectation(expr: OperatorSum, other: OperatorSum | None = None):
     as the inner product <expr 0|other 0> without forming the product.
     One value per column when an operand is batched."""
     factors = (expr,) if other is None else (expr, other)
-    if not all(f.is_hermitian() for f in factors):
-        raise ValueError("descriptor expectation requires Hermitian operators")
+    _check_hermitian(factors)
     if other is None:
         value = expectation_in_all_zeros(expr)
     else:
         value = pair_expectation_in_all_zeros(expr, other)
+    value = _real(value)
+    return value if np.ndim(value) else float(value)
+
+
+def z_moments(ds: DescriptorSet):
+    """Every <q_z> and <q_z q_z'> at |0...0>, the descriptor-side twin of
+    ``states.z_moments``: ``(z, zz)`` with ``z[q-1] = <q_z>`` and
+    ``zz[q-1, r-1] = <q_z r_z>``, real, for an unbatched set.
+
+    Each single is read by ``expectation_in_all_zeros``, as
+    ``descriptor_expectation`` reads it, and every pair from one
+    ``pauli.pair_matrix_in_all_zeros`` call, which rejects a batched set.
+    The z descriptors commute, so ``zz`` is symmetric, and its diagonal
+    <q_z q_z> = 1 is a norm.
+    """
+    ops = [ds.z(q) for q in range(1, ds.width + 1)]
+    _check_hermitian(ops)
+    zz = _real(pair_matrix_in_all_zeros(ops))
+    return _real(np.array([expectation_in_all_zeros(op) for op in ops])), zz
+
+
+def _check_hermitian(ops) -> None:
+    if not all(op.is_hermitian() for op in ops):
+        raise ValueError("descriptor expectation requires Hermitian operators")
+
+
+def _real(value):
+    """The real part of a read of Hermitian descriptors, which must be real.
+    The raise is explicit, so it holds under python -O."""
     if not np.all(np.abs(np.imag(value)) <= 1e-12):
         raise AssertionError("Hermitian descriptor expectation came out complex")
-    return np.real(value) if np.ndim(value) else float(value.real)
+    return np.real(value)
 
 
 @dataclass(frozen=True)

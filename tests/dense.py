@@ -3,13 +3,16 @@
 Everything here is built from explicit Kronecker products and index
 arithmetic, independently of the reshape-based statevector kernel and of
 the substitution-based descriptor evolution, so tests can use it as a
-second opinion.  Cost is O(4**width); keep widths small.
+second opinion.  Cost is O(4**width); keep widths small.  It also holds
+the seeded brickwork circuits whose descriptors grow large.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from qpictures.gates import PAULI_MATRIX, Gate
+from qpictures.gates import PAULI_MATRIX, Gate, analyzer_rotation, cnot, hadamard
 from qpictures.pauli import Axis, OperatorSum, PauliString
 
 
@@ -113,3 +116,17 @@ def random_unitary(rng, dim):
     """A Haar-random unitary: QR of a complex Gaussian, phases fixed."""
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def brickwork(width: int, layers: int, seed: int):
+    """Analyzer rotations on every qubit, a CN ladder on alternating offsets
+    and H on every qubit every third layer: descriptors grow to ~10**3
+    terms at width 6."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for layer in range(layers):
+        out += [analyzer_rotation(q, float(rng.uniform(0.0, 2.0 * math.pi))) for q in range(1, width + 1)]
+        out += [cnot(t, t + 1) for t in range(1 + layer % 2, width, 2)]
+        if layer % 3 == 2:
+            out += [hadamard(q) for q in range(1, width + 1)]
+    return out

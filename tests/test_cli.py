@@ -341,6 +341,60 @@ class TestPictureCheck:
         assert "seed" in last
 
 
+class TestNegativeAngleReadAsOption:
+    """argparse reads a negative angle such as -pi/3 or -1e-3 as an option;
+    the error line names the token and the fix."""
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["epr", "-pi/3", "0"], "-pi/3"),
+            (["epr", "-1e-3", "0"], "-1e-3"),
+            (["chsh", "-pi/4", "0", "0", "0"], "-pi/4"),
+        ],
+    )
+    def test_error_names_the_token_and_the_fix(self, capsys, argv, token):
+        last = assert_usage_error(capsys, argv)
+        assert f"{token} was read as an option" in last
+        assert "goes after --, with every option before it" in last
+        assert "qpictures epr --format csv -- -pi/3 0" in last
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epr", "--format", "csv", "--", "-pi/3", "0"],
+            ["epr", "--", "-1e-3", "0"],
+            ["chsh", "--", "-pi/4", "0", "0", "0"],
+        ],
+    )
+    def test_the_fix_parses(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epr", "--bogus", "0", "0"],  # not an angle
+            ["epr", "--", "-pi/3"],  # after --, so not read as an option
+            ["epr", "abc", "0"],
+        ],
+    )
+    def test_other_parse_errors_get_no_hint(self, capsys, argv):
+        assert "read as an option" not in assert_usage_error(capsys, argv)
+
+    def test_module_entry_point_exits_2(self):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        result = subprocess.run(
+            [sys.executable, "-m", "qpictures", "epr", "-pi/3", "0"], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert [line for line in result.stderr.splitlines() if ": error: " in line] == [
+            result.stderr.splitlines()[-1]
+        ]
+        assert "-pi/3 was read as an option" in result.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

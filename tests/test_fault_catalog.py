@@ -8,9 +8,10 @@ catch a fault; a named check that stops catching it fails its row.
 Faults not tested here, with the reason:
 
 * The pair read's operands swapped (``pair_expectation_in_all_zeros(b,
-  a)``) and ``states.z_moments``' ``zz`` transposed are equivalent
-  faults: the z descriptors commute, so <0|b a|0> = <0|a b|0>, and
-  ``zz`` is symmetric.
+  a)``), the pair matrix transposed (``pauli.pair_matrix_in_all_zeros``
+  returning ``ket @ bra.T``) and ``states.z_moments``' ``zz`` transposed
+  are equivalent faults: the z descriptors commute, so <0|b a|0> =
+  <0|a b|0>, and both ``zz`` matrices are symmetric.
 * ``pauli._dense_product`` conjugating its result fails no registry
   check: no CLI command reaches the dense route (CLI products form at
   most 24 term pairs, the route starts at 1024), so ``verify`` cannot
@@ -96,9 +97,10 @@ FAULTS = {
 
 
 def _clear_caches():
-    """Forget every gate matrix, conjugation image and gate row built so
-    far, so a fault reaches all of them and leaves none behind."""
+    """Forget every gate matrix, operand Pauli, conjugation image and gate
+    row built so far, so a fault reaches all of them and leaves none behind."""
     heisenberg._IMAGE_CACHE.clear()
+    heisenberg._operand_paulis.cache_clear()
     gates._UNITARY.clear()
     states._single_rows.cache_clear()
 

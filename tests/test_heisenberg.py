@@ -1,5 +1,6 @@
 """Descriptor engine: conjugation rules, substitution evolution, locality."""
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from qpictures import (
     random_circuit,
     untouched_invariance_check,
 )
-from dense import conjugated_observable, heisenberg_descriptor, operator_matrix, random_unitary, terms
-from qpictures.heisenberg import TermGrowthError
+from dense import brickwork, conjugated_observable, heisenberg_descriptor, operator_matrix, random_unitary, terms
+from qpictures import heisenberg, verification
+from qpictures.heisenberg import DescriptorSet, TermGrowthError, z_moments
 from qpictures.pauli import PRUNE_TOL
 
 ENTANGLER = (hadamard(3), cnot(2, 3))  # four-qubit context: H on Q3, CN target Q2
@@ -94,6 +96,21 @@ class TestConjugationImages:
         image = images[(0, Axis.Z)]
         assert len(image) == 1
         assert image.coefficient("Z1 Z2") == pytest.approx(-1.0)
+
+
+class TestOperandPaulis:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_cached_per_arity_and_read_only(self, arity):
+        images_of, paulis, keys = heisenberg._operand_paulis(arity)
+        assert heisenberg._operand_paulis(arity)[1] is paulis
+        for (slot, axis), matrix in zip(images_of, paulis, strict=True):
+            local = OperatorSum.single_axis(arity, slot + 1, axis)
+            np.testing.assert_array_equal(matrix, operator_matrix(local))
+        np.testing.assert_array_equal(keys, np.arange(4**arity))
+        with pytest.raises(ValueError, match="read-only"):
+            paulis[0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0] = 1
 
 
 class TestEvolve:
@@ -177,6 +194,72 @@ class TestDescriptorExpectation:
         ds = evolve_circuit(init_descriptors(4), gates)
         values = descriptor_expectation(ds.z(2), ds.z(3))
         np.testing.assert_allclose(values, np.cos(angles - 0.3), rtol=0, atol=1e-12)
+
+
+def _z_set(*ops):
+    """A descriptor set whose z descriptors are ``ops``, qubit 1 first."""
+    table = {(q, Axis.Z): op for q, op in enumerate(ops, start=1)}
+    return DescriptorSet(ops[0].width, 0, MappingProxyType(table))
+
+
+class TestZMoments:
+    @staticmethod
+    def _circuits():
+        """The picture_equivalence circuits, then four width-6 brickworks."""
+        rng = np.random.default_rng(verification.PICTURE_CHECK_SEED)
+        for i in range(verification.PICTURE_CHECK_CIRCUITS):
+            width = 2 + i % 4
+            depth = int(rng.integers(1, 13))
+            yield width, random_circuit(width, depth, rng)
+        for seed in range(4):
+            yield 6, brickwork(6, 7, seed)
+
+    def test_matches_one_read_per_moment(self):
+        """Every single and pair read within 2.3e-16 of its own
+        ``descriptor_expectation`` call.  The diagonal <q_z q_z> = 1, which
+        no check scores, sums ~10**3 squares at width 6: within 4 ulps."""
+        worst = worst_diagonal = 0.0
+        for width, gates in self._circuits():
+            ds = evolve_circuit(init_descriptors(width), gates)
+            z, zz = z_moments(ds)
+            assert z.shape == (width,) and zz.shape == (width, width)
+            assert z.dtype == zz.dtype == np.float64
+            for q in range(1, width + 1):
+                worst = max(worst, abs(z[q - 1] - descriptor_expectation(ds.z(q))))
+                for r in range(1, width + 1):
+                    deviation = abs(zz[q - 1, r - 1] - descriptor_expectation(ds.z(q), ds.z(r)))
+                    if q == r:
+                        worst_diagonal = max(worst_diagonal, deviation)
+                    else:
+                        worst = max(worst, deviation)
+        assert worst <= 2.3e-16
+        assert worst_diagonal <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "op",
+        [OperatorSum(2, [("X1", 1.0j)]), init_descriptors(2).z(1) * math.nan],
+        ids=["non_hermitian", "nan"],
+    )
+    def test_non_hermitian_descriptor_rejected(self, op):
+        with pytest.raises(ValueError, match="Hermitian"):
+            z_moments(_z_set(init_descriptors(2).z(1), op))
+
+    def test_batched_set_rejected(self):
+        ds = evolve_circuit(init_descriptors(2), (analyzer_rotation(1, [0.1, 0.2]),))
+        with pytest.raises(ValueError, match="unbatched"):
+            z_moments(ds)
+
+    def test_complex_result_rejected(self):
+        # X1 and Y1 are Hermitian but do not commute: <0|X1 Y1|0> = -i.  The
+        # raise is explicit, so this holds under python -O as well.
+        with pytest.raises(AssertionError, match="complex"):
+            z_moments(_z_set(OperatorSum(2, [("X1", 1.0)]), OperatorSum(2, [("Y1", 1.0)])))
+
+    def test_width_one(self):
+        z, zz = z_moments(evolve(init_descriptors(1), analyzer_rotation(1, 0.3)))
+        assert zz.shape == (1, 1)
+        assert z[0] == pytest.approx(-math.cos(0.3), abs=1e-15)
+        assert zz[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestUntouchedInvariance:

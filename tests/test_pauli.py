@@ -11,17 +11,14 @@ from qpictures import (
     Axis,
     OperatorSum,
     PauliString,
-    analyzer_rotation,
-    cnot,
     evolve_circuit,
     expectation_in_all_zeros,
-    hadamard,
     init_descriptors,
     max_term_deviation,
 )
-from dense import operator_matrix, packed_key, string_matrix, terms
+from dense import brickwork, operator_matrix, packed_key, string_matrix, terms
 from qpictures import cli, pauli
-from qpictures.pauli import MAX_WIDTH, pair_expectation_in_all_zeros
+from qpictures.pauli import MAX_WIDTH, pair_expectation_in_all_zeros, pair_matrix_in_all_zeros
 from qpictures.verification import ALL_CHECKS
 
 # _PHASE_EXP[a, b] = k such that sigma_a sigma_b = i**k sigma_(a XOR b):
@@ -527,6 +524,30 @@ class TestPairExpectationInAllZeros:
             pair_expectation_in_all_zeros(a, b)
 
 
+class TestPairMatrixInAllZeros:
+    """Every <0|a b|0> of a list of sums from one matmul, against the pair read."""
+
+    @given(operator_sums(count=4, max_width=4, max_terms=6))
+    def test_entries_match_the_pair_read(self, sums):
+        # Arbitrary sums, zero ones included: neither Hermitian nor commuting.
+        got = pair_matrix_in_all_zeros(sums)
+        assert got.shape == (4, 4)
+        for i, a in enumerate(sums):
+            for j, b in enumerate(sums):
+                assert abs(got[i, j] - pair_expectation_in_all_zeros(a, b)) <= 1e-12
+
+    def test_one_sum(self):
+        x = OperatorSum(1, [("X1", 1.0), ("Z1", 0.5j)])
+        np.testing.assert_array_equal(pair_matrix_in_all_zeros([x]), [[pair_expectation_in_all_zeros(x, x)]])
+
+    def test_width_mismatch_and_batch_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            pair_matrix_in_all_zeros([OperatorSum.identity(2), OperatorSum.identity(3)])
+        batched = OperatorSum(1, [("Z1", np.array([1.0, 2.0]))])
+        with pytest.raises(ValueError, match="unbatched"):
+            pair_matrix_in_all_zeros([OperatorSum.identity(1), batched])
+
+
 @st.composite
 def dense_route_pairs(draw, batched):
     """Two non-zero sums of width 1-6 over distinct strings, each batched over
@@ -547,20 +568,6 @@ def dense_route_pairs(draw, batched):
         pair.append(OperatorSum(width, terms))
     assume(not any(op.is_zero for op in pair))
     return pair
-
-
-def _brickwork(width: int, layers: int, seed: int):
-    """Analyzer rotations on every qubit, a CN ladder on alternating offsets
-    and H on every qubit every third layer: descriptors grow to ~10**3
-    terms at width 6."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for layer in range(layers):
-        out += [analyzer_rotation(q, float(rng.uniform(0.0, 2.0 * math.pi))) for q in range(1, width + 1)]
-        out += [cnot(t, t + 1) for t in range(1 + layer % 2, width, 2)]
-        if layer % 3 == 2:
-            out += [hadamard(q) for q in range(1, width + 1)]
-    return out
 
 
 @pytest.fixture
@@ -635,7 +642,7 @@ class TestDenseRoute:
         assert cli.main(["sweep", "64"]) == 0
         capsys.readouterr()
         assert dense_calls == []
-        evolve_circuit(init_descriptors(6), _brickwork(6, 7, seed=1))
+        evolve_circuit(init_descriptors(6), brickwork(6, 7, seed=1))
         assert dense_calls and all(width == 6 for width, _, _ in dense_calls)
 
     def test_cost_rule(self):
