@@ -12,7 +12,7 @@ from qpictures import ExperimentConfig, build_timeline, reports, simulate
 from qpictures.states import basis_label
 
 cfg = ExperimentConfig(theta=np.pi / 3, phi=0.0)
-timeline = build_timeline(cfg)
+timeline = build_timeline([cfg])
 run = simulate([cfg])  # a batch of one angle pair
 
 print("analyzer angles: theta = pi/3, phi = 0")

@@ -48,7 +48,6 @@ from .heisenberg import (
     evolve,
     evolve_circuit,
     init_descriptors,
-    untouched_invariance_check,
 )
 from .pauli import (
     Axis,
@@ -117,5 +116,4 @@ __all__ = [
     "reports",
     "sign_error_audit",
     "simulate",
-    "untouched_invariance_check",
 ]

@@ -73,14 +73,10 @@ class ExperimentConfig:
         return self.theta - self.phi
 
 
-def build_timeline(cfg: ExperimentConfig | Sequence[ExperimentConfig]) -> tuple[tuple[Gate, ...], ...]:
-    """The gates of each timeline step t = 1..4, for one config or for a
-    batch of configs: then each analyzer rotation holds one angle per
-    config."""
-    if isinstance(cfg, ExperimentConfig):
-        theta, phi = cfg.theta, cfg.phi
-    else:
-        theta, phi = [c.theta for c in cfg], [c.phi for c in cfg]
+def build_timeline(configs: Sequence[ExperimentConfig]) -> tuple[tuple[Gate, ...], ...]:
+    """The gates of each timeline step t = 1..4 for a batch of configs:
+    each analyzer rotation holds one angle per config."""
+    theta, phi = [c.theta for c in configs], [c.phi for c in configs]
     return (
         (hadamard(SYSTEM_B), cnot(SYSTEM_A, SYSTEM_B)),
         (analyzer_rotation(SYSTEM_A, theta), analyzer_rotation(SYSTEM_B, phi)),

@@ -9,7 +9,9 @@ substitution is exact because conjugation by the circuit prefix is an
 algebra homomorphism.
 
 A direct consequence is the locality bookkeeping: a gate only ever
-rewrites the descriptors of the qubits it acts on.
+rewrites the descriptors of the qubits it acts on, the rule that
+``verification``'s ``descriptor_locality`` check holds every timeline
+gate to.
 
 Images are operator sums of the gate's arity over the local Pauli basis,
 whose packed keys are simply 0..4**k - 1 in canonical order.
@@ -145,7 +147,11 @@ class DescriptorSet:
     def descriptor(self, qubit: int, axis: Axis) -> OperatorSum:
         if not 1 <= qubit <= self.width:
             raise ValueError(f"qubit {qubit} outside width {self.width}")
-        return self._descriptors[(qubit, Axis(axis))]
+        axis = Axis(axis)
+        try:
+            return self._descriptors[(qubit, axis)]
+        except KeyError:
+            raise ValueError(f"no descriptor on axis {axis.name}: each qubit carries X, Y and Z") from None
 
     def z(self, qubit: int) -> OperatorSum:
         return self.descriptor(qubit, Axis.Z)
@@ -254,31 +260,3 @@ def _real(value):
         raise AssertionError("Hermitian descriptor expectation came out complex")
     return np.real(value)
 
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Which disjoint-support descriptors a gate left untouched."""
-
-    passed: bool
-    checked: tuple[tuple[int, Axis], ...]
-    changed: tuple[tuple[int, Axis], ...]
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def untouched_invariance_check(
-    before: DescriptorSet, after: DescriptorSet, gate: Gate
-) -> InvarianceReport:
-    """Verify descriptors supported entirely off the gate's operands are
-    termwise unchanged by the step."""
-    operands = set(gate.qubits)
-    checked = []
-    changed = []
-    for key, old in before.items():
-        if old.support() & operands:
-            continue
-        checked.append(key)
-        if not old.equal_terms(after.descriptor(*key)):
-            changed.append(key)
-    return InvarianceReport(not changed, tuple(checked), tuple(changed))

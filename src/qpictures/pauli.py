@@ -355,13 +355,6 @@ class OperatorSum:
         values = self._coeffs[pos] / string.phase if found else np.zeros(self._coeffs.shape[1], complex)
         return values if self._batch is not None else complex(values[0])
 
-    def support(self) -> frozenset[int]:
-        """Qubits (1-based) on which any term acts non-trivially."""
-        if self.is_zero:
-            return frozenset()
-        occupied = _axis_codes(int(np.bitwise_or.reduce(self._keys)), self._width)
-        return frozenset(q for q, code in enumerate(occupied, start=1) if code)
-
     def is_hermitian(self, atol: float = 1e-12) -> bool:
         if self.is_zero:
             return True

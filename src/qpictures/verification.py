@@ -17,6 +17,12 @@ picture reads every <q_z> and <q_z q_z'> in one pass,
 over the state's probabilities, and one max scores the singles and the
 pairs above the diagonal.  The diagonal <q_z q_z> = 1 compares two
 norms, not two pictures, so it is left out.
+
+``descriptor_locality`` holds the descriptor engine to the locality rule
+by qubit: a gate rewrites only the descriptors of the qubits it acts on.
+It evolves one batched timeline gate by gate and counts every descriptor
+of a qubit outside the gate's operands that is not termwise equal to its
+value before the gate, whatever that descriptor's support.
 """
 from __future__ import annotations
 
@@ -42,12 +48,7 @@ from .experiment import (
     simulate,
 )
 from .gates import cnot, hadamard, random_circuit
-from .heisenberg import (
-    evolve,
-    evolve_circuit,
-    init_descriptors,
-    untouched_invariance_check,
-)
+from .heisenberg import evolve, evolve_circuit, init_descriptors
 from .pauli import max_term_deviation
 from .states import StateVector, apply_circuit, apply_gate, new_all_zeros
 
@@ -205,18 +206,21 @@ def check_no_signaling() -> CheckResult:
 
 
 def check_descriptor_locality() -> CheckResult:
-    """Each timeline gate leaves disjoint-support descriptors untouched."""
-    failures = 0
-    for cfg in (ExperimentConfig(0.3, 1.0), ExperimentConfig(math.pi / 3, math.pi / 7)):
-        ds = init_descriptors(4)
-        for segment in build_timeline(cfg):
-            for gate in segment:
-                after = evolve(ds, gate)
-                if not untouched_invariance_check(ds, after, gate):
-                    failures += 1
-                ds = after
+    """Each timeline gate rewrites only the descriptors of its own qubits:
+    every descriptor of every other qubit comes out termwise equal.  The
+    score is the number that changed, over one batched timeline."""
+    changed = 0
+    ds = init_descriptors(4)
+    for segment in build_timeline((ExperimentConfig(0.3, 1.0), ExperimentConfig(math.pi / 3, math.pi / 7))):
+        for gate in segment:
+            after = evolve(ds, gate)
+            changed += sum(
+                q not in gate.qubits and not old.equal_terms(after.descriptor(q, axis))
+                for (q, axis), old in ds.items()
+            )
+            ds = after
     return _scored(
-        "descriptor_locality", failures, 0.0,
+        "descriptor_locality", changed, 0.0,
         "gates only rewrite descriptors of their operand qubits",
     )
 

@@ -21,6 +21,7 @@ from qpictures import (
     sign_error_audit,
     simulate,
 )
+from dense import terms
 from qpictures import heisenberg
 from qpictures.experiment import RECORD_A, BothPictures, ExperimentReport
 
@@ -42,7 +43,7 @@ def report_of(cfg):
 
 class TestTimeline:
     def test_step_structure(self):
-        timeline = build_timeline(ExperimentConfig(0.3, 1.0))
+        timeline = build_timeline([ExperimentConfig(0.3, 1.0)])
         names = [[g.name for g in segment] for segment in timeline]
         assert names == [["H", "CN"], ["R", "R"], ["CN", "CN"], ["CN"]]
         # three record/comparison CNOTs across t=3 and t=4
@@ -161,7 +162,7 @@ class TestOutcomesDiffer:
 
         def flipped(a, b):
             value = pair(a, b)
-            return -value if RECORD_A in a.support() else value
+            return -value if any(string.axes[RECORD_A - 1] for string, _ in terms(a)) else value
 
         monkeypatch.setattr(heisenberg, "pair_expectation_in_all_zeros", flipped)
         with pytest.raises(AssertionError, match="routes split"):

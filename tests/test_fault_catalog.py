@@ -5,6 +5,14 @@ checks that must then fail.  Only the named checks run, and a check that
 raises counts as failed, as in ``run_all_checks``.  A check may newly
 catch a fault; a named check that stops catching it fails its row.
 
+``record_cnot_touches_distant_descriptors`` patches the ``evolve``
+binding in ``verification``, which only ``descriptor_locality`` calls:
+the near arm's record CNOT, CN on Q1 and Q2, also rescales the distant
+Q3's three descriptors by one ulp.  Every read tolerance is far above
+that, so the row holds the locality check's own rule to account: by
+the record step all three of Q3's descriptors act on Q2, so a rule that
+skipped descriptors whose support meets the gate's qubits would miss it.
+
 Faults not tested here, with the reason:
 
 * The pair read's operands swapped (``pair_expectation_in_all_zeros(b,
@@ -19,11 +27,12 @@ Faults not tested here, with the reason:
   compares the dense route with the pair route, is its only guard.
 """
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from qpictures import experiment, gates, heisenberg, pauli, states
+from qpictures import experiment, gates, heisenberg, pauli, states, verification
 from qpictures.verification import ALL_CHECKS
 
 CHECKS = {check.__name__.removeprefix("check_"): check for check in ALL_CHECKS}
@@ -49,6 +58,19 @@ def _products_without_cross_term(keys_a, keys_b):
     return keys_a ^ keys_b, exponents
 
 
+def _evolve_touching_distant(ds, gate):
+    """``heisenberg.evolve``, except that a CN on Q1 and Q2 also rescales
+    Q3's three descriptors by 1 + 2**-52."""
+    after = _evolve(ds, gate)
+    if gate.name != "CN" or set(gate.qubits) != {1, 2}:
+        return after
+    table = dict(after.items())
+    for axis in (pauli.Axis.X, pauli.Axis.Y, pauli.Axis.Z):
+        table[(3, axis)] = (1 + 2**-52) * table[(3, axis)]
+    return heisenberg.DescriptorSet(after.width, after.step, MappingProxyType(table))
+
+
+_evolve = heisenberg.evolve
 _single_read = pauli.expectation_in_all_zeros
 _reference_images = pauli._reference_images
 _joint_probability = states.joint_probability
@@ -92,6 +114,10 @@ FAULTS = {
     "prune_tolerance_loosened": (
         (pauli, "PRUNE_TOL", 1e-2),
         {"picture_equivalence"},
+    ),
+    "record_cnot_touches_distant_descriptors": (
+        (verification, "evolve", _evolve_touching_distant),
+        {"descriptor_locality"},
     ),
 }
 

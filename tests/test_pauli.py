@@ -251,11 +251,6 @@ class TestOperatorSum:
         assert s.coefficient(PauliString.from_ops(2, "X1")) == pytest.approx(2.0j)
         assert not s.is_hermitian()
 
-    def test_support(self):
-        s = OperatorSum(4, [("Y2 X3", 1.0), ("Z2", 1.0)])
-        assert s.support() == frozenset({2, 3})
-        assert OperatorSum.identity(4).support() == frozenset()
-
     def test_render_format(self):
         s = OperatorSum(4, [("Y2 X3", math.sin(math.pi / 3)), ("Z2 X3", -0.5)])
         assert s.render() == "+0.866025 * Y2 X3\n-0.500000 * Z2 X3"

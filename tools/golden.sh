@@ -36,6 +36,9 @@ done
 golden "epr pi_3 0.txt" epr pi/3 0 --show-descriptors
 golden "epr -pi_3 0.txt" epr -- -pi/3 0
 golden "epr 0.3 1.1.csv" epr 0.3 1.1 --format csv
+for step in 0 4; do
+    golden "epr 0.3 1.1 dump-state $step.txt" epr 0.3 1.1 --dump-state "$step"
+done
 golden "sweep 64.csv" sweep 64
 golden "sweep 24.json" sweep 24 --format json
 python -W error -m qpictures chsh --scan pi/8 --format csv | sha256sum > "$out/chsh scan pi_8.csv.sha256"
