@@ -38,8 +38,7 @@ for q in (2, 3):
         print("   ", line)
 print()
 
-report = reports(run)[0]
-data = report.to_dict()
+data = {name: column[0] for name, column in reports(run).items()}
 print("report (closed form == descriptors == statevector, to 1e-10):")
 print(f"  t=2  P(both |1>)        = {data['p_joint_t2']:.10f}")
 print(f"  t=2  <q_z2 q_z3>        = {data['corr_t2']:.10f}")

@@ -35,7 +35,6 @@ from .experiment import (
     MAX_ANGLE,
     MAX_BATCH,
     ExperimentConfig,
-    ExperimentReport,
     descriptors_at_t2,
     reports,
     simulate,
@@ -155,26 +154,26 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _report_rows(reports):
-    header = list(ExperimentReport.CSV_FIELDS)
-    rows = [list(report.to_dict().values()) for report in reports]
-    return header, rows
+def _report_rows(table):
+    """The header of a report table, and an iterator over its rows, one
+    per config."""
+    return list(table), zip(*(column.tolist() for column in table.values()))
 
 
 def cmd_epr(args) -> int:
     cfg = ExperimentConfig(_scale(args.theta, args.degrees), _scale(args.phi, args.degrees))
     # One run serves the report, the descriptors and the state dump.
     run = simulate([cfg])
-    report = reports(run)[0]
+    table = reports(run)
     qz2, qz3 = (op.column(0) for op in descriptors_at_t2(run))
-    data = report.to_dict()
+    data = {name: float(column[0]) for name, column in table.items()}
     if args.format == "json":
         if args.show_descriptors:
             data["descriptor_qz2_t2"] = qz2.render().split("\n")
             data["descriptor_qz3_t2"] = qz3.render().split("\n")
         text = json.dumps(_json_floats(data), indent=2)
     elif args.format == "csv":
-        text = _csv_text(*_report_rows([report]))
+        text = _csv_text(*_report_rows(table))
     else:
         lines = [f"theta = {cfg.theta:.6g}  phi = {cfg.phi:.6g}  (radians)"]
         lines.append(f"t=2  P(Q2, Q3 both |1>)        = {data['p_joint_t2']:.6g}")

@@ -15,17 +15,19 @@ that the t=2 joint statistics already carry the full angle dependence --
 before the comparison step ever runs.
 
 ``simulate(configs)`` evolves the timeline once for a whole batch of
-angle pairs: the analyzer rotations carry one angle per pair, so states
-have one row and descriptors one coefficient column per pair, while the
-gate list and the Pauli strings are shared.  The result is a ``Run``, and
-every quantity is a function of a Run with one value per angle pair.  One
-angle pair is a batch of one: ``reports(simulate([cfg]))[0]``.
+angle pairs: the analyzer rotations carry one angle per pair, so from t=2
+on states have one row and descriptors one coefficient column per pair,
+while the gate list, the angle-free t=1 step and the Pauli strings are
+shared.  The result is a ``Run``, and every quantity is a function of a
+Run with one value per angle pair.  ``reports(run)`` is the report as a
+table: one array per field, in CSV and JSON order, each holding one value
+per angle pair.  One angle pair is a batch of one:
+``reports(simulate([cfg]))["p_diff_t4"][0]``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -88,7 +90,7 @@ def build_timeline(configs: Sequence[ExperimentConfig]) -> tuple[tuple[Gate, ...
 def _evolution(configs: tuple[ExperimentConfig, ...]):
     """States and descriptor sets per timeline step 0..4, for every config
     at once."""
-    state = StateVector(N_QUBITS, np.tile(new_all_zeros(N_QUBITS).amplitudes, (len(configs), 1)))
+    state = new_all_zeros(N_QUBITS)
     ds = init_descriptors(N_QUBITS)
     state_by_step = [state]
     ds_by_step = [ds]
@@ -105,10 +107,11 @@ def _evolution(configs: tuple[ExperimentConfig, ...]):
 class Run:
     """One evolution of the timeline for a batch of angle pairs.
 
-    ``states[t]`` holds one row of amplitudes per config after step t.
-    ``descriptors[t]`` is the descriptor set after step t; its sums carry
-    one coefficient column per config from the analyzer step on, and none
-    before it, where nothing depends on the angles.
+    ``states[t]`` is the state after step t and ``descriptors[t]`` the
+    descriptor set.  From the analyzer step on, a state holds one row of
+    amplitudes per config and a descriptor sum one coefficient column per
+    config; before it nothing depends on the angles, and neither has a
+    batch axis.
     """
 
     configs: tuple[ExperimentConfig, ...]
@@ -167,27 +170,20 @@ def closed_form_descriptors_t2(run: Run) -> tuple[OperatorSum, OperatorSum]:
 
 @dataclass(frozen=True)
 class BothPictures:
-    """One quantity computed in closed form and by both engines: arrays
-    with one value per config of a Run, or the floats of one config."""
+    """One quantity computed in closed form and by both engines, as arrays
+    with one value per config of a Run."""
 
-    closed: np.ndarray | float
-    heisenberg: np.ndarray | float
-    schrodinger: np.ndarray | float
+    closed: np.ndarray
+    heisenberg: np.ndarray
+    schrodinger: np.ndarray
 
     @property
-    def engine_delta(self):
+    def engine_delta(self) -> np.ndarray:
         return abs(self.heisenberg - self.schrodinger)
 
     @property
-    def closed_deviation(self):
+    def closed_deviation(self) -> np.ndarray:
         return np.maximum(abs(self.heisenberg - self.closed), abs(self.schrodinger - self.closed))
-
-    def column(self, j: int) -> "BothPictures":
-        """The values of config ``j`` of a Run, as floats; IndexError
-        unless 0 <= j < configs."""
-        if not 0 <= j < len(self.closed):
-            raise IndexError(f"column {j} outside 0..{len(self.closed) - 1}")
-        return BothPictures(float(self.closed[j]), float(self.heisenberg[j]), float(self.schrodinger[j]))
 
     @property
     def worst(self) -> float:
@@ -201,10 +197,10 @@ class BothPictures:
         split = np.maximum(self.closed_deviation, self.engine_delta)
         failed = np.flatnonzero(~(split <= ENGINE_ATOL))
         if len(failed):
-            at = self.column(int(failed[0]))
+            j = failed[0]
             raise AssertionError(
-                f"engine disagreement: closed={at.closed!r} "
-                f"heisenberg={at.heisenberg!r} schrodinger={at.schrodinger!r}"
+                f"engine disagreement: closed={float(self.closed[j])!r} "
+                f"heisenberg={float(self.heisenberg[j])!r} schrodinger={float(self.schrodinger[j])!r}"
             )
         return self
 
@@ -288,36 +284,24 @@ CANDIDATE_FORMULAS: Mapping[str, object] = {
 }
 
 
-def _candidate_values(cfg: ExperimentConfig) -> dict[str, float]:
-    """f(theta, phi) for each candidate closed form f."""
-    return {name: f(cfg.theta, cfg.phi) for name, f in CANDIDATE_FORMULAS.items()}
-
-
-def _candidate_deviations(simulated: float, values: Mapping[str, float]) -> dict[str, float]:
-    """|simulated - f(theta, phi)| from each candidate's value f(theta, phi)."""
-    return {name: abs(simulated - value) for name, value in values.items()}
+def _candidate_values(configs: Sequence[ExperimentConfig]) -> dict[str, np.ndarray]:
+    """f(theta, phi) for each candidate closed form f, one value per config."""
+    return {name: np.array([f(c.theta, c.phi) for c in configs]) for name, f in CANDIDATE_FORMULAS.items()}
 
 
 # Two candidates count as distinguished at a point when their closed
-# forms are at least this far apart.
+# forms are more than this far apart.
 _DISCRIMINATION_GAP = 1e-3
 
 
 @dataclass(frozen=True)
-class AuditPoint:
-    theta: float
-    phi: float
-    p_diff: float
-    deviations: Mapping[str, float]
-    non_discriminating: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class SignErrorAudit:
-    """Per-point deviations of the simulated disagreement probability
-    from each candidate closed form."""
+    """The simulated disagreement probability over a grid, one value per
+    config, and its deviation from each candidate closed form."""
 
-    points: tuple[AuditPoint, ...]
+    configs: tuple[ExperimentConfig, ...]
+    p_diff: np.ndarray
+    deviations: Mapping[str, np.ndarray]
     matching: tuple[str, ...]
 
 
@@ -328,34 +312,27 @@ def sign_error_audit(grid: Iterable[ExperimentConfig]) -> SignErrorAudit:
     The grid must distinguish every pair of candidates somewhere,
     otherwise the audit is vacuous and is rejected.
     """
-    configs = list(grid)
+    configs = tuple(grid)
     if not configs:
         raise ValueError("audit grid is empty")
-    p_diff = prob_outcomes_differ_at_t4(simulate(configs)).require_agreement()
-
-    names = list(CANDIDATE_FORMULAS)
-    separated = {(a, b): False for i, a in enumerate(names) for b in names[i + 1 :]}
-    points = []
-    for cfg, simulated in zip(configs, p_diff.schrodinger.tolist()):
-        values = _candidate_values(cfg)
-        non_disc = []
-        for pair in separated:
-            if abs(values[pair[0]] - values[pair[1]]) > _DISCRIMINATION_GAP:
-                separated[pair] = True
-            else:
-                non_disc.append(pair)
-        deviations = _candidate_deviations(simulated, values)
-        points.append(AuditPoint(cfg.theta, cfg.phi, simulated, deviations, tuple(non_disc)))
-
-    missing = [pair for pair, ok in separated.items() if not ok]
+    p_diff = prob_outcomes_differ_at_t4(simulate(configs)).require_agreement().schrodinger
+    values = _candidate_values(configs)
+    names = list(values)
+    missing = [
+        (a, b)
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+        if not np.any(abs(values[a] - values[b]) > _DISCRIMINATION_GAP)
+    ]
     if missing:
         raise ValueError(
             "degenerate audit grid: candidate pairs "
             + ", ".join(f"{a}/{b}" for a, b in missing)
             + " coincide at every supplied point"
         )
-    matching = tuple(name for name in names if np.max([p.deviations[name] for p in points]) <= ENGINE_ATOL)
-    return SignErrorAudit(tuple(points), matching)
+    deviations = {name: abs(p_diff - value) for name, value in values.items()}
+    matching = tuple(name for name, dev in deviations.items() if np.max(dev) <= ENGINE_ATOL)
+    return SignErrorAudit(configs, p_diff, deviations, matching)
 
 
 def default_difference_grid() -> tuple[float, ...]:
@@ -371,49 +348,12 @@ def default_grid_configs() -> tuple[ExperimentConfig, ...]:
     return tuple(configs)
 
 
-# Report fields in CSV and JSON order: headline values are the
-# statevector-path numbers, deltas are the cross-engine gaps.
-_REPORT_FIELDS = (
-    ("theta", attrgetter("theta")),
-    ("phi", attrgetter("phi")),
-    ("p_joint_t2", attrgetter("p_joint_t2.schrodinger")),
-    ("corr_t2", attrgetter("corr_t2.schrodinger")),
-    ("p_diff_t4", attrgetter("p_diff_t4.schrodinger")),
-    ("lin_qz2_t2", attrgetter("lin_qz2_t2")),
-    ("lin_qz3_t2", attrgetter("lin_qz3_t2")),
-    ("p_record_t3", attrgetter("record_marginal_t3.schrodinger")),
-    *((f"dev_{name}", lambda r, name=name: r.audit_deviations[name]) for name in CANDIDATE_FORMULAS),
-    ("delta_p_joint_t2", attrgetter("p_joint_t2.engine_delta")),
-    ("delta_corr_t2", attrgetter("corr_t2.engine_delta")),
-    ("delta_p_diff_t4", attrgetter("p_diff_t4.engine_delta")),
-)
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """All reported quantities for one angle pair, both pictures."""
-
-    theta: float
-    phi: float
-    p_joint_t2: BothPictures
-    corr_t2: BothPictures
-    p_diff_t4: BothPictures
-    lin_qz2_t2: float
-    lin_qz3_t2: float
-    record_marginal_t3: BothPictures
-    audit_deviations: Mapping[str, float] = field(default_factory=dict)
-
-    CSV_FIELDS = tuple(name for name, _ in _REPORT_FIELDS)
-
-    def to_dict(self) -> dict:
-        """Flat mapping with the keys of ``CSV_FIELDS``."""
-        return {name: get(self) for name, get in _REPORT_FIELDS}
-
-
-def reports(run: Run) -> list[ExperimentReport]:
-    """One report per config of ``run``, bundling the pre-comparison (t=2)
-    statistics with the post-comparison (t=4) record, every value
-    cross-checked between pictures."""
+def reports(run: Run) -> dict[str, np.ndarray]:
+    """The report table of ``run``: the pre-comparison (t=2) statistics and
+    the post-comparison (t=4) record, one column per field in CSV and JSON
+    order, one value per config.  Every value is cross-checked between
+    pictures first.  Headline values are the statevector-path numbers,
+    deltas are the cross-engine gaps."""
     p_joint = joint_prob_both_one_at_t2(run).require_agreement()
     corr = correlation_t2(run).require_agreement()
     p_diff = prob_outcomes_differ_at_t4(run).require_agreement()
@@ -424,20 +364,17 @@ def reports(run: Run) -> list[ExperimentReport]:
             outside = v[~((-1e-12 <= v) & (v <= 1.0 + 1e-12))]
             if len(outside):
                 raise AssertionError(f"{name} outside [0, 1]: {float(outside[0])!r}")
-    out = []
-    for j, cfg in enumerate(run.configs):
-        out.append(
-            ExperimentReport(
-                theta=cfg.theta,
-                phi=cfg.phi,
-                p_joint_t2=p_joint.column(j),
-                corr_t2=corr.column(j),
-                p_diff_t4=p_diff.column(j),
-                lin_qz2_t2=float(lin2[j]),
-                lin_qz3_t2=float(lin3[j]),
-                record_marginal_t3=marginal.column(j),
-                audit_deviations=_candidate_deviations(float(p_diff.schrodinger[j]), _candidate_values(cfg)),
-            )
-        )
-    return out
-
+    return {
+        "theta": _per_config(run, lambda c: c.theta),
+        "phi": _per_config(run, lambda c: c.phi),
+        "p_joint_t2": p_joint.schrodinger,
+        "corr_t2": corr.schrodinger,
+        "p_diff_t4": p_diff.schrodinger,
+        "lin_qz2_t2": lin2,
+        "lin_qz3_t2": lin3,
+        "p_record_t3": marginal.schrodinger,
+        **{f"dev_{name}": abs(p_diff.schrodinger - value) for name, value in _candidate_values(run.configs).items()},
+        "delta_p_joint_t2": p_joint.engine_delta,
+        "delta_corr_t2": corr.engine_delta,
+        "delta_p_diff_t4": p_diff.engine_delta,
+    }

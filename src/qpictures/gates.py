@@ -78,6 +78,8 @@ def rotation_matrix(angle) -> np.ndarray:
     time, so each of its matrices equals the single one bit for bit.
     """
     if np.ndim(angle):
+        if not len(angle):
+            raise ValueError("a rotation needs at least one angle, got an empty angle list")
         return np.stack([rotation_matrix(float(a)) for a in angle])
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)

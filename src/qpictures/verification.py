@@ -141,17 +141,17 @@ def check_linear_terms_vanish() -> CheckResult:
 def check_sign_error_audit() -> CheckResult:
     """Only sin^2((theta-phi)/2) survives the disagreement-probability audit."""
     audit = sign_error_audit(default_grid_configs())
-    third = next(p for p in audit.points if abs((p.theta - p.phi) - math.pi / 3) < 1e-12)
-    equal = next(p for p in audit.points if p.theta == p.phi == math.pi / 4)
+    third = next(j for j, c in enumerate(audit.configs) if abs(c.difference - math.pi / 3) < 1e-12)
+    equal = next(j for j, c in enumerate(audit.configs) if c.theta == c.phi == math.pi / 4)
     result = _scored(
-        "sign_error_audit", np.max([p.deviations["sin2_half_diff"] for p in audit.points]), 1e-10,
+        "sign_error_audit", np.max(audit.deviations["sin2_half_diff"]), 1e-10,
         "cos-form off by >=0.4 at diff pi/3; sum-form off by >=0.4 at (pi/4, pi/4)",
     )
-    passed = (
+    passed = bool(
         result.passed
         and audit.matching == ("sin2_half_diff",)
-        and third.deviations["cos2_half_diff"] >= 0.4
-        and equal.deviations["sin2_half_sum"] >= 0.4
+        and audit.deviations["cos2_half_diff"][third] >= 0.4
+        and audit.deviations["sin2_half_sum"][equal] >= 0.4
     )
     return replace(result, passed=passed)
 

@@ -23,14 +23,15 @@ from qpictures import (
 )
 from dense import terms
 from qpictures import heisenberg
-from qpictures.experiment import RECORD_A, BothPictures, ExperimentReport
+from qpictures.experiment import RECORD_A, BothPictures, correlation_t2
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def one(quantity, cfg):
-    """A quantity of one angle pair, simulated as a batch of one."""
-    return quantity(simulate([cfg])).column(0)
+    """A quantity of one angle pair, simulated as a batch of one: each of
+    its arrays holds one value."""
+    return quantity(simulate([cfg]))
 
 
 def descriptors_t2(cfg):
@@ -38,7 +39,8 @@ def descriptors_t2(cfg):
 
 
 def report_of(cfg):
-    return reports(simulate([cfg]))[0]
+    """The report of one angle pair: each column's single value."""
+    return {name: float(column[0]) for name, column in reports(simulate([cfg])).items()}
 
 
 class TestTimeline:
@@ -63,7 +65,11 @@ class TestTimeline:
         run = simulate([ExperimentConfig(0.0, 0.0)])
         before = run.states[1]
         after = run.states[2]
-        np.testing.assert_array_equal(before.amplitudes, after.amplitudes)
+        np.testing.assert_array_equal(before.row(0).amplitudes, after.row(0).amplitudes)
+
+    def test_empty_angle_list_rejected(self):
+        with pytest.raises(ValueError, match="empty angle list"):
+            build_timeline([])
 
     def test_config_requires_finite_angles(self):
         with pytest.raises(ValueError, match="finite"):
@@ -172,22 +178,17 @@ class TestOutcomesDiffer:
 class TestSignErrorAudit:
     def test_discriminating_points(self):
         audit = sign_error_audit(default_grid_configs())
-        third = next(p for p in audit.points if abs(p.theta - math.pi / 3) < 1e-12 and p.phi == 0.0)
-        assert third.p_diff == pytest.approx(0.25, abs=1e-10)
-        assert third.deviations["sin2_half_diff"] == pytest.approx(0.0, abs=1e-10)
-        assert third.deviations["cos2_half_diff"] == pytest.approx(0.5, abs=1e-10)
-        equal = next(p for p in audit.points if p.theta == p.phi == math.pi / 4)
-        assert equal.p_diff == pytest.approx(0.0, abs=1e-10)
-        assert equal.deviations["sin2_half_sum"] == pytest.approx(0.5, abs=1e-10)
+        third = next(j for j, c in enumerate(audit.configs) if abs(c.theta - math.pi / 3) < 1e-12 and c.phi == 0.0)
+        assert audit.p_diff[third] == pytest.approx(0.25, abs=1e-10)
+        assert audit.deviations["sin2_half_diff"][third] == pytest.approx(0.0, abs=1e-10)
+        assert audit.deviations["cos2_half_diff"][third] == pytest.approx(0.5, abs=1e-10)
+        equal = next(j for j, c in enumerate(audit.configs) if c.theta == c.phi == math.pi / 4)
+        assert audit.p_diff[equal] == pytest.approx(0.0, abs=1e-10)
+        assert audit.deviations["sin2_half_sum"][equal] == pytest.approx(0.5, abs=1e-10)
 
     def test_only_difference_form_matches(self):
         audit = sign_error_audit(default_grid_configs())
         assert audit.matching == ("sin2_half_diff",)
-
-    def test_half_pi_difference_flagged_non_discriminating(self):
-        audit = sign_error_audit(default_grid_configs())
-        point = next(p for p in audit.points if abs(p.theta - math.pi / 2) < 1e-12 and p.phi == 0.0)
-        assert ("sin2_half_diff", "cos2_half_diff") in point.non_discriminating
 
     def test_degenerate_grid_rejected(self):
         # at (pi/2, 0) all three candidates equal 1/2
@@ -215,19 +216,19 @@ class TestNoSignaling:
 class TestPreVsPostReport:
     def test_equal_angles(self):
         report = report_of(ExperimentConfig(0.3, 0.3))
-        assert report.p_joint_t2.schrodinger == pytest.approx(0.5, abs=1e-10)
-        assert report.p_diff_t4.schrodinger == pytest.approx(0.0, abs=1e-10)
+        assert report["p_joint_t2"] == pytest.approx(0.5, abs=1e-10)
+        assert report["p_diff_t4"] == pytest.approx(0.0, abs=1e-10)
 
     def test_opposite_angles(self):
         report = report_of(ExperimentConfig(0.0, math.pi))
-        assert report.p_joint_t2.schrodinger == pytest.approx(0.0, abs=1e-10)
-        assert report.p_diff_t4.schrodinger == pytest.approx(1.0, abs=1e-10)
+        assert report["p_joint_t2"] == pytest.approx(0.0, abs=1e-10)
+        assert report["p_diff_t4"] == pytest.approx(1.0, abs=1e-10)
 
     def test_small_sweep_values(self):
         # (1 + cos d)/4 at d = 0, pi/4, pi/2
         expected = [0.5, 0.4267766952966369, 0.25]
         run = simulate(ExperimentConfig(d, 0.0) for d in (0.0, math.pi / 4, math.pi / 2))
-        got = [r.p_joint_t2.schrodinger for r in reports(run)]
+        got = reports(run)["p_joint_t2"]
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_linear_terms_vanish_on_grid(self):
@@ -236,29 +237,35 @@ class TestPreVsPostReport:
         assert np.abs(lin3).max() <= 1e-12
 
     def test_probabilities_stay_in_unit_interval(self):
-        for report in reports(simulate(default_grid_configs())):
-            for value in (
-                report.p_joint_t2.schrodinger,
-                report.p_joint_t2.heisenberg,
-                report.p_diff_t4.schrodinger,
-                report.p_diff_t4.heisenberg,
-                report.record_marginal_t3.schrodinger,
-            ):
-                assert -1e-12 <= value <= 1.0 + 1e-12
+        run = simulate(default_grid_configs())
+        table = reports(run)
+        for values in (
+            table["p_joint_t2"],
+            joint_prob_both_one_at_t2(run).heisenberg,
+            table["p_diff_t4"],
+            prob_outcomes_differ_at_t4(run).heisenberg,
+            table["p_record_t3"],
+        ):
+            assert np.all((-1e-12 <= values) & (values <= 1.0 + 1e-12))
 
     def test_engines_agree_everywhere_on_grid(self):
-        for report in reports(simulate(default_grid_configs())):
-            for quantity in (report.p_joint_t2, report.corr_t2, report.p_diff_t4):
-                assert quantity.closed_deviation <= 1e-10
-                assert quantity.engine_delta <= 1e-10
+        run = simulate(default_grid_configs())
+        for quantity in (joint_prob_both_one_at_t2(run), correlation_t2(run), prob_outcomes_differ_at_t4(run)):
+            assert np.all(quantity.closed_deviation <= 1e-10)
+            assert np.all(quantity.engine_delta <= 1e-10)
 
     def test_sweep_exposes_angle_dependence(self):
-        values = [r.p_joint_t2.schrodinger for r in reports(simulate(default_grid_configs()))]
-        assert max(values) - min(values) >= 0.4
+        values = reports(simulate(default_grid_configs()))["p_joint_t2"]
+        assert values.max() - values.min() >= 0.4
 
-    def test_to_dict_keys_match_csv_fields(self):
-        report = report_of(ExperimentConfig(0.1, 0.9))
-        assert tuple(report.to_dict()) == ExperimentReport.CSV_FIELDS
+    def test_report_columns_are_pinned(self):
+        table = reports(simulate([ExperimentConfig(0.1, 0.9), ExperimentConfig(0.4, 0.2)]))
+        assert tuple(table) == (
+            "theta", "phi", "p_joint_t2", "corr_t2", "p_diff_t4", "lin_qz2_t2", "lin_qz3_t2",
+            "p_record_t3", "dev_sin2_half_diff", "dev_cos2_half_diff", "dev_sin2_half_sum",
+            "delta_p_joint_t2", "delta_corr_t2", "delta_p_diff_t4",
+        )
+        assert all(column.shape == (2,) and column.dtype == np.float64 for column in table.values())
 
 
 class TestDifferenceDependence:
@@ -269,11 +276,10 @@ class TestDifferenceDependence:
         for theta, phi, shift in rng.uniform(-2 * math.pi, 2 * math.pi, size=(25, 3)):
             base.append(ExperimentConfig(theta, phi))
             shifted.append(ExperimentConfig(theta + shift, phi + shift))
-        for a, b in zip(reports(simulate(base)), reports(simulate(shifted))):
-            a, b = a.to_dict(), b.to_dict()
-            for key, value in a.items():
-                # the sum-form audit deviation varies with theta + phi by
-                # construction; everything else is a difference function
-                if key in ("theta", "phi", "dev_sin2_half_sum"):
-                    continue
-                assert abs(value - b[key]) <= 1e-10, key
+        a, b = reports(simulate(base)), reports(simulate(shifted))
+        for key, values in a.items():
+            # the sum-form audit deviation varies with theta + phi by
+            # construction; everything else is a difference function
+            if key in ("theta", "phi", "dev_sin2_half_sum"):
+                continue
+            assert np.all(abs(values - b[key]) <= 1e-10), key

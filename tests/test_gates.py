@@ -133,6 +133,11 @@ def test_rotation_stack_holds_one_matrix_per_angle():
         assert matrix.tobytes() == rotation_matrix(angle).tobytes()
 
 
+def test_empty_angle_list_rejected():
+    with pytest.raises(ValueError, match="empty angle list"):
+        analyzer_rotation(1, [])
+
+
 def test_stack_with_one_non_unitary_matrix_rejected():
     stack = np.stack([H_MATRIX, np.array([[1, 0], [0, 2]], dtype=complex)])
     with pytest.raises(ValueError, match="unitary"):

@@ -5,8 +5,9 @@
 #
 # Every command runs the checkout's own source (PYTHONPATH=CHECKOUT/src)
 # under `python -W error`, and the script exits non-zero as soon as one
-# command fails or warns.  The chsh scan CSV is stored as its sha256.  The
-# golden check of a change against its parent is
+# command fails or warns.  The largest outputs, the chsh scan CSV and the
+# `sweep 4096` CSV and JSON (a MAX_BATCH table), are stored as their
+# sha256.  The golden check of a change against its parent is
 #
 #   tools/golden.sh PARENT before && tools/golden.sh CHANGE after && diff -r before after
 set -euo pipefail
@@ -41,6 +42,8 @@ for step in 0 4; do
 done
 golden "sweep 64.csv" sweep 64
 golden "sweep 24.json" sweep 24 --format json
+python -W error -m qpictures sweep 4096 | sha256sum > "$out/sweep 4096.csv.sha256"
+python -W error -m qpictures sweep 4096 --format json | sha256sum > "$out/sweep 4096.json.sha256"
 python -W error -m qpictures chsh --scan pi/8 --format csv | sha256sum > "$out/chsh scan pi_8.csv.sha256"
 golden "chsh scan pi_8.json" chsh --scan pi/8 --format json
 golden "chsh setting.txt" chsh 0 pi/2 pi/4 3pi/4
