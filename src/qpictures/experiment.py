@@ -87,19 +87,31 @@ def build_timeline(configs: Sequence[ExperimentConfig]) -> tuple[tuple[Gate, ...
     )
 
 
+# Steps 0 and 1 (angle-free) in both pictures, evolved once per process and
+# shared read-only by every run, keyed by the t=1 gates' names, qubits and
+# matrix bytes, so a patched matrix never reuses a stale prefix.
+_PREFIX: dict[tuple, tuple] = {}
+_PREFIX_LIMIT = 64
+
+
 def _evolution(configs: tuple[ExperimentConfig, ...]):
     """States and descriptor sets per timeline step 0..4, for every config
-    at once."""
-    state = new_all_zeros(N_QUBITS)
-    ds = init_descriptors(N_QUBITS)
-    state_by_step = [state]
-    ds_by_step = [ds]
-    for segment in build_timeline(configs):
+    at once, from the shared steps 0 and 1 on."""
+    timeline = build_timeline(configs)
+    key = tuple((gate.name, gate.qubits, gate.matrix.tobytes()) for gate in timeline[0])
+    prefix = _PREFIX.get(key) or ((new_all_zeros(N_QUBITS),), (init_descriptors(N_QUBITS),))
+    state_by_step, ds_by_step = list(prefix[0]), list(prefix[1])
+    for segment in timeline[len(state_by_step) - 1 :]:
+        state, ds = state_by_step[-1], ds_by_step[-1]
         for gate in segment:
             state = apply_gate(state, gate)
             ds = evolve(ds, gate)
         state_by_step.append(state)
         ds_by_step.append(ds)
+    if key not in _PREFIX:
+        if len(_PREFIX) >= _PREFIX_LIMIT:
+            _PREFIX.clear()
+        _PREFIX[key] = (tuple(state_by_step[:2]), tuple(ds_by_step[:2]))
     return tuple(state_by_step), tuple(ds_by_step)
 
 

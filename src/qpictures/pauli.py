@@ -22,7 +22,11 @@ sum it stands for.  A term is pruned only when it is below ``PRUNE_TOL``
 in every column.
 
 A product of two sums takes one of two routes, both merged, pruned and
-canonically ordered.  The pair route forms every term pair.  The dense
+canonically ordered.  The pair route forms every term pair; the
+pair-route products of one ``heisenberg`` step are formed in one pass,
+each product's keys tagged with its index above the key bits, so that
+one stable sort and one reduceat merge them all, each in the order a
+merge of it alone takes (``_merge_sums``).  The dense
 route multiplies the sums' 2**n x 2**n matrices: with
 P|c> = i**|x z| (-1)**|z c| |c ^ x>, a sum becomes a matrix by one
 Walsh-Hadamard transform over the z masks of each x mask, and goes back
@@ -204,7 +208,8 @@ def _prune(keys: np.ndarray, coeffs: np.ndarray):
     below it, so a NaN term survives.  Adding +0.0 turns a -0.0 component
     into +0.0, as summing into a zeroed accumulator does, so a merged and an
     unmerged path give bitwise-equal coefficients."""
-    keep = np.logical_or.reduce(~(np.abs(coeffs) < PRUNE_TOL), axis=1)
+    keep = ~(np.abs(coeffs) < PRUNE_TOL)
+    keep = keep[:, 0] if keep.shape[1] == 1 else np.logical_or.reduce(keep, axis=1)
     return keys[keep], coeffs.compress(keep, axis=0) + 0.0
 
 
@@ -232,7 +237,10 @@ def _group_sums(keys: np.ndarray, values: np.ndarray):
         return keys, values
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    starts = np.empty(len(keys), bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts = starts.nonzero()[0]
     return keys[starts], np.add.reduceat(values.take(order, axis=0), starts)
 
 
@@ -425,13 +433,10 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
     -0.0 component.
     """
     parts = list(parts)
-    scaled, sizes = [], []
+    sizes = []
     for coeff, part in parts:
         if part._width != width:
             raise ValueError(f"width mismatch: {part._width} != {width}")
-        # The coefficient stays the left operand: the vectorised complex
-        # product rounds differently when the operands are swapped.
-        scaled.append(coeff * part._coeffs)
         # Numbers, the common coefficients, skip the slow array test.
         sizes.append(part._batch)
         if not isinstance(coeff, Number) and np.ndim(coeff):
@@ -439,15 +444,16 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
     if not parts:
         return OperatorSum.zero(width)
     batch = _common_batch(*sizes)
+    # The coefficient stays the left operand: the vectorised complex
+    # product rounds differently when the operands are swapped.
     if len(parts) == 1:
         coeff, part = parts[0]
         if isinstance(coeff, Number) and coeff == 1:
             return part
-        return OperatorSum._raw(width, *_prune(part._keys, scaled[0]), batch)
-    if batch is not None:
-        scaled = [c if c.shape[1] == batch else np.broadcast_to(c, (len(c), batch)) for c in scaled]
+        return OperatorSum._raw(width, *_prune(part._keys, coeff * part._coeffs), batch)
+    scaled = np.concatenate([_broadcast(coeff * part._coeffs, batch or 1) for coeff, part in parts])
     keys = np.concatenate([part._keys for _, part in parts])
-    return OperatorSum._raw(width, *_merge(keys, np.concatenate(scaled)), batch)
+    return OperatorSum._raw(width, *_merge(keys, scaled), batch)
 
 
 def _empty(width: int, batch: int | None) -> OperatorSum:
@@ -574,19 +580,79 @@ def _sum_multiply(a: OperatorSum, b: OperatorSum) -> OperatorSum:
 def _sparse_product(a: OperatorSum, b: OperatorSum):
     """Keys and coefficients of a * b from every term pair, formed in
     chunks of rows of ``a`` and merged."""
-    mb, columns = len(b), max(a._coeffs.shape[1], b._coeffs.shape[1])
-    chunk = max(1, _PAIR_CHUNK // (mb * columns))
-    partial_keys, partial_coeffs = [], []
-    for start in range(0, len(a), chunk):
-        keys, exponents = _string_products(a._keys[start : start + chunk, None], b._keys[None, :])
-        # A single-column factor broadcasts over the other's columns.
-        coeffs = (a._coeffs[start : start + chunk, None] * b._coeffs[None]) * _I_POWERS[exponents[:, :, None]]
-        m_keys, m_coeffs = _merge(keys.reshape(-1), coeffs.reshape(keys.size, -1))
-        partial_keys.append(m_keys)
-        partial_coeffs.append(m_coeffs)
-    if len(partial_keys) == 1:
-        return partial_keys[0], partial_coeffs[0]
-    return _merge(np.concatenate(partial_keys), np.concatenate(partial_coeffs))
+    columns = max(a._coeffs.shape[1], b._coeffs.shape[1])
+    chunk = max(1, _PAIR_CHUNK // (len(b) * columns))
+    partial = [
+        _pair_pass(a._width, [(a._keys[i : i + chunk], a._coeffs[i : i + chunk], b._keys, b._coeffs)], columns)[0]
+        for i in range(0, len(a), chunk)
+    ]
+    if len(partial) == 1:
+        return partial[0]
+    return _merge(np.concatenate([k for k, _ in partial]), np.concatenate([c for _, c in partial]))
+
+
+def _pair_products(pairs) -> list[OperatorSum]:
+    """a * b for each (a, b) of ``pairs``, sums of one width, as
+    ``_sum_multiply`` forms it.  The products on the pair route are formed
+    by one ``_pair_pass``, in the column count of the widest, when all
+    their term pairs fit one chunk; the others one at a time."""
+    batches = [_common_batch(a._batch, b._batch) for a, b in pairs]
+    joint = [
+        i
+        for i, (a, b) in enumerate(pairs)
+        if a._width == b._width and len(a) and len(b)
+        and not _takes_dense_route(a._width, len(a) * len(b), batches[i] or 1)
+    ]
+    columns = max([batches[i] or 1 for i in joint], default=1)
+    if sum(len(pairs[i][0]) * len(pairs[i][1]) for i in joint) * columns > _PAIR_CHUNK:
+        joint = []
+    products = [None if i in joint else _sum_multiply(a, b) for i, (a, b) in enumerate(pairs)]
+    if joint:
+        width = pairs[joint[0]][0]._width
+        operands = [(a._keys, a._coeffs, b._keys, b._coeffs) for a, b in (pairs[i] for i in joint)]
+        for i, (keys, coeffs) in zip(joint, _pair_pass(width, operands, columns)):
+            products[i] = OperatorSum._raw(width, keys, coeffs[:, : batches[i] or 1], batches[i])
+    return products
+
+
+def _pair_pass(width: int, pairs, columns: int):
+    """The merged (keys, coeffs) of the product of each (a keys, a coeffs,
+    b keys, b coeffs) of ``pairs``, with ``columns`` columns, from every
+    term pair of every product at once: each row of a meets every row of
+    b, in a-major order, and one ``_merge_sums`` merges all the products."""
+    rows_a = np.array([len(p[0]) for p in pairs])
+    rows_b = np.array([len(p[2]) for p in pairs])
+    # per_row[r]: the term pairs that row r of the stacked a rows forms.
+    per_row = np.repeat(rows_b, rows_a)
+    at_a = np.repeat(np.arange(len(per_row)), per_row)
+    first_b = np.repeat(np.cumsum(rows_b) - rows_b, rows_a) - (np.cumsum(per_row) - per_row)
+    at_b = np.arange(len(at_a)) + np.repeat(first_b, per_row)
+    keys, exponents = _string_products(
+        np.concatenate([p[0] for p in pairs])[at_a], np.concatenate([p[2] for p in pairs])[at_b]
+    )
+    coeffs = np.concatenate([_broadcast(p[1], columns) for p in pairs])[at_a] * np.concatenate(
+        [_broadcast(p[3], columns) for p in pairs]
+    )[at_b]
+    tags = np.repeat(np.arange(len(pairs)), rows_a * rows_b)
+    return _merge_sums(width, tags, len(pairs), keys, coeffs * _I_POWERS[exponents, None])
+
+
+def _broadcast(coeffs: np.ndarray, columns: int) -> np.ndarray:
+    """A single-column coefficient array read as ``columns`` equal ones."""
+    return coeffs if coeffs.shape[1] == columns else coeffs.repeat(columns, axis=1)
+
+
+def _merge_sums(width: int, tags: np.ndarray, count: int, keys: np.ndarray, values: np.ndarray):
+    """The merged, pruned, canonically ordered (keys, coeffs) of each of
+    ``count`` sums at once, sum t holding the terms tagged t.  Each key
+    carries its tag above the key bits, so one stable sort and one
+    reduceat serve every sum, and each sum's terms are summed in the order
+    a merge of that sum alone takes."""
+    shift = 2 * width
+    tagged, values = _merge(keys | tags << shift, values)
+    bounds = np.searchsorted(tagged, [t << shift for t in range(count + 1)]).tolist()
+    keys = tagged & ((1 << shift) - 1)
+    return [(keys[start:end], values[start:end]) for start, end in zip(bounds, bounds[1:])]
 
 
 def expectation_in_all_zeros(op: OperatorSum) -> complex:
@@ -602,17 +668,22 @@ def expectation_in_all_zeros(op: OperatorSum) -> complex:
     return _column_sums(op._coeffs * signs[:, None], op._batch)
 
 
-def _reference_images(op: OperatorSum, bra: bool = False):
-    """op|0..0> as a sparse vector: the distinct x masks of its strings in
-    ascending order, and one amplitude row per mask.  A phase-free string
+def _reference_images(op: OperatorSum):
+    """op|0..0> and <0..0|op as sparse vectors over one grouping: the
+    distinct x masks of op's strings in ascending order, then the ket rows
+    and the bra rows, one amplitude row per mask each.  A phase-free string
     maps the reference state to P|0..0> = i**|x z| (-1)**|z| |x>, since
-    Y = i X Z and Z|0> = -|0>.  With ``bra`` set, the rows are those of
-    <0..0|op instead, whose phases are the conjugates."""
+    Y = i X Z and Z|0> = -|0>; the bra phases are the conjugates.  Both
+    phase rows are reduced together, and each column sums alone."""
     x, z = _x_z(op._keys)
     xz = np.bitwise_count(x & z)
-    exponents = (3 * xz if bra else xz) + 2 * np.bitwise_count(z)
-    phases = _I_POWERS[exponents & 3]
-    return _group_sums(x, op._coeffs * phases[:, None])
+    z2 = 2 * np.bitwise_count(z)
+    columns = op._coeffs.shape[1]
+    phased = np.concatenate(
+        (op._coeffs * _I_POWERS[(xz + z2) & 3, None], op._coeffs * _I_POWERS[(3 * xz + z2) & 3, None]), axis=1
+    )
+    masks, rows = _group_sums(x, phased)
+    return masks, rows[:, :columns], rows[:, columns:]
 
 
 def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
@@ -627,8 +698,8 @@ def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} != {b.width}")
     batch = _common_batch(a._batch, b._batch)
-    keys_a, rows_a = _reference_images(a, bra=True)
-    keys_b, rows_b = _reference_images(b)
+    keys_a, _, rows_a = _reference_images(a)
+    keys_b, rows_b, _ = _reference_images(b)
     # Both key arrays ascend, so looking each bra mask up among the ket's
     # pairs the shared masks in ascending order.
     at_b = np.searchsorted(keys_b, keys_a)
@@ -652,21 +723,19 @@ def pair_matrix_in_all_zeros(ops) -> np.ndarray:
         raise ValueError(f"width mismatch: {sorted({op.width for op in ops})}")
     if any(op._batch is not None for op in ops):
         raise ValueError("a pair matrix reads unbatched sums; take one column at a time")
-    bras = [_reference_images(op, bra=True) for op in ops]
-    kets = [_reference_images(op) for op in ops]
-    keys = np.concatenate([k for k, _ in kets])
+    images = [_reference_images(op) for op in ops]
+    keys = np.concatenate([k for k, _, _ in images])
     # The stable argsort that ``_group_sums`` uses: a first np.sort call maps
     # another numpy sort kernel into memory, +0.25 MB of peak RSS.
     masks = keys[np.argsort(keys, kind="stable")]
     # Keys are >= 0, so the prepended -1 marks the first mask as new.
     masks = masks[np.diff(masks, prepend=-1) != 0]
-    rows = np.repeat(np.arange(len(ops)), [len(k) for k, _ in kets])
+    rows = np.repeat(np.arange(len(ops)), [len(k) for k, _, _ in images])
     cols = np.searchsorted(masks, keys)
     bra = np.zeros((len(ops), len(masks)), complex)
     ket = np.zeros_like(bra)
-    # Bra and ket images of one sum share its x masks in the same order.
-    bra[rows, cols] = np.concatenate([r[:, 0] for _, r in bras])
-    ket[rows, cols] = np.concatenate([r[:, 0] for _, r in kets])
+    bra[rows, cols] = np.concatenate([b[:, 0] for _, _, b in images])
+    ket[rows, cols] = np.concatenate([k[:, 0] for _, k, _ in images])
     return bra @ ket.T
 
 

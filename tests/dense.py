@@ -4,16 +4,21 @@ Everything here is built from explicit Kronecker products and index
 arithmetic, independently of the reshape-based statevector kernel and of
 the substitution-based descriptor evolution, so tests can use it as a
 second opinion.  Cost is O(4**width); keep widths small.  It also holds
-the seeded brickwork circuits whose descriptors grow large.
+the seeded brickwork circuits whose descriptors grow large, and
+``reference_step``, the descriptor step one image term at a time.
 """
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import mul
+from types import MappingProxyType
 
 import numpy as np
 
 from qpictures.gates import PAULI_MATRIX, Gate, analyzer_rotation, cnot, hadamard
-from qpictures.pauli import Axis, OperatorSum, PauliString
+from qpictures.heisenberg import DescriptorSet, conjugation_images
+from qpictures.pauli import Axis, OperatorSum, PauliString, linear_combination
 
 
 def packed_key(axes) -> int:
@@ -130,3 +135,20 @@ def brickwork(width: int, layers: int, seed: int):
         if layer % 3 == 2:
             out += [hadamard(q) for q in range(1, width + 1)]
     return out
+
+
+def reference_step(ds: DescriptorSet, gate: Gate) -> DescriptorSet:
+    """The descriptor step as a loop over the gate's image terms: each
+    term's axis codes pick the operand qubits' current descriptors, which
+    are multiplied left to right, and each image's scaled products are
+    merged by one ``linear_combination``.  ``heisenberg.evolve`` must give
+    the same descriptors bit for bit."""
+    table = dict(ds.items())
+    for (slot, axis), image in conjugation_images(gate).items():
+        parts = []
+        for key, coeff in image._iter_keys():
+            codes = PauliString(image.width, key).axes
+            factors = [ds.descriptor(gate.qubits[s], code) for s, code in enumerate(codes) if code != Axis.I]
+            parts.append((coeff, reduce(mul, factors) if factors else OperatorSum.identity(ds.width)))
+        table[(gate.qubits[slot], axis)] = linear_combination(ds.width, parts)
+    return DescriptorSet(ds.width, ds.step + 1, MappingProxyType(table))

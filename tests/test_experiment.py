@@ -22,7 +22,7 @@ from qpictures import (
     simulate,
 )
 from dense import terms
-from qpictures import heisenberg
+from qpictures import gates, heisenberg
 from qpictures.experiment import RECORD_A, BothPictures, correlation_t2
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -60,6 +60,23 @@ class TestTimeline:
         assert np.abs(np.delete(amps, [0b1001, 0b1111])).max() == pytest.approx(0.0)
         assert joint_probability(state, {2: 1, 3: 1}) == pytest.approx(0.5)
         assert joint_probability(state, {2: 1, 3: 0}) == pytest.approx(0.0)
+
+    def test_runs_share_the_entangler_prefix(self):
+        first = simulate([ExperimentConfig(0.3, 1.1)])
+        second = simulate([ExperimentConfig(2.0, -0.5)] * 3)
+        assert first.states[1] is second.states[1]
+        assert first.descriptors[1] is second.descriptors[1]
+
+    def test_patched_hadamard_reaches_the_next_run(self, monkeypatch):
+        # The shared prefix is keyed by the gates' matrix bytes, so a run
+        # after the patch evolves its own.
+        cfg = [ExperimentConfig(0.3, 1.1)]
+        before = simulate(cfg)
+        monkeypatch.setattr(gates, "H_MATRIX", np.array([[1, 1], [-1, 1]], dtype=complex) / math.sqrt(2))
+        after = simulate(cfg)
+        assert not np.array_equal(after.states[1].amplitudes, before.states[1].amplitudes)
+        old = before.descriptors[1]
+        assert any(not op.equal_terms(old.descriptor(*key)) for key, op in after.descriptors[1].items())
 
     def test_zero_angles_make_rotations_exact_identities(self):
         run = simulate([ExperimentConfig(0.0, 0.0)])

@@ -70,6 +70,13 @@ def _evolve_touching_distant(ds, gate):
     return heisenberg.DescriptorSet(after.width, after.step, MappingProxyType(table))
 
 
+def _bra_rows_as_ket_rows(op):
+    """``pauli._reference_images`` with the bra rows replaced by the ket
+    rows, so the bra phases are not conjugated."""
+    masks, ket, _ = _reference_images(op)
+    return masks, ket, ket
+
+
 _evolve = heisenberg.evolve
 _single_read = pauli.expectation_in_all_zeros
 _reference_images = pauli._reference_images
@@ -99,7 +106,7 @@ FAULTS = {
         {"sign_error_audit", "picture_equivalence"},
     ),
     "pair_read_bra_not_conjugated": (
-        (pauli, "_reference_images", lambda op, bra=False: _reference_images(op)),
+        (pauli, "_reference_images", _bra_rows_as_ket_rows),
         {"zz_correlation", "joint_probability", "sign_error_audit", "picture_equivalence", "bell_violation"},
     ),
     "experiment_ket_values_swapped": (
@@ -123,9 +130,11 @@ FAULTS = {
 
 
 def _clear_caches():
-    """Forget every gate matrix, operand Pauli, conjugation image and gate
-    row built so far, so a fault reaches all of them and leaves none behind."""
+    """Forget every gate matrix, operand Pauli, conjugation image and rule,
+    gate row and timeline prefix built so far, so a fault reaches all of
+    them and leaves none behind."""
     heisenberg._IMAGE_CACHE.clear()
+    experiment._PREFIX.clear()
     heisenberg._operand_paulis.cache_clear()
     gates._UNITARY.clear()
     states._single_rows.cache_clear()

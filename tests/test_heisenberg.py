@@ -1,5 +1,6 @@
 """Descriptor engine: conjugation rules, substitution evolution, locality."""
 import math
+import re
 from types import MappingProxyType
 
 import numpy as np
@@ -25,8 +26,17 @@ from qpictures import (
     pauli_z,
     random_circuit,
 )
-from dense import brickwork, conjugated_observable, heisenberg_descriptor, operator_matrix, random_unitary, terms
-from qpictures import heisenberg, verification
+from dense import (
+    brickwork,
+    conjugated_observable,
+    heisenberg_descriptor,
+    operator_matrix,
+    random_unitary,
+    reference_step,
+    terms,
+)
+from qpictures import heisenberg, pauli, verification
+from qpictures.experiment import ExperimentConfig, build_timeline
 from qpictures.heisenberg import DescriptorSet, TermGrowthError, z_moments
 from qpictures.pauli import PRUNE_TOL
 
@@ -105,16 +115,18 @@ class TestConjugationImages:
 class TestOperandPaulis:
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_cached_per_arity_and_read_only(self, arity):
-        images_of, paulis, keys = heisenberg._operand_paulis(arity)
+        images_of, paulis, keys, gather, phases = heisenberg._operand_paulis(arity)
         assert heisenberg._operand_paulis(arity)[1] is paulis
         for (slot, axis), matrix in zip(images_of, paulis, strict=True):
             local = OperatorSum.single_axis(arity, slot + 1, axis)
             np.testing.assert_array_equal(matrix, operator_matrix(local))
         np.testing.assert_array_equal(keys, np.arange(4**arity))
-        with pytest.raises(ValueError, match="read-only"):
-            paulis[0, 0, 0] = 2.0
-        with pytest.raises(ValueError, match="read-only"):
-            keys[0] = 1
+        # The gathered product is the matmul's, bit for bit.
+        a = random_unitary(np.random.default_rng(arity), 2**arity)
+        np.testing.assert_array_equal(a.ravel()[gather] * phases[:, 0], a @ paulis)
+        for table in (paulis, keys, gather, phases):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1
 
 
 class TestEvolve:
@@ -144,9 +156,18 @@ class TestEvolve:
             evolve(init_descriptors(2), hadamard(3))
 
     def test_term_cap_aborts_with_diagnostic(self, monkeypatch):
+        """Every path of the step checks the cap: R and stacked R through the
+        single-qubit mix, and CN on entangled descriptors through the rule."""
+        cases = [
+            ((analyzer_rotation(1, 0.7),), "qubit 1 axis Y grew to 2 terms at step 1"),
+            ((analyzer_rotation(1, [0.7, 1.1]),), "qubit 1 axis Y grew to 2 terms at step 1"),
+            (ENTANGLER + (analyzer_rotation(2, 0.4), cnot(1, 2)), "qubit 1 axis Y grew to 2 terms at step 4"),
+        ]
+        before = [evolve_circuit(init_descriptors(4), gates[:-1]) for gates, _ in cases]
         monkeypatch.setattr("qpictures.heisenberg.TERM_CAP", 1)
-        with pytest.raises(TermGrowthError, match="grew"):
-            evolve(init_descriptors(1), analyzer_rotation(1, 0.7))
+        for ds, (gates, message) in zip(before, cases):
+            with pytest.raises(TermGrowthError, match=re.escape(f"descriptor for {message} (cap 1)")):
+                evolve(ds, gates[-1])
 
 
 class TestDescriptorExpectation:
@@ -401,3 +422,73 @@ def test_descriptors_stay_canonical_after_every_step(circuit):
             axes = [string.axes for string, _ in pairs]
             assert all(a < b for a, b in zip(axes, axes[1:]))
             assert all(abs(coeff) >= PRUNE_TOL for _, coeff in pairs)
+
+
+def _steps_match_the_reference_step(width, gates):
+    """Every descriptor after every step is ``reference_step``'s, bit for
+    bit; returns the final set."""
+    ds = init_descriptors(width)
+    for gate in gates:
+        got, want = evolve(ds, gate), reference_step(ds, gate)
+        assert got.step == want.step
+        for key, op in want.items():
+            assert got.descriptor(*key).equal_terms(op), (gate, key)
+        ds = got
+    return ds
+
+
+@st.composite
+def oracle_circuits(draw):
+    """A seeded random circuit of all six catalog kinds at width 1-8, with
+    stacked R gates (one batch size per circuit) and a Haar-random 2-qubit
+    unitary spliced in."""
+    width = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = list(random_circuit(width, draw(st.integers(1, 12)), rng))
+    batch = draw(st.integers(1, 4))
+    for _ in range(draw(st.integers(0, 3))):
+        gate = analyzer_rotation(draw(st.integers(1, width)), list(rng.uniform(0.0, 2 * math.pi, batch)))
+        gates.insert(draw(st.integers(0, len(gates))), gate)
+    if width > 1 and draw(st.booleans()):
+        qubits = tuple(int(q) + 1 for q in rng.choice(width, 2, replace=False))
+        gates.insert(draw(st.integers(0, len(gates))), Gate("U", qubits, random_unitary(rng, 4)))
+    return width, gates
+
+
+@given(oracle_circuits())
+def test_evolve_matches_the_reference_step(circuit):
+    _steps_match_the_reference_step(*circuit)
+
+
+@given(st.lists(st.tuples(st.floats(-7, 7), st.floats(-7, 7)), min_size=1, max_size=4))
+def test_timeline_matches_the_reference_step(pairs):
+    """The record CN(1, 2) after the analyzers meets Q1's unbatched and Q2's
+    batched descriptors."""
+    timeline = build_timeline([ExperimentConfig(*pair) for pair in pairs])
+    ds = _steps_match_the_reference_step(4, [gate for segment in timeline[:2] for gate in segment])
+    assert ds.z(1).batch is None and ds.z(2).batch == len(pairs)
+    _steps_match_the_reference_step(4, [gate for segment in timeline for gate in segment])
+
+
+def test_stacked_non_clifford_unitary_matches_the_reference_step():
+    rng = np.random.default_rng(11)
+    stack = np.stack([random_unitary(rng, 4) for _ in range(3)])
+    gate = Gate("U", (1, 3), stack)
+    assert all(len(image) == 15 for image in conjugation_images(gate).values())
+    _steps_match_the_reference_step(3, [hadamard(1), analyzer_rotation(3, 0.4), gate, cnot(2, 3)])
+
+
+def test_dense_route_steps_match_the_reference_step(monkeypatch):
+    dense = []
+    real = pauli._dense_product
+    monkeypatch.setattr(pauli, "_dense_product", lambda a, b: dense.append(a.width) or real(a, b))
+    _steps_match_the_reference_step(6, brickwork(6, 7, seed=1))
+    assert dense
+
+
+@pytest.mark.parametrize("chunk", [16, 256])
+def test_chunked_products_match_the_reference_step(monkeypatch, chunk):
+    """With a small pair chunk, some steps' products no longer fit one
+    joint pass, and the larger ones are formed in chunks."""
+    monkeypatch.setattr(pauli, "_PAIR_CHUNK", chunk)
+    _steps_match_the_reference_step(4, brickwork(4, 5, seed=3))

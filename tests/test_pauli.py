@@ -369,8 +369,8 @@ def test_pair_read_matches_the_intersect1d_form_bit_for_bit(sums, batched):
     a, b = sums
     if batched:
         a = pauli.linear_combination(a.width, [(np.array([1.0, -0.5j, 2.0]), a)])
-    keys_a, rows_a = pauli._reference_images(a, bra=True)
-    keys_b, rows_b = pauli._reference_images(b)
+    keys_a, _, rows_a = pauli._reference_images(a)
+    keys_b, rows_b, _ = pauli._reference_images(b)
     _, at_a, at_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
     expected = pauli._column_sums(rows_a[at_a] * rows_b[at_b], a.batch)
     assert _bits(pair_expectation_in_all_zeros(a, b)).tolist() == _bits(expected).tolist()
