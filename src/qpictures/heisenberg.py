@@ -17,15 +17,16 @@ Images are operator sums of the gate's arity over the local Pauli basis,
 whose packed keys are simply 0..4**k - 1 in canonical order, derived
 through ``pauli``'s Walsh-Hadamard pair for the gate's whole matrix stack
 at once; the operand Paulis they conjugate are built once per arity.  A
-gate's images are compiled into a rule, each term's coefficient and the
-(slot, axis) factors whose current descriptors multiply out to it (read
+gate's images are compiled into one array-shaped rule (``_compiled``),
+cached by matrix bytes for a fixed-matrix gate.  A basis key's factors,
+the operand qubits' current descriptors, multiply out left to right, and
+without its last factor it is another basis key (``_factor_runs``, read
 through ``pauli._axis_codes``, so this module never touches the key
-layout), cached with the images by matrix bytes for a fixed-matrix gate.
-A step forms all its factor pairs in one ``pauli._pair_products`` call.
-A single-qubit gate that is not cached (an analyzer rotation) instead
-mixes its qubit's three descriptors by its image coefficients, merged by
-one stable sort.  Either way each descriptor is bit for bit the one that
-substituting one image term at a time gives.
+layout), so a step forms its products in rounds of
+``pauli._pair_products``.  A step of one-term images passes each through
+or scales it; any other merges them all with one tagged
+``pauli._merge_sums``.  Either way each descriptor is bit for bit the one
+that substituting one image term at a time gives.
 
 A gate with a stack of matrices (an analyzer rotation over a batch of
 angles) has one image coefficient per batch column, so substitution
@@ -40,9 +41,7 @@ require Hermitian descriptors and a real result, and raise explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from numbers import Number
-from operator import mul
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -64,7 +63,6 @@ from .pauli import (
     _prune,
     _to_matrices,
     expectation_in_all_zeros,
-    linear_combination,
     pair_expectation_in_all_zeros,
     pair_matrix_in_all_zeros,
 )
@@ -79,11 +77,11 @@ class TermGrowthError(RuntimeError):
     """Raised when descriptor evolution exceeds the term-count cap."""
 
 
-# Images and compiled rules (``_rule``) of fixed-matrix gates, keyed by
-# the matrix bytes alone (a complex128 matrix's byte count fixes the
-# arity), so a patched matrix never reuses a stale rule.  Parametrised
-# gates (analyzer rotations) are not cached: their angles rarely repeat.
-_IMAGE_CACHE: dict[bytes, tuple[Mapping[tuple[int, Axis], OperatorSum], tuple]] = {}
+# Compiled rules (``_compiled``) of fixed-matrix gates, keyed by the
+# matrix bytes alone (a complex128 matrix's byte count fixes the arity), so
+# a patched matrix never reuses a stale rule.  Parametrised gates (analyzer
+# rotations) are compiled at each step: their angles rarely repeat.
+_IMAGE_CACHE: dict[bytes, tuple[list, np.ndarray, np.ndarray, tuple, tuple | None]] = {}
 _IMAGE_CACHE_LIMIT = 4096
 
 # Image coefficients at or below this magnitude are dropped.
@@ -96,43 +94,68 @@ def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
     Keys are (operand slot, axis); values are operator sums of width
     ``gate.arity``, batched when the gate holds a stack of matrices.
     """
-    return _compiled(gate)[0]
+    keys, tags, coeffs, _, _ = _compiled(gate)
+    return MappingProxyType({
+        (slot, axis): OperatorSum._raw(gate.arity, np.array(keys)[tags == i], coeffs[tags == i], gate.batch)
+        for i, (_, slot, axis) in enumerate(_factor_runs(gate.arity)[0])
+    })
 
 
 def _compiled(gate: Gate) -> tuple:
-    """The gate's images and their ``_rule``, cached for a fixed-matrix gate."""
+    """The gate's images compiled for ``evolve``, cached for a fixed-matrix
+    gate: per row (image term), in ascending basis key, its basis key, its
+    image (tag) and its coefficient row, one column per matrix of the
+    stack; the rounds of products to form, each its runs with their
+    prefixes and last factors (``_factor_runs``); and, when every image is
+    one term, per image its key, its row and whether its coefficient is
+    exactly 1, else None."""
     key = None if gate.params or gate.batch is not None else gate.matrix.tobytes()
-    cached = _IMAGE_CACHE.get(key)
-    if cached is None:
-        images_of, _, keys, _, _ = _operand_paulis(gate.arity)
-        coeffs = _image_coefficients(gate)
-        # Only the zeroed coefficients fall below PRUNE_TOL.
-        images = MappingProxyType({
-            slot_axis: OperatorSum._raw(gate.arity, *_prune(keys, coeffs[:, i]), gate.batch)
-            for i, slot_axis in enumerate(images_of)
-        })
-        cached = images, _rule(images)
+    rule = _IMAGE_CACHE.get(key)
+    if rule is None:
+        k, images = gate.arity, 3 * gate.arity
+        _, count, prefix, last = _factor_runs(k)
+        # Row images * s + i holds the coefficient of basis key s in image i;
+        # only the zeroed coefficients fall below PRUNE_TOL.
+        rows, coeffs = _prune(np.arange(images * 4**k), _image_coefficients(gate).reshape(images * 4**k, -1))
+        keys, tags = np.divmod(rows, images)
+        need, rounds, single = np.bincount(keys, minlength=4**k) > 0, [], None
+        for factors in range(k, 1, -1):
+            runs = np.flatnonzero(need & (count == factors))
+            need[prefix[runs]] = True
+            rounds.insert(0, (runs.tolist(), prefix[runs].tolist(), last[runs].tolist()))
+        # Every image of a unitary holds a term, so one row per image is one
+        # term each.
+        if len(rows) == images:
+            order = np.argsort(tags, kind="stable")
+            unit = (coeffs[order, 0] == 1) & (gate.batch is None)
+            single = tuple(zip(keys[order].tolist(), order.tolist(), unit.tolist()))
+        rule = keys.tolist(), tags, coeffs, tuple(r for r in rounds if r[0]), single
         if key is not None:
             if len(_IMAGE_CACHE) >= _IMAGE_CACHE_LIMIT:
                 _IMAGE_CACHE.clear()
-            _IMAGE_CACHE[key] = cached
-    return cached
+            _IMAGE_CACHE[key] = rule
+    return rule
 
 
-def _rule(images) -> tuple:
-    """The images compiled for ``evolve``: per image, its (slot, axis), its
-    terms, each a coefficient (a number, or a row for a stacked gate) and
-    the non-identity (slot, axis code) factors whose current descriptors
-    multiply out to the term, and whether it is one term of coefficient
-    exactly 1; then every distinct leading factor pair."""
-    rule = []
-    for key, image in images.items():
-        terms = tuple(
-            (coeff, tuple((s, c) for s, c in enumerate(_axis_codes(k, image.width)) if c != Axis.I))
-            for k, coeff in image._iter_keys()
-        )
-        rule.append((key, terms, len(terms) == 1 and isinstance(terms[0][0], Number) and terms[0][0] == 1))
-    return tuple(rule), tuple(dict.fromkeys(f[:2] for _, terms, _ in rule for _, f in terms if len(f) > 1))
+# The factor runs depend only on the arity, so they are read once per arity.
+@lru_cache(maxsize=MAX_WIDTH)
+def _factor_runs(k: int):
+    """Per image (slot, axis) of a k-operand gate, the basis key of its
+    one factor; and per basis key s its factor count, its prefix (the key
+    of its factors but the last) and the key of its last factor, so that
+    s's factors multiply out left to right as prefix's times last's."""
+    codes = [_axis_codes(s, k) for s in range(4**k)]
+    index = {c: s for s, c in enumerate(codes)}
+    cuts = [max((slot for slot, c in enumerate(axes) if c), default=0) for axes in codes]
+    tables = (
+        np.count_nonzero(codes, axis=1),
+        np.array([index[axes[:cut] + (0,) * (k - cut)] for axes, cut in zip(codes, cuts)]),
+        np.array([PauliString.single(k, cut + 1, axes[cut]).key for axes, cut in zip(codes, cuts)]),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    leaves = tuple((PauliString.single(k, slot + 1, axis).key, slot, axis) for slot, axis in _operand_paulis(k)[0])
+    return (leaves, *tables)
 
 
 # The operand Paulis depend only on the arity, so they are built once per
@@ -141,21 +164,20 @@ def _rule(images) -> tuple:
 def _operand_paulis(k: int):
     """The (slot, axis) pairs of a k-operand gate, the ``(3k, 2**k, 2**k)``
     stack of their Pauli matrices P_i (one column each of an
-    identity-coefficient sum put through ``pauli``'s transform), the local
-    basis keys 0..4**k - 1, and ``gather`` and ``phases`` with
+    identity-coefficient sum put through ``pauli``'s transform), and
+    ``gather`` and ``phases`` with
     (A @ P_i)[r, c] = A.ravel()[gather[i, r, c]] * phases[i, 0, 0, c]:
     column c of P_i holds one entry, a phase."""
     images_of = tuple((slot, axis) for slot in range(k) for axis in _NONTRIVIAL_AXES)
     singles = np.array([PauliString.single(k, slot + 1, axis).key for slot, axis in images_of], dtype=np.int64)
     # The transform reads keys in any order, so they need no sorting.
     paulis = _to_matrices(OperatorSum._raw(k, singles, np.eye(len(singles)), len(singles)))
-    keys = np.arange(4**k, dtype=np.int64)
     rows = np.abs(paulis).argmax(axis=1)
     gather = np.arange(2**k)[None, :, None] * 2**k + rows[:, None, :]
     phases = np.take_along_axis(paulis, rows[:, None], axis=1)[:, None]
-    for table in (paulis, keys, gather, phases):
+    for table in (paulis, gather, phases):
         table.setflags(write=False)
-    return images_of, paulis, keys, gather, phases
+    return images_of, paulis, gather, phases
 
 
 def _image_coefficients(gate: Gate) -> np.ndarray:
@@ -166,7 +188,7 @@ def _image_coefficients(gate: Gate) -> np.ndarray:
     matmul a single matrix takes, so a stacked coefficient equals the
     unstacked one bit for bit."""
     k = gate.arity
-    images_of, _, _, gather, phases = _operand_paulis(k)
+    images_of, _, gather, phases = _operand_paulis(k)
     stack = gate.matrix if gate.batch is not None else gate.matrix[None]
     adjoint = np.swapaxes(stack.conj(), -1, -2)
     # U_b^dag P_i by one gather and one phase per entry: exact, as the matmul
@@ -224,34 +246,50 @@ def init_descriptors(width: int) -> DescriptorSet:
 
 
 def evolve(ds: DescriptorSet, gate: Gate) -> DescriptorSet:
-    """Descriptors after appending ``gate`` to the circuit.  A single-qubit
-    gate whose images are not cached mixes its qubit's descriptors
-    (``_mix``); any other gate follows its compiled rule: each image term's
-    factors are the operand qubits' current descriptors, multiplied out
-    (every distinct leading pair in one ``_pair_products`` call), and each
-    image's scaled terms are summed by ``linear_combination``."""
+    """Descriptors after appending ``gate`` to the circuit, by its compiled
+    rule.  Each image term's factors, the operand qubits' current
+    descriptors, multiply out left to right, one ``_pair_products`` round
+    per factor count.  When every image is one term, each is passed
+    through (coefficient exactly 1) or scaled and pruned; otherwise one
+    tagged ``_merge_sums`` sums every image's scaled terms."""
     operands = gate.qubits
     for q in operands:
         if not 1 <= q <= ds.width:
             raise ValueError(f"gate qubit {q} outside width {ds.width}")
     current = ds._descriptors
-    new = _mix(ds, gate) if gate.arity == 1 and (gate.params or gate.batch is not None) else None
-    if new is None:
-        rule, pairs = _compiled(gate)[1]
-        pair_operands = [(current[operands[a], u], current[operands[b], v]) for (a, u), (b, v) in pairs]
-        products = dict(zip(pairs, _pair_products(pair_operands) if pairs else ()))
-
-        def value(factors):
-            if len(factors) > 1:
-                return reduce(mul, (current[operands[s], a] for s, a in factors[2:]), products[factors[:2]])
-            return current[operands[factors[0][0]], factors[0][1]] if factors else OperatorSum.identity(ds.width)
-
+    keys, tags, coeffs, rounds, single = _compiled(gate)
+    leaves = _factor_runs(gate.arity)[0]
+    runs = {s: current[operands[slot], axis] for s, slot, axis in leaves}
+    # Rows ascend by basis key, so an identity term comes first.
+    if keys[0] == 0:
+        runs[0] = OperatorSum.identity(ds.width)
+    for formed, prefixes, lasts in rounds:
+        runs.update(zip(formed, _pair_products([(runs[p], runs[f]) for p, f in zip(prefixes, lasts)])))
+    if single is not None:
         new = [
-            (key, value(terms[0][1]) if unit else linear_combination(ds.width, [(c, value(f)) for c, f in terms]))
-            for key, terms, unit in rule
+            run if unit else OperatorSum._raw(
+                ds.width, *_prune(run._keys, coeffs[row] * run._coeffs), _common_batch(gate.batch, run._batch)
+            )
+            for run, row, unit in ((runs[s], row, unit) for s, row, unit in single)
         ]
+    else:
+        parts = [runs[s] for s in keys]
+        # The step's batched sums share one batch size, and an image is
+        # batched when the gate or one of its parts is.
+        _common_batch(gate.batch, *(p._batch for p in parts))
+        owns = [gate.batch] * len(leaves)
+        for p, t in zip(parts, tags.tolist()):
+            owns[t] = owns[t] or p._batch
+        # The coefficient rows broadcast over the parts' columns.
+        columns = max(p._coeffs.shape[1] for p in parts)
+        lengths = [len(p._keys) for p in parts]
+        values = np.repeat(coeffs, lengths, axis=0) * np.concatenate([_broadcast(p._coeffs, columns) for p in parts])
+        merged = _merge_sums(
+            ds.width, np.repeat(tags, lengths), len(leaves), np.concatenate([p._keys for p in parts]), values
+        )
+        new = [OperatorSum._raw(ds.width, k, c[:, : own or 1], own) for (k, c), own in zip(merged, owns)]
     table = dict(current)
-    for (slot, axis), op in new:
+    for (_, slot, axis), op in zip(leaves, new):
         if len(op) > TERM_CAP:
             raise TermGrowthError(
                 f"descriptor for qubit {operands[slot]} axis {axis.name} grew to "
@@ -259,32 +297,6 @@ def evolve(ds: DescriptorSet, gate: Gate) -> DescriptorSet:
             )
         table[(operands[slot], axis)] = op
     return DescriptorSet(ds.width, ds.step + 1, MappingProxyType(table))
-
-
-def _mix(ds: DescriptorSet, gate: Gate):
-    """A single-qubit gate's three new descriptors as a 3x3 (x batch) mix of
-    its qubit's descriptors d_s, with O[s, a], the image coefficients,
-    pruned as the images are: image a is sum_s O[s, a] d_s, each part
-    scaled as ``linear_combination`` scales it, and one stable sort serves
-    all three.  None if an image has an identity term."""
-    # Row 3 s + a holds the coefficient of basis key s in image a.
-    rows, coeffs = _prune(np.arange(12), _image_coefficients(gate).reshape(12, -1))
-    if not len(rows) or rows[0] < 3:
-        return None
-    keys, images = (column.tolist() for column in np.divmod(rows, 3))
-    # Axis is an IntEnum, so a plain axis code finds the (qubit, Axis) key.
-    parts = [ds._descriptors[gate.qubits[0], s] for s in keys]
-    batches = [_common_batch(gate.batch, *(p._batch for p, i in zip(parts, images) if i == a)) for a in range(3)]
-    # The coefficient rows broadcast over the parts' columns; each image
-    # keeps the columns of its own batch.
-    columns = max(p._coeffs.shape[1] for p in parts)
-    lengths = [len(p._keys) for p in parts]
-    values = np.repeat(coeffs, lengths, axis=0) * np.concatenate([_broadcast(p._coeffs, columns) for p in parts])
-    merged = _merge_sums(ds.width, np.repeat(images, lengths), 3, np.concatenate([p._keys for p in parts]), values)
-    return [
-        ((0, axis), OperatorSum._raw(ds.width, keys, coeffs[:, : batch or 1], batch))
-        for axis, batch, (keys, coeffs) in zip(_NONTRIVIAL_AXES, batches, merged)
-    ]
 
 
 def evolve_circuit(ds: DescriptorSet, gates: Iterable[Gate]) -> DescriptorSet:

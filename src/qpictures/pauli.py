@@ -21,25 +21,25 @@ the same floating-point operations, in the same order, as the unbatched
 sum it stands for.  A term is pruned only when it is below ``PRUNE_TOL``
 in every column.
 
-A product of two sums takes one of two routes, both merged, pruned and
-canonically ordered.  The pair route forms every term pair; the
-pair-route products of one ``heisenberg`` step are formed in one pass,
-each product's keys tagged with its index above the key bits, so that
-one stable sort and one reduceat merge them all, each in the order a
-merge of it alone takes (``_merge_sums``).  The dense
-route multiplies the sums' 2**n x 2**n matrices: with
-P|c> = i**|x z| (-1)**|z c| |c ^ x>, a sum becomes a matrix by one
-Walsh-Hadamard transform over the z masks of each x mask, and goes back
-the same way, so its cost is O(8**n) whatever the term counts.  This
-pair is the package's one Pauli decomposition; ``heisenberg`` derives
-conjugation images through it too.  A product
-takes the dense route when it forms more than 8**n / 64 pairs, and at
-least 1024, at width n <= 8 with columns * 4**n <= 2**18.  The pair route
-costs ~0.1 us per pair and the dense route ~0.7 ns per 8**n plus ~40 us
-of fixed cost (one core), so the two break even near 8**n / 128 pairs at
-widths 6-8 and near 300 pairs below; each bound sits at least twice past
-its crossover.  The small sums of the CLI commands (at most 24 pairs)
-stay on the pair route.
+Every product of two sums, ``a * b`` included, goes through one entry,
+``_pair_products``, which forms a list of products at once by one of two
+routes, both merged, pruned and canonically ordered.  The pair route
+forms every term pair; the products that fit one chunk are formed in one
+pass, each product's keys tagged with its index above the key bits, so
+that one stable sort and one reduceat merge them all, each in the order
+a merge of it alone takes (``_merge_sums``).  The dense route multiplies
+the sums' 2**n x 2**n matrices: with P|c> = i**|x z| (-1)**|z c| |c ^ x>,
+a sum becomes a matrix by one Walsh-Hadamard transform over the z masks
+of each x mask, and goes back the same way, so its cost is O(8**n)
+whatever the term counts.  This pair is the package's one Pauli
+decomposition; ``heisenberg`` derives conjugation images through it too.
+A product takes the dense route when it forms more than 8**n / 64 pairs,
+and at least 1024, at width n <= 8 with columns * 4**n <= 2**18.  The
+pair route costs ~0.1 us per pair and the dense route ~0.7 ns per 8**n
+plus ~40 us of fixed cost (one core), so the two break even near
+8**n / 128 pairs at widths 6-8 and near 300 pairs below; each bound sits
+at least twice past its crossover.  The small sums of the CLI commands
+(at most 24 pairs) stay on the pair route.
 
 Conventions used throughout the package:
 
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from numbers import Number
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -346,12 +346,6 @@ class OperatorSum:
     def is_zero(self) -> bool:
         return len(self._coeffs) == 0
 
-    def _iter_keys(self) -> Iterator[tuple[int, complex]]:
-        """(packed key, coefficient) pairs in canonical order; a batched sum
-        gives each term's row of per-column coefficients."""
-        coeffs = self._coeffs if self._batch is not None else self._coeffs[:, 0].tolist()
-        return zip(self._keys.tolist(), coeffs)
-
     def coefficient(self, string: PauliString | str) -> complex:
         """Coefficient of ``string`` (0 if absent); phases are divided out."""
         if isinstance(string, str):
@@ -381,7 +375,7 @@ class OperatorSum:
 
     def __mul__(self, other):
         if isinstance(other, OperatorSum):
-            return _sum_multiply(self, other)
+            return _pair_products([(self, other)])[0]
         if isinstance(other, Number):
             c = complex(other)
             if abs(c) < PRUNE_TOL:
@@ -566,52 +560,43 @@ def _dense_product(a: OperatorSum, b: OperatorSum):
     return _prune(np.arange(4**width, dtype=np.int64), _from_matrices(width, _to_matrices(a) @ _to_matrices(b)))
 
 
-def _sum_multiply(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} != {b.width}")
-    width = a.width
-    batch = _common_batch(a._batch, b._batch)
-    if a.is_zero or b.is_zero:
-        return _empty(width, batch)
-    dense = _takes_dense_route(width, len(a) * len(b), batch or 1)
-    return OperatorSum._raw(width, *(_dense_product if dense else _sparse_product)(a, b), batch)
-
-
-def _sparse_product(a: OperatorSum, b: OperatorSum):
-    """Keys and coefficients of a * b from every term pair, formed in
-    chunks of rows of ``a`` and merged."""
-    columns = max(a._coeffs.shape[1], b._coeffs.shape[1])
-    chunk = max(1, _PAIR_CHUNK // (len(b) * columns))
-    partial = [
-        _pair_pass(a._width, [(a._keys[i : i + chunk], a._coeffs[i : i + chunk], b._keys, b._coeffs)], columns)[0]
-        for i in range(0, len(a), chunk)
-    ]
-    if len(partial) == 1:
-        return partial[0]
-    return _merge(np.concatenate([k for k, _ in partial]), np.concatenate([c for _, c in partial]))
-
-
 def _pair_products(pairs) -> list[OperatorSum]:
-    """a * b for each (a, b) of ``pairs``, sums of one width, as
-    ``_sum_multiply`` forms it.  The products on the pair route are formed
-    by one ``_pair_pass``, in the column count of the widest, when all
-    their term pairs fit one chunk; the others one at a time."""
-    batches = [_common_batch(a._batch, b._batch) for a, b in pairs]
-    joint = [
-        i
-        for i, (a, b) in enumerate(pairs)
-        if a._width == b._width and len(a) and len(b)
-        and not _takes_dense_route(a._width, len(a) * len(b), batches[i] or 1)
-    ]
-    columns = max([batches[i] or 1 for i in joint], default=1)
-    if sum(len(pairs[i][0]) * len(pairs[i][1]) for i in joint) * columns > _PAIR_CHUNK:
-        joint = []
-    products = [None if i in joint else _sum_multiply(a, b) for i, (a, b) in enumerate(pairs)]
-    if joint:
-        width = pairs[joint[0]][0]._width
-        operands = [(a._keys, a._coeffs, b._keys, b._coeffs) for a, b in (pairs[i] for i in joint)]
-        for i, (keys, coeffs) in zip(joint, _pair_pass(width, operands, columns)):
-            products[i] = OperatorSum._raw(width, keys, coeffs[:, : batches[i] or 1], batches[i])
+    """a * b for each (a, b) of ``pairs``: the package's one product entry.
+    Every sum has one width and every batched sum one batch size, or it
+    raises ``ValueError``.  A product with an empty factor is the empty
+    sum, and one past the dense route's cost rule takes that route.  The
+    others are formed by one ``_pair_pass``, in the column count of the
+    widest, when all their term pairs fit one chunk; otherwise each alone,
+    in chunks of rows of a whose partial products are merged."""
+    widths = {op._width for pair in pairs for op in pair}
+    if len(widths) > 1:
+        raise ValueError(f"width mismatch: {sorted(widths)}")
+    width, batch = widths.pop(), _common_batch(*(op._batch for pair in pairs for op in pair))
+    products, rest, count, columns = [], [], 0, 1
+    for i, (a, b) in enumerate(pairs):
+        own = None if a._batch is None and b._batch is None else batch
+        terms = len(a._keys) * len(b._keys)
+        if not terms:
+            products.append(_empty(width, own))
+        elif _takes_dense_route(width, terms, own or 1):
+            products.append(OperatorSum._raw(width, *_dense_product(a, b), own))
+        else:
+            products.append(None)
+            rest.append((i, own))
+            count += terms
+            columns = max(columns, own or 1)
+    if count * columns <= _PAIR_CHUNK:
+        operands = [(a._keys, a._coeffs, b._keys, b._coeffs) for a, b in (pairs[i] for i, _ in rest)]
+        formed = _pair_pass(width, operands, columns) if rest else []
+    else:
+        formed = []
+        for (a, b), columns in ((pairs[i], own or 1) for i, own in rest):
+            chunk = max(1, _PAIR_CHUNK // (len(b) * columns))
+            rows = [slice(r, r + chunk) for r in range(0, len(a), chunk)]
+            partial = [_pair_pass(width, [(a._keys[s], a._coeffs[s], b._keys, b._coeffs)], columns)[0] for s in rows]
+            formed.append(partial[0] if len(partial) == 1 else _merge(*map(np.concatenate, zip(*partial))))
+    for (i, own), (keys, coeffs) in zip(rest, formed):
+        products[i] = OperatorSum._raw(width, keys, coeffs[:, : own or 1], own)
     return products
 
 
@@ -647,7 +632,9 @@ def _merge_sums(width: int, tags: np.ndarray, count: int, keys: np.ndarray, valu
     ``count`` sums at once, sum t holding the terms tagged t.  Each key
     carries its tag above the key bits, so one stable sort and one
     reduceat serve every sum, and each sum's terms are summed in the order
-    a merge of that sum alone takes."""
+    a merge of that sum alone takes; a single sum needs no tags."""
+    if count == 1:
+        return [_merge(keys, values)]
     shift = 2 * width
     tagged, values = _merge(keys | tags << shift, values)
     bounds = np.searchsorted(tagged, [t << shift for t in range(count + 1)]).tolist()

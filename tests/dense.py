@@ -41,7 +41,8 @@ def string_matrix(string: PauliString) -> np.ndarray:
 def terms(op: OperatorSum) -> list[tuple[PauliString, complex]]:
     """(phase-free string, coefficient) pairs of ``op`` in canonical order;
     a batched sum gives each term's row of per-column coefficients."""
-    return [(PauliString(op.width, key), coeff) for key, coeff in op._iter_keys()]
+    coeffs = op._coeffs if op.batch is not None else op._coeffs[:, 0].tolist()
+    return [(PauliString(op.width, key), coeff) for key, coeff in zip(op._keys.tolist(), coeffs)]
 
 
 def operator_matrix(op: OperatorSum) -> np.ndarray:
@@ -146,9 +147,8 @@ def reference_step(ds: DescriptorSet, gate: Gate) -> DescriptorSet:
     table = dict(ds.items())
     for (slot, axis), image in conjugation_images(gate).items():
         parts = []
-        for key, coeff in image._iter_keys():
-            codes = PauliString(image.width, key).axes
-            factors = [ds.descriptor(gate.qubits[s], code) for s, code in enumerate(codes) if code != Axis.I]
+        for string, coeff in terms(image):
+            factors = [ds.descriptor(gate.qubits[s], code) for s, code in enumerate(string.axes) if code != Axis.I]
             parts.append((coeff, reduce(mul, factors) if factors else OperatorSum.identity(ds.width)))
         table[(gate.qubits[slot], axis)] = linear_combination(ds.width, parts)
     return DescriptorSet(ds.width, ds.step + 1, MappingProxyType(table))

@@ -217,4 +217,4 @@ class TestRotationImages:
         evolve(ds, analyzer_rotation(2, np.linspace(0.0, 1.0, 8)))
         assert len(heisenberg._IMAGE_CACHE) == before
         # fixed-matrix gates are still served from the cache
-        assert conjugation_images(hadamard(1)) is conjugation_images(hadamard(2))
+        assert heisenberg._compiled(hadamard(1)) is heisenberg._compiled(hadamard(2))

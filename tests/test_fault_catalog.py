@@ -23,8 +23,14 @@ Faults not tested here, with the reason:
 * ``pauli._dense_product`` conjugating its result fails no registry
   check: no CLI command reaches the dense route (CLI products form at
   most 24 term pairs, the route starts at 1024), so ``verify`` cannot
-  see it.  Tier-1's ``TestDenseRoute`` in ``test_pauli.py``, which
-  compares the dense route with the pair route, is its only guard.
+  see it.  Its guards are tier-1's ``TestDenseRoute`` in
+  ``test_pauli.py``, which compares the dense route with the pair route
+  through ``a * b``, and the ``descriptors.sha256`` golden output of
+  ``tools/golden.sh``, whose width-6 brickwork takes the dense route.
+* ``heisenberg.evolve`` dropping the last factor of a three-factor term
+  fails no registry check: no catalog gate has arity 3.  The 3-qubit
+  Haar-random unitary tests in ``test_heisenberg.py``, which hold every
+  step to ``tests/dense.py``'s ``reference_step``, are its only guard.
 """
 import math
 from types import MappingProxyType
@@ -130,12 +136,13 @@ FAULTS = {
 
 
 def _clear_caches():
-    """Forget every gate matrix, operand Pauli, conjugation image and rule,
+    """Forget every gate matrix, operand Pauli, factor run, compiled rule,
     gate row and timeline prefix built so far, so a fault reaches all of
     them and leaves none behind."""
     heisenberg._IMAGE_CACHE.clear()
     experiment._PREFIX.clear()
     heisenberg._operand_paulis.cache_clear()
+    heisenberg._factor_runs.cache_clear()
     gates._UNITARY.clear()
     states._single_rows.cache_clear()
 

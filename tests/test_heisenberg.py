@@ -115,16 +115,15 @@ class TestConjugationImages:
 class TestOperandPaulis:
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_cached_per_arity_and_read_only(self, arity):
-        images_of, paulis, keys, gather, phases = heisenberg._operand_paulis(arity)
+        images_of, paulis, gather, phases = heisenberg._operand_paulis(arity)
         assert heisenberg._operand_paulis(arity)[1] is paulis
         for (slot, axis), matrix in zip(images_of, paulis, strict=True):
             local = OperatorSum.single_axis(arity, slot + 1, axis)
             np.testing.assert_array_equal(matrix, operator_matrix(local))
-        np.testing.assert_array_equal(keys, np.arange(4**arity))
         # The gathered product is the matmul's, bit for bit.
         a = random_unitary(np.random.default_rng(arity), 2**arity)
         np.testing.assert_array_equal(a.ravel()[gather] * phases[:, 0], a @ paulis)
-        for table in (paulis, keys, gather, phases):
+        for table in (paulis, gather, phases):
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 1
 
@@ -476,6 +475,16 @@ def test_stacked_non_clifford_unitary_matches_the_reference_step():
     gate = Gate("U", (1, 3), stack)
     assert all(len(image) == 15 for image in conjugation_images(gate).values())
     _steps_match_the_reference_step(3, [hadamard(1), analyzer_rotation(3, 0.4), gate, cnot(2, 3)])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_three_qubit_unitary_matches_the_reference_step(stacked):
+    """A Haar-random 3-qubit unitary's image terms have up to three
+    factors, so its products form in two rounds."""
+    rng = np.random.default_rng(13)
+    matrix = np.stack([random_unitary(rng, 8) for _ in range(2)]) if stacked else random_unitary(rng, 8)
+    gate = Gate("U", (3, 1, 4), matrix)
+    _steps_match_the_reference_step(4, [hadamard(1), cnot(2, 1), analyzer_rotation(3, 0.4), gate, gate])
 
 
 def test_dense_route_steps_match_the_reference_step(monkeypatch):

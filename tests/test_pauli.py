@@ -173,6 +173,24 @@ class TestWideProduct:
         assert max_term_deviation(got, want) <= 1e-12
 
 
+class TestPairProducts:
+    """``_pair_products``, the one product entry, forms several products
+    at once, so its sums must share one width and one batch size."""
+
+    def test_mixed_widths_raise(self):
+        a2 = OperatorSum(2, [("X1", 1.0), ("Z2", 0.5)])
+        a3 = OperatorSum(3, [("X1 Z3", 1.0), ("Y2", 0.5)])
+        assert (a3 * a3)._keys.tolist() == [0, PauliString.from_ops(3, "X1 Y2 Z3").key]
+        with pytest.raises(ValueError, match="width mismatch"):
+            pauli._pair_products([(a2, a2), (a3, a3)])
+
+    def test_mixed_batch_sizes_raise(self):
+        a = OperatorSum(2, [("X1", 1.0), ("Z2", 0.5)])
+        b3, b5 = (pauli.linear_combination(2, [(np.arange(1.0, size + 1), a)]) for size in (3, 5))
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            pauli._pair_products([(b3, b3), (b5, b5)])
+
+
 class TestOperatorSum:
     def test_add_inverse_gives_zero(self):
         s = OperatorSum(2, [("Z1 X2", 0.7)])
@@ -585,13 +603,17 @@ class TestDenseRoute:
     @pytest.mark.parametrize("batched", [(False, False), (True, False), (False, True), (True, True)])
     @given(data=st.data())
     def test_matches_the_sparse_route(self, batched, data):
+        """Against ``a * b`` with the route's pair floor past the pair count,
+        which forms the product on the pair route."""
         a, b = data.draw(dense_route_pairs(batched))
         keys, coeffs = pauli._dense_product(a, b)
-        want_keys, want_coeffs = pauli._sparse_product(a, b)
-        assert keys.tolist() == want_keys.tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pauli, "_DENSE_MIN_PAIRS", len(a) * len(b) + 1)
+            want = a * b
+        assert keys.tolist() == want._keys.tolist()
         scale = float(np.abs(a._coeffs).max() * np.abs(b._coeffs).max())
-        assert coeffs.shape == want_coeffs.shape
-        assert np.abs(coeffs - want_coeffs).max(initial=0.0) <= 1e-13 * scale
+        assert coeffs.shape == want._coeffs.shape
+        assert np.abs(coeffs - want._coeffs).max(initial=0.0) <= 1e-13 * scale
 
     @given(data=st.data())
     def test_batched_column_is_the_unbatched_product_bit_for_bit(self, data):
@@ -652,7 +674,9 @@ class TestDenseRoute:
         # Integer coefficients keep both routes exact.
         a = OperatorSum(4, [(PauliString(4, key), 1.0 + key) for key in range(64)])
         batched = pauli.linear_combination(4, [(np.array([1.0, 2.0, 3.0]), a)])
-        want = OperatorSum._raw(4, *pauli._sparse_product(a, a), None)
+        with monkeypatch.context() as mp:
+            mp.setattr(pauli, "_DENSE_MIN_PAIRS", len(a) ** 2 + 1)
+            want = a * a
         assert (a * a).equal_terms(want)
         assert len(dense_calls) == 1
         monkeypatch.setattr(pauli, "_DENSE_MAX_WIDTH", 3)

@@ -7,7 +7,8 @@
 # under `python -W error`, and the script exits non-zero as soon as one
 # command fails or warns.  The largest outputs, the chsh scan CSV and the
 # `sweep 4096` CSV and JSON (a MAX_BATCH table), are stored as their
-# sha256.  The golden check of a change against its parent is
+# sha256, and so are the descriptors of a fixed circuit set (the last
+# entry).  The golden check of a change against its parent is
 #
 #   tools/golden.sh PARENT before && tools/golden.sh CHANGE after && diff -r before after
 set -euo pipefail
@@ -57,3 +58,59 @@ done
 for demo in "$checkout"/demos/*.py; do
     python -W error "$demo" > "$out/demo $(basename "$demo" .py).txt"
 done
+# The sha256 of every descriptor (batch, keys, coefficients) after every
+# step of seeded circuits at widths 2-8, stacked-rotation timelines and a
+# width-6 brickwork, whose products take the dense route, then of one
+# product over _PAIR_CHUNK term pairs, formed in row chunks.  No CLI
+# command reaches either of those two product routes.
+python -W error - > "$out/descriptors.sha256" <<'EOF'
+import hashlib
+import math
+
+import numpy as np
+
+from qpictures import (
+    ExperimentConfig, OperatorSum, PauliString, analyzer_rotation, build_timeline, cnot, evolve, hadamard,
+    init_descriptors, random_circuit,
+)
+from qpictures.pauli import _PAIR_CHUNK
+
+digest = hashlib.sha256()
+
+
+def feed(op):
+    digest.update(f"{op.batch}".encode())
+    digest.update(op._keys.tobytes())
+    digest.update(op._coeffs.tobytes())
+
+
+def run(width, gates):
+    ds = init_descriptors(width)
+    for gate in gates:
+        ds = evolve(ds, gate)
+        for _, op in sorted(ds.items()):
+            feed(op)
+
+
+rng = np.random.default_rng(21)
+for width in range(2, 9):
+    for _ in range(6):
+        run(width, random_circuit(width, 16, rng))
+for count in (1, 3, 8):
+    angles = rng.uniform(-math.pi, math.pi, (count, 2))
+    run(4, [gate for step in build_timeline([ExperimentConfig(*pair) for pair in angles]) for gate in step])
+brickwork = []
+for layer in range(7):
+    brickwork += [analyzer_rotation(q, float(rng.uniform(0.0, 2.0 * math.pi))) for q in range(1, 7)]
+    brickwork += [cnot(t, t + 1) for t in range(1 + layer % 2, 6, 2)]
+    if layer % 3 == 2:
+        brickwork += [hadamard(q) for q in range(1, 7)]
+run(6, brickwork)
+a, b = (
+    OperatorSum(9, [(PauliString(9, int(key)), complex(*rng.normal(size=2))) for key in rng.choice(4**9, 1100, False)])
+    for _ in range(2)
+)
+assert len(a) * len(b) > _PAIR_CHUNK
+feed(a * b)
+print(digest.hexdigest())
+EOF
