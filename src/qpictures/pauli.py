@@ -420,11 +420,7 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
     """sum_k c_k S_k over (c_k, S_k) pairs, merged once.
 
     A coefficient c_k may be a 1-D array of per-column coefficients, and
-    the result is batched if any coefficient or part is.  A single part
-    is scaled and pruned without a merge, since its terms are already
-    distinct and canonically ordered; with a coefficient of exactly 1 it
-    is returned as it is, since every sum is already pruned and holds no
-    -0.0 component.
+    the result is batched if any coefficient or part is.
     """
     parts = list(parts)
     sizes = []
@@ -440,11 +436,6 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
     batch = _common_batch(*sizes)
     # The coefficient stays the left operand: the vectorised complex
     # product rounds differently when the operands are swapped.
-    if len(parts) == 1:
-        coeff, part = parts[0]
-        if isinstance(coeff, Number) and coeff == 1:
-            return part
-        return OperatorSum._raw(width, *_prune(part._keys, coeff * part._coeffs), batch)
     scaled = np.concatenate([_broadcast(coeff * part._coeffs, batch or 1) for coeff, part in parts])
     keys = np.concatenate([part._keys for _, part in parts])
     return OperatorSum._raw(width, *_merge(keys, scaled), batch)

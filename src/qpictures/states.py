@@ -17,6 +17,12 @@ comes out bit for bit the same.
 ``apply_gate`` has one kernel: one strided product per nonzero matrix
 entry, exact for X, Y, Z and CN, and a stack's entries broadcast over the
 rows.  Every gate output is held to unit norm within NORM_ATOL.
+``apply_circuit`` fuses each run of single-qubit gates on one qubit, up to
+the next multi-qubit gate that touches it, into one 2x2 matrix or stack
+and applies it as one gate (the gate clustering of Haener & Steiger,
+arXiv:1704.01127): a width-18 random circuit of the catalog applies about
+half its gates.  A fused run moves only the last bits of the amplitudes;
+the timeline in ``experiment`` applies its gates one at a time.
 
 ``z_moments`` returns every <Z_q> and <Z_q Z_r> from one pass over
 |psi|^2.  ``expectation`` is the general kernel: it applies each Pauli
@@ -126,8 +132,9 @@ def _slots(qubits: tuple[int, ...], lead: int, ndim: int) -> tuple:
     return tuple(slots)
 
 
-# Small: fixed gates stay in it and rotations at fresh angles pass through;
-# a full 4096-entry cache (4 MiB) slowed width-6 checks ~12% by heap layout.
+# Small: fixed gates stay in it, while rotations at fresh angles and the
+# fused runs of apply_circuit pass through; a full 4096-entry cache (4 MiB)
+# slowed width-6 checks ~12% by heap layout.
 @lru_cache(maxsize=64)
 def _single_rows(matrix_bytes: bytes, dim: int) -> tuple:
     """Each row of a single ``dim x dim`` matrix, given by its bytes, as its
@@ -184,9 +191,46 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector._normalized(state.width, out)
 
 
+def _fused(run: list[Gate]) -> Gate:
+    """One gate for a run of gates on one qubit, applied first to last: the
+    product ``M_k ... M_2 M_1``, a stack when any gate of the run is one.
+    The batches are matched before each product, so stacks of different
+    sizes raise the ``batch size mismatch`` the loop would.  A run of one
+    gate is that gate, so its bits stay the same."""
+    if len(run) == 1:
+        return run[0]
+    matrix, batch = run[0].matrix, run[0].batch
+    for gate in run[1:]:
+        batch = _common_batch(batch, gate.batch)
+        matrix = gate.matrix @ matrix
+    return Gate("fused", run[0].qubits, matrix)
+
+
 def apply_circuit(state: StateVector, gates) -> StateVector:
+    """The state after the gates, first to last.
+
+    Each run of single-qubit gates on one qubit, up to the next
+    multi-qubit gate that touches it or the end of the circuit, is fused
+    into one gate (``_fused``) and applied where the run starts: the gates
+    it passes share no qubit with it, so they commute.  Every other gate
+    keeps its place, so a circuit with no two single-qubit gates in a row
+    on any qubit gives the gate-by-gate loop's bits; a fused run moves only
+    the last bits.  Every applied gate goes through ``apply_gate``, so each
+    output is still held to unit norm within NORM_ATOL."""
+    steps: list[list[Gate]] = []
+    runs: dict[int, list[Gate]] = {}
     for gate in gates:
-        state = apply_gate(state, gate)
+        if gate.arity != 1:
+            for q in gate.qubits:
+                runs.pop(q, None)
+            steps.append([gate])
+        elif gate.qubits[0] in runs:
+            runs[gate.qubits[0]].append(gate)
+        else:
+            runs[gate.qubits[0]] = [gate]
+            steps.append(runs[gate.qubits[0]])
+    for step in steps:
+        state = apply_gate(state, _fused(step))
     return state
 
 

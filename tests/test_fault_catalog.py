@@ -13,6 +13,13 @@ that, so the row holds the locality check's own rule to account: by
 the record step all three of Q3's descriptors act on Q2, so a rule that
 skipped descriptors whose support meets the gate's qubits would miss it.
 
+``fused_run_order_reversed`` multiplies each fused run of
+``states.apply_circuit`` last gate first.  No other check can see it:
+``picture_equivalence`` is the only check whose circuits put two
+single-qubit gates in a row on one qubit through ``apply_circuit``; the
+timeline applies its gates one at a time (``experiment._evolution``),
+and ``entangled_state``'s circuit is H then CN.
+
 Faults not tested here, with the reason:
 
 * The pair read's operands swapped (``pair_expectation_in_all_zeros(b,
@@ -87,6 +94,7 @@ _evolve = heisenberg.evolve
 _single_read = pauli.expectation_in_all_zeros
 _reference_images = pauli._reference_images
 _joint_probability = states.joint_probability
+_fused = states._fused
 
 # fault -> (module, attribute, faulty value), and the checks that must fail.
 FAULTS = {
@@ -126,6 +134,10 @@ FAULTS = {
     ),
     "prune_tolerance_loosened": (
         (pauli, "PRUNE_TOL", 1e-2),
+        {"picture_equivalence"},
+    ),
+    "fused_run_order_reversed": (
+        (states, "_fused", lambda run: _fused(run[::-1])),
         {"picture_equivalence"},
     ),
     "record_cnot_touches_distant_descriptors": (

@@ -396,8 +396,9 @@ def test_pair_read_matches_the_intersect1d_form_bit_for_bit(sums, batched):
 
 @given(operator_sums(count=2, max_width=4, max_terms=8), st.complex_numbers(max_magnitude=2, allow_nan=False))
 def test_every_sum_is_already_pruned_and_free_of_negative_zeros(sums, scale):
-    """linear_combination returns a lone part with coefficient 1 as it is,
-    which is exact only because every sum is a fixed point of the prune."""
+    """A lone part with coefficient 1 comes out of linear_combination's
+    merge bit for bit, which holds only because every sum is a fixed point
+    of the prune."""
     a, b = sums
     batched = pauli.linear_combination(a.width, [(np.array([1.0, -0.5j]), a)])
     dense = OperatorSum._raw(a.width, *pauli._dense_product(a, b), None)
@@ -406,7 +407,9 @@ def test_every_sum_is_already_pruned_and_free_of_negative_zeros(sums, scale):
         keys, coeffs = pauli._prune(op._keys, op._coeffs)
         assert keys.tolist() == op._keys.tolist()
         assert _bits(coeffs).tolist() == _bits(op._coeffs).tolist()
-        assert pauli.linear_combination(op.width, [(1, op)]) is op
+        same = pauli.linear_combination(op.width, [(1, op)])
+        assert same.batch == op.batch and same._keys.tolist() == op._keys.tolist()
+        assert _bits(same._coeffs).tolist() == _bits(op._coeffs).tolist()
 
 
 def test_max_term_deviation_counts_missing_strings():

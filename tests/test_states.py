@@ -25,6 +25,7 @@ from qpictures import (
     pauli_y,
     pauli_z,
     random_circuit,
+    states,
 )
 from dense import circuit_unitary, gate_matrix, packed_key, random_unitary, terms
 from qpictures.gates import PAULI_MATRIX
@@ -105,6 +106,102 @@ class TestApplyGate:
         np.testing.assert_allclose(
             state.amplitudes, circuit_unitary(gates, width) @ zeros, atol=1e-12
         )
+
+
+def gate_by_gate(state, gates):
+    """The oracle for ``apply_circuit``: every gate applied alone, first to
+    last."""
+    for gate in gates:
+        state = apply_gate(state, gate)
+    return state
+
+
+@st.composite
+def fusable_circuits(draw):
+    """A width of 1-8 and up to 40 gates: catalog gates, stacked
+    rotations of one batch and Haar-random single-qubit unitaries, so
+    runs of single-qubit gates on one qubit are common."""
+    width = draw(st.integers(1, 8))
+    batch = draw(st.sampled_from([None, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["H", "X", "Y", "Z", "R", "U"] + ["Rs"] * bool(batch) + ["CN"] * (width > 1)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        q = int(rng.integers(width)) + 1
+        if kind == "CN":
+            target, control = (int(x) + 1 for x in rng.choice(width, size=2, replace=False))
+            gates.append(cnot(target, control))
+        elif kind == "R":
+            gates.append(analyzer_rotation(q, float(rng.uniform(0.0, 2.0 * math.pi))))
+        elif kind == "Rs":
+            gates.append(analyzer_rotation(q, rng.uniform(0.0, 2.0 * math.pi, batch)))
+        elif kind == "U":
+            gates.append(Gate("U", (q,), random_unitary(rng, 2)))
+        else:
+            gates.append({"H": hadamard, "X": pauli_x, "Y": pauli_y, "Z": pauli_z}[kind](q))
+    return width, tuple(gates)
+
+
+def raised(run, state, gates) -> str:
+    """The message of the ValueError that ``run(state, gates)`` raises."""
+    with pytest.raises(ValueError) as info:
+        run(state, gates)
+    return str(info.value)
+
+
+class TestFusedCircuit:
+    """``apply_circuit`` fuses each run of single-qubit gates on one qubit
+    into one gate; the gate-by-gate loop is its oracle."""
+
+    @given(fusable_circuits())
+    def test_matches_the_gate_by_gate_loop(self, case):
+        width, gates = case
+        got = apply_circuit(new_all_zeros(width), gates)
+        want = gate_by_gate(new_all_zeros(width), gates)
+        assert got.batch == want.batch
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("width", range(2, 9))
+    def test_without_runs_matches_the_loop_bit_for_bit(self, width):
+        rng = np.random.default_rng(40 + width)
+        drawn = (analyzer_rotation(1, rng.uniform(0.0, 2.0 * math.pi, 3)),) + random_circuit(width, 300, rng)
+        gates, last_arity = [], {}
+        for gate in drawn:
+            if gate.arity == 1 and last_arity.get(gate.qubits[0]) == 1:
+                continue
+            last_arity.update((q, gate.arity) for q in gate.qubits)
+            gates.append(gate)
+        assert len(gates) > 100
+        state = random_state(rng, width)
+        got = apply_circuit(state, gates).amplitudes
+        assert int64_bits(got).tobytes() == int64_bits(gate_by_gate(state, gates).amplitudes).tobytes()
+
+    def test_applies_one_gate_per_run(self, monkeypatch):
+        applied = []
+        monkeypatch.setattr(states, "apply_gate", lambda state, gate: applied.append(gate) or apply_gate(state, gate))
+        gates = (hadamard(1), pauli_x(1), hadamard(2), cnot(1, 2), analyzer_rotation(1, 0.3), pauli_z(2), pauli_y(1))
+        apply_circuit(new_all_zeros(2), gates)
+        assert [(g.name, g.qubits) for g in applied] == [
+            ("fused", (1,)), ("H", (2,)), ("CN", (1, 2)), ("fused", (1,)), ("Z", (2,)),
+        ]
+        np.testing.assert_array_equal(applied[0].matrix, pauli_x(1).matrix @ hadamard(1).matrix)
+
+    @pytest.mark.parametrize("between", [(), (hadamard(1),)], ids=["adjacent", "apart"])
+    def test_mismatched_stacks_in_one_run_raise_as_the_loop_does(self, between):
+        gates = (analyzer_rotation(1, [0.1, 0.2, 0.3]), *between, analyzer_rotation(1, [0.1, 0.2, 0.3, 0.4, 0.5]))
+        message = raised(apply_circuit, new_all_zeros(2), gates)
+        assert message == raised(gate_by_gate, new_all_zeros(2), gates)
+        assert "batch size mismatch" in message
+
+    @pytest.mark.parametrize(
+        "gates",
+        [(hadamard(3),), (hadamard(3), pauli_x(3)), (hadamard(1), pauli_x(1), cnot(3, 1)), (pauli_x(1), pauli_z(4))],
+        ids=["alone", "run", "multi-qubit", "after-a-run"],
+    )
+    def test_qubit_outside_the_width_raises_as_the_loop_does(self, gates):
+        message = raised(apply_circuit, new_all_zeros(2), gates)
+        assert message == raised(gate_by_gate, new_all_zeros(2), gates)
+        assert "outside state width 2" in message
 
 
 class TestExpectation:

@@ -7,8 +7,8 @@
 # under `python -W error`, and the script exits non-zero as soon as one
 # command fails or warns.  The largest outputs, the chsh scan CSV and the
 # `sweep 4096` CSV and JSON (a MAX_BATCH table), are stored as their
-# sha256, and so are the descriptors of a fixed circuit set (the last
-# entry).  The golden check of a change against its parent is
+# sha256, and so are the descriptors and the amplitudes of fixed circuit
+# sets (the last two entries).  The golden check of a change against its parent is
 #
 #   tools/golden.sh PARENT before && tools/golden.sh CHANGE after && diff -r before after
 set -euo pipefail
@@ -112,5 +112,38 @@ a, b = (
 )
 assert len(a) * len(b) > _PAIR_CHUNK
 feed(a * b)
+print(digest.hexdigest())
+EOF
+# The sha256 of the amplitudes apply_circuit gives for seeded circuits at
+# widths 2-12 and one circuit of stacked rotations, so the bits of its
+# fused single-qubit runs are pinned.
+python -W error - > "$out/states.sha256" <<'EOF'
+import hashlib
+import math
+
+import numpy as np
+
+from qpictures import analyzer_rotation, apply_circuit, cnot, hadamard, new_all_zeros, pauli_y, random_circuit
+
+digest = hashlib.sha256()
+
+
+def feed(width, gates):
+    state = apply_circuit(new_all_zeros(width), gates)
+    digest.update(f"{state.batch}".encode())
+    digest.update(state.amplitudes.tobytes())
+
+
+rng = np.random.default_rng(22)
+for width in range(2, 13):
+    for _ in range(4):
+        feed(width, random_circuit(width, 40, rng))
+stacked = []
+for layer in range(4):
+    for q in range(1, 5):
+        stacked += [analyzer_rotation(q, rng.uniform(0.0, 2.0 * math.pi, 3)), hadamard(q)]
+        stacked += [analyzer_rotation(q, float(rng.uniform(0.0, 2.0 * math.pi))), pauli_y(q)][: 1 + layer % 2]
+    stacked += [cnot(t, t + 1) for t in range(1 + layer % 2, 4, 2)]
+feed(4, stacked)
 print(digest.hexdigest())
 EOF
