@@ -165,12 +165,13 @@ def cmd_epr(args) -> int:
     # One run serves the report, the descriptors and the state dump.
     run = simulate([cfg])
     table = reports(run)
-    qz2, qz3 = (op.column(0) for op in descriptors_at_t2(run))
     data = {name: float(column[0]) for name, column in table.items()}
+    if args.show_descriptors:
+        qz2, qz3 = (op.column(0).render().split("\n") for op in descriptors_at_t2(run))
     if args.format == "json":
         if args.show_descriptors:
-            data["descriptor_qz2_t2"] = qz2.render().split("\n")
-            data["descriptor_qz3_t2"] = qz3.render().split("\n")
+            data["descriptor_qz2_t2"] = qz2
+            data["descriptor_qz3_t2"] = qz3
         text = json.dumps(_json_floats(data), indent=2)
     elif args.format == "csv":
         text = _csv_text(*_report_rows(table))
@@ -190,9 +191,9 @@ def cmd_epr(args) -> int:
                      f"{data['delta_p_diff_t4']:.3g}")
         if args.show_descriptors:
             lines.append("q_z2(t=2):")
-            lines.extend("  " + line for line in qz2.render().split("\n"))
+            lines.extend("  " + line for line in qz2)
             lines.append("q_z3(t=2):")
-            lines.extend("  " + line for line in qz3.render().split("\n"))
+            lines.extend("  " + line for line in qz3)
         text = "\n".join(lines)
     if args.dump_state is not None:
         # The report ends in one newline, as _emit would end it, then the dump.

@@ -33,15 +33,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import states
-from .gates import Gate, analyzer_rotation, cnot, hadamard
+from .gates import Gate, _catalog_key, analyzer_rotation, cnot, hadamard
 from .heisenberg import (
     DescriptorSet,
     descriptor_expectation,
-    evolve,
+    evolve_circuit,
     init_descriptors,
 )
 from .pauli import OperatorSum
-from .states import StateVector, apply_gate, joint_probability, new_all_zeros
+from .states import StateVector, apply_circuit, joint_probability, new_all_zeros
 
 N_QUBITS = 4
 RECORD_A, SYSTEM_A, SYSTEM_B, RECORD_B = 1, 2, 3, 4
@@ -88,29 +88,23 @@ def build_timeline(configs: Sequence[ExperimentConfig]) -> tuple[tuple[Gate, ...
 
 
 # Steps 0 and 1 (angle-free) in both pictures, evolved once per process and
-# shared read-only by every run, keyed by the t=1 gates' names, qubits and
-# matrix bytes, so a patched matrix never reuses a stale prefix.
+# shared read-only by every run while both t=1 gates are catalog gates,
+# keyed by their qubits and ``_catalog_key``s.
 _PREFIX: dict[tuple, tuple] = {}
-_PREFIX_LIMIT = 64
 
 
 def _evolution(configs: tuple[ExperimentConfig, ...]):
     """States and descriptor sets per timeline step 0..4, for every config
-    at once, from the shared steps 0 and 1 on."""
+    at once, from the shared steps 0 and 1 on; each step runs through
+    ``apply_circuit`` and ``evolve_circuit``."""
     timeline = build_timeline(configs)
-    key = tuple((gate.name, gate.qubits, gate.matrix.tobytes()) for gate in timeline[0])
+    key = tuple((gate.qubits, _catalog_key(gate)) for gate in timeline[0])
     prefix = _PREFIX.get(key) or ((new_all_zeros(N_QUBITS),), (init_descriptors(N_QUBITS),))
     state_by_step, ds_by_step = list(prefix[0]), list(prefix[1])
     for segment in timeline[len(state_by_step) - 1 :]:
-        state, ds = state_by_step[-1], ds_by_step[-1]
-        for gate in segment:
-            state = apply_gate(state, gate)
-            ds = evolve(ds, gate)
-        state_by_step.append(state)
-        ds_by_step.append(ds)
-    if key not in _PREFIX:
-        if len(_PREFIX) >= _PREFIX_LIMIT:
-            _PREFIX.clear()
+        state_by_step.append(apply_circuit(state_by_step[-1], segment))
+        ds_by_step.append(evolve_circuit(ds_by_step[-1], segment))
+    if key not in _PREFIX and all(k is not None for _, k in key):
         _PREFIX[key] = (tuple(state_by_step[:2]), tuple(ds_by_step[:2]))
     return tuple(state_by_step), tuple(ds_by_step)
 

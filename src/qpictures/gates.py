@@ -9,9 +9,10 @@ toggles the target ket when the control ket is |1>.
 
 An analyzer rotation may carry a vector of angles: its matrix is then a
 ``(batch, 2, 2)`` stack, one unitary per batch column, and both engines
-evolve every column at once.  Unitarity is checked once per distinct
-single matrix, the first time a gate is built from its bytes, and for a
-stack each time a gate is built from it.
+evolve every column at once.  The catalog's fixed matrices (X, Y, Z, H,
+CN) are checked for unitarity once, at import, and any other matrix or
+stack each time a gate is built from it.  Only work on a catalog matrix
+is remembered between calls, keyed by ``_catalog_key``.
 """
 from __future__ import annotations
 
@@ -44,28 +45,29 @@ CN_MATRIX = np.array(
     dtype=complex,
 )
 
-for _m in (*PAULI_MATRIX.values(), H_MATRIX, CN_MATRIX):
-    _m.setflags(write=False)
-
-# The bytes of every single matrix already shown to be unitary; bounded
-# like the conjugation-image cache.  Stacks come from rotation angles,
-# which rarely repeat, so a stack is checked each time it is built.
-_UNITARY: set[bytes] = set()
-_UNITARY_LIMIT = 4096
-
 
 def _check_unitary(name: str, m: np.ndarray) -> None:
     """Reject a non-unitary matrix, or any non-unitary matrix of a stack."""
-    key = m.tobytes() if m.ndim == 2 else None
-    if key in _UNITARY:
-        return
     # np.allclose with rtol=0, written out: several times faster.
     if not np.all(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1])) <= UNITARY_ATOL):
         raise ValueError(f"gate {name!r} matrix is not unitary")
-    if key is not None:
-        if len(_UNITARY) >= _UNITARY_LIMIT:
-            _UNITARY.clear()
-        _UNITARY.add(key)
+
+
+for _m in (*PAULI_MATRIX.values(), H_MATRIX, CN_MATRIX):
+    _check_unitary("catalog", _m)
+    _m.setflags(write=False)
+
+# The bytes of the matrices the catalog factories pass, checked above; a constant patched later is not one.
+_CATALOG = frozenset(
+    m.tobytes() for m in (PAULI_MATRIX[Axis.X], PAULI_MATRIX[Axis.Y], PAULI_MATRIX[Axis.Z], H_MATRIX, CN_MATRIX)
+)
+
+
+def _catalog_key(gate: Gate) -> bytes | None:
+    """The matrix bytes of a catalog gate, the key of every memo that
+    outlives a call; None for any other gate and for any stack."""
+    key = gate.matrix.tobytes() if gate.batch is None else None
+    return key if key in _CATALOG else None
 
 
 def rotation_matrix(angle) -> np.ndarray:
@@ -110,7 +112,8 @@ class Gate:
         m = np.array(self.matrix, dtype=complex)
         if m.shape[-2:] != (dim, dim) or m.ndim not in (2, 3) or len(m) == 0:
             raise ValueError(f"matrix shape {m.shape} does not fit {len(qubits)} qubit(s)")
-        _check_unitary(self.name, m)
+        if m.ndim == 3 or m.tobytes() not in _CATALOG:
+            _check_unitary(self.name, m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "qubits", qubits)

@@ -18,7 +18,7 @@ whose packed keys are simply 0..4**k - 1 in canonical order, derived
 through ``pauli``'s Walsh-Hadamard pair for the gate's whole matrix stack
 at once; the operand Paulis they conjugate are built once per arity.  A
 gate's images are compiled into one array-shaped rule (``_compiled``),
-cached by matrix bytes for a fixed-matrix gate.  A basis key's factors,
+kept for a catalog gate only (``gates._catalog_key``).  A basis key's factors,
 the operand qubits' current descriptors, multiply out left to right, and
 without its last factor it is another basis key (``_factor_runs``, read
 through ``pauli._axis_codes``, so this module never touches the key
@@ -47,7 +47,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .gates import Gate
+from .gates import Gate, _catalog_key
 from .pauli import (
     MAX_WIDTH,
     Axis,
@@ -77,12 +77,10 @@ class TermGrowthError(RuntimeError):
     """Raised when descriptor evolution exceeds the term-count cap."""
 
 
-# Compiled rules (``_compiled``) of fixed-matrix gates, keyed by the
-# matrix bytes alone (a complex128 matrix's byte count fixes the arity), so
-# a patched matrix never reuses a stale rule.  Parametrised gates (analyzer
-# rotations) are compiled at each step: their angles rarely repeat.
+# Compiled rules (``_compiled``) of catalog gates, by ``_catalog_key`` (a
+# complex128 matrix's byte count fixes the arity).  Every other gate is
+# compiled at each step.
 _IMAGE_CACHE: dict[bytes, tuple[list, np.ndarray, np.ndarray, tuple, tuple | None]] = {}
-_IMAGE_CACHE_LIMIT = 4096
 
 # Image coefficients at or below this magnitude are dropped.
 _IMAGE_TOL = 1e-13
@@ -102,14 +100,14 @@ def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
 
 
 def _compiled(gate: Gate) -> tuple:
-    """The gate's images compiled for ``evolve``, cached for a fixed-matrix
+    """The gate's images compiled for ``evolve``, cached for a catalog
     gate: per row (image term), in ascending basis key, its basis key, its
     image (tag) and its coefficient row, one column per matrix of the
     stack; the rounds of products to form, each its runs with their
     prefixes and last factors (``_factor_runs``); and, when every image is
     one term, per image its key, its row and whether its coefficient is
     exactly 1, else None."""
-    key = None if gate.params or gate.batch is not None else gate.matrix.tobytes()
+    key = _catalog_key(gate)
     rule = _IMAGE_CACHE.get(key)
     if rule is None:
         k, images = gate.arity, 3 * gate.arity
@@ -131,8 +129,6 @@ def _compiled(gate: Gate) -> tuple:
             single = tuple(zip(keys[order].tolist(), order.tolist(), unit.tolist()))
         rule = keys.tolist(), tags, coeffs, tuple(r for r in rounds if r[0]), single
         if key is not None:
-            if len(_IMAGE_CACHE) >= _IMAGE_CACHE_LIMIT:
-                _IMAGE_CACHE.clear()
             _IMAGE_CACHE[key] = rule
     return rule
 

@@ -357,10 +357,10 @@ class OperatorSum:
         values = self._coeffs[pos] / string.phase if found else np.zeros(self._coeffs.shape[1], complex)
         return values if self._batch is not None else complex(values[0])
 
-    def is_hermitian(self, atol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         if self.is_zero:
             return True
-        return float(np.abs(self._coeffs.imag).max()) <= atol
+        return float(np.abs(self._coeffs.imag).max()) <= 1e-12
 
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if not isinstance(other, OperatorSum):

@@ -21,8 +21,7 @@ rows.  Every gate output is held to unit norm within NORM_ATOL.
 the next multi-qubit gate that touches it, into one 2x2 matrix or stack
 and applies it as one gate (the gate clustering of Haener & Steiger,
 arXiv:1704.01127): a width-18 random circuit of the catalog applies about
-half its gates.  A fused run moves only the last bits of the amplitudes;
-the timeline in ``experiment`` applies its gates one at a time.
+half its gates.  A fused run moves only the last bits of the amplitudes.
 
 ``z_moments`` returns every <Z_q> and <Z_q Z_r> from one pass over
 |psi|^2.  ``expectation`` is the general kernel: it applies each Pauli
@@ -40,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gates import Gate
+from .gates import Gate, _catalog_key
 from .pauli import _I_POWERS, MAX_WIDTH, Axis, OperatorSum, _axis_codes, _check_width, _common_batch
 
 NORM_ATOL = 1e-12
@@ -132,21 +131,26 @@ def _slots(qubits: tuple[int, ...], lead: int, ndim: int) -> tuple:
     return tuple(slots)
 
 
-# Small: fixed gates stay in it, while rotations at fresh angles and the
-# fused runs of apply_circuit pass through; a full 4096-entry cache (4 MiB)
-# slowed width-6 checks ~12% by heap layout.
-@lru_cache(maxsize=64)
-def _single_rows(matrix_bytes: bytes, dim: int) -> tuple:
-    """Each row of a single ``dim x dim`` matrix, given by its bytes, as its
-    nonzero entries (b, m[a, b]).  A lone entry of exactly 1 or -1 is the
-    ufunc that applies it to zero, ``np.add`` or ``np.subtract``; any other
-    entry is a 0-d array, which ufuncs take faster than a scalar."""
-    rows = []
-    for row in np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim).tolist():
-        entries = [(b, e) for b, e in enumerate(row) if e != 0]
-        unit = len(entries) == 1 and {1: np.add, -1: np.subtract}.get(entries[0][1])
-        rows.append(((entries[0][0], unit),) if unit else tuple((b, np.array(e)) for b, e in entries))
-    return tuple(rows)
+# The rows of catalog gates (``_single_rows``), by ``_catalog_key``.
+_SINGLE_ROWS: dict[bytes, list] = {}
+
+
+def _single_rows(gate: Gate) -> list:
+    """Each row of the gate's single matrix as its nonzero entries
+    (b, m[a, b]), kept for a catalog gate.  A lone entry of exactly 1 or -1
+    is the ufunc that applies it to zero, ``np.add`` or ``np.subtract``; any
+    other entry is a 0-d array, which ufuncs take faster than a scalar."""
+    key = _catalog_key(gate)
+    rows = _SINGLE_ROWS.get(key)
+    if rows is None:
+        rows = []
+        for row in gate.matrix.tolist():
+            entries = [(b, e) for b, e in enumerate(row) if e != 0]
+            unit = len(entries) == 1 and {1: np.add, -1: np.subtract}.get(entries[0][1])
+            rows.append(((entries[0][0], unit),) if unit else tuple((b, np.array(e)) for b, e in entries))
+        if key is not None:
+            _SINGLE_ROWS[key] = rows
+    return rows
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -169,7 +173,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     psi = amps.reshape(lead + [2] * state.width)
     slots = _slots(gate.qubits, len(lead), psi.ndim)
     if gate.batch is None:
-        rows = _single_rows(gate.matrix.tobytes(), len(slots))
+        rows = _single_rows(gate)
     else:
         entries = gate.matrix.reshape(gate.matrix.shape + (1,) * state.width)
         rows = [[(b, entries[:, a, b]) for b in range(len(slots))] for a in range(len(slots))]

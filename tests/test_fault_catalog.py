@@ -16,9 +16,8 @@ skipped descriptors whose support meets the gate's qubits would miss it.
 ``fused_run_order_reversed`` multiplies each fused run of
 ``states.apply_circuit`` last gate first.  No other check can see it:
 ``picture_equivalence`` is the only check whose circuits put two
-single-qubit gates in a row on one qubit through ``apply_circuit``; the
-timeline applies its gates one at a time (``experiment._evolution``),
-and ``entangled_state``'s circuit is H then CN.
+single-qubit gates in a row on one qubit; no timeline step contains such
+a run, and ``entangled_state``'s circuit is H then CN.
 
 Faults not tested here, with the reason:
 
@@ -39,12 +38,15 @@ Faults not tested here, with the reason:
   Haar-random unitary tests in ``test_heisenberg.py``, which hold every
   step to ``tests/dense.py``'s ``reference_step``, are its only guard.
 """
+import importlib
 import math
+import pkgutil
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+import qpictures
 from qpictures import experiment, gates, heisenberg, pauli, states, verification
 from qpictures.verification import ALL_CHECKS
 
@@ -147,16 +149,27 @@ FAULTS = {
 }
 
 
+def _memos():
+    """Every memo in the package's modules: each function with
+    ``cache_clear``, and each private module-level dict or set (in the
+    package, those are all memos)."""
+    for info in pkgutil.iter_modules(qpictures.__path__):
+        module = importlib.import_module(f"qpictures.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear"):
+                yield value
+            elif name.startswith("_") and not name.startswith("__") and type(value) in (dict, set):
+                yield value
+
+
 def _clear_caches():
-    """Forget every gate matrix, operand Pauli, factor run, compiled rule,
-    gate row and timeline prefix built so far, so a fault reaches all of
-    them and leaves none behind."""
-    heisenberg._IMAGE_CACHE.clear()
-    experiment._PREFIX.clear()
-    heisenberg._operand_paulis.cache_clear()
-    heisenberg._factor_runs.cache_clear()
-    gates._UNITARY.clear()
-    states._single_rows.cache_clear()
+    """Forget everything every memo holds, so a fault reaches all of it and
+    leaves none of it behind."""
+    for memo in _memos():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+        else:
+            memo.clear()
 
 
 def _fails(check) -> bool:
@@ -164,6 +177,17 @@ def _fails(check) -> bool:
         return not check().passed
     except Exception:
         return True
+
+
+def test_clear_caches_empties_every_memo():
+    verification.run_all_checks()
+    memos = list(_memos())
+    for table in (heisenberg._IMAGE_CACHE, experiment._PREFIX, states._SINGLE_ROWS, heisenberg._factor_runs):
+        assert any(memo is table for memo in memos)
+    assert heisenberg._IMAGE_CACHE and experiment._PREFIX and states._SINGLE_ROWS
+    _clear_caches()
+    for memo in memos:
+        assert (memo.cache_info().currsize if hasattr(memo, "cache_clear") else len(memo)) == 0, memo
 
 
 def test_every_named_check_is_registered():

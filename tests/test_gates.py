@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from dense import random_unitary
 from qpictures import Gate, analyzer_rotation, cnot, hadamard, pauli_x, pauli_y, pauli_z, random_circuit
-from qpictures import gates
+from qpictures import experiment, gates, heisenberg, states
 from qpictures.gates import CN_MATRIX, H_MATRIX, rotation_matrix
 
 
@@ -145,11 +146,44 @@ def test_stack_with_one_non_unitary_matrix_rejected():
 
 
 def test_stacks_are_not_remembered():
-    # Rotation angles rarely repeat, so remembering each checked stack
-    # would only hold its bytes; each stack is checked when built instead.
-    angles = np.linspace(0.0, 2.0 * math.pi, 4096)
-    analyzer_rotation(1, angles)
-    size = len(gates._UNITARY)
-    analyzer_rotation(1, angles)
-    analyzer_rotation(2, angles[::-1])
-    assert len(gates._UNITARY) == size
+    # A one-matrix stack of H has H's bytes, but both engines give it a batch
+    # axis, so no memo may serve it as H.
+    stacked = Gate("H", (1,), H_MATRIX[None])
+    assert stacked.matrix.tobytes() == H_MATRIX.tobytes()
+    assert gates._catalog_key(stacked) is None
+    assert gates._catalog_key(hadamard(1)) == H_MATRIX.tobytes()
+    assert heisenberg.evolve(heisenberg.init_descriptors(1), stacked).z(1).batch == 1
+    assert states.apply_gate(states.new_all_zeros(1), stacked).batch == 1
+
+
+def test_patched_catalog_matrix_is_checked_every_time(monkeypatch):
+    hadamard(1)
+    monkeypatch.setattr(gates, "H_MATRIX", 2 * H_MATRIX)
+    with pytest.raises(ValueError, match="unitary"):
+        hadamard(1)
+
+
+def test_only_catalog_matrices_are_remembered(monkeypatch):
+    rng = np.random.default_rng(23)
+    circuits = [random_circuit(3, 40, rng) for _ in range(3)]
+    circuits.append([analyzer_rotation(q, float(a)) for q, a in zip((1, 2, 3, 2), rng.uniform(0, 2 * math.pi, 4))])
+    circuits.append([analyzer_rotation(2, rng.uniform(0, 2 * math.pi, 3)) for _ in range(2)])
+    circuits.append([Gate("U", (3, 1), random_unitary(rng, 4))])
+    for circuit in circuits:
+        heisenberg.evolve_circuit(heisenberg.init_descriptors(3), circuit)
+        states.apply_circuit(states.new_all_zeros(3), circuit)
+    experiment.simulate([experiment.ExperimentConfig(0.3, 1.1)])
+    # A patched constant is not a catalog matrix, so its t=1 prefix is not kept.
+    monkeypatch.setattr(gates, "H_MATRIX", np.array([[1, 1], [-1, 1]], dtype=complex) / math.sqrt(2))
+    experiment.simulate([experiment.ExperimentConfig(0.3, 1.1)])
+    for memo in (heisenberg._IMAGE_CACHE, states._SINGLE_ROWS):
+        assert memo and set(memo) <= gates._CATALOG
+    assert experiment._PREFIX
+    for key in experiment._PREFIX:
+        assert all(matrix in gates._CATALOG for _, matrix in key)
+    # No unitarity memo: the catalog is the only private table in gates.
+    tables = [
+        name for name, value in vars(gates).items()
+        if name.startswith("_") and not name.startswith("__") and isinstance(value, (set, frozenset, dict))
+    ]
+    assert tables == ["_CATALOG"]

@@ -372,7 +372,7 @@ class TestEvolutionProperties:
         rng = np.random.default_rng(100 + seed)
         width = int(rng.integers(2, 6))
         ds = evolve_circuit(init_descriptors(width), random_circuit(width, 10, rng))
-        assert all(op.is_hermitian(1e-12) for _, op in ds.items())
+        assert all(op.is_hermitian() for _, op in ds.items())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pauli_algebra_preserved(self, seed):

@@ -29,8 +29,10 @@ def test_every_demo_has_a_headline():
 
 @pytest.mark.parametrize("demo", sorted(HEADLINES))
 def test_demo_runs(demo):
+    # Under python -O the demos run with their asserts stripped too.
+    optimize = ["-O"] * sys.flags.optimize
     result = subprocess.run(
-        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+        [sys.executable, *optimize, "-W", "error", str(ROOT / "demos" / demo)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
