@@ -47,9 +47,24 @@ CN_MATRIX = np.array(
 
 
 def _check_unitary(name: str, m: np.ndarray) -> None:
-    """Reject a non-unitary matrix, or any non-unitary matrix of a stack."""
-    # np.allclose with rtol=0, written out: several times faster.
-    if not np.all(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1])) <= UNITARY_ATOL):
+    """Reject a non-unitary matrix, or any non-unitary matrix of a stack:
+    every entry of U^dag U must be within ``UNITARY_ATOL`` of the
+    identity's, and a NaN never is."""
+    if m.shape == (2, 2):
+        # The same test on Python scalars, for a lone 2x2 matrix: the two
+        # column norms against 1 and their inner product against 0.
+        (a, b), (c, d) = m.tolist()
+        unitary = (
+            abs(abs(a) * abs(a) + abs(c) * abs(c) - 1) <= UNITARY_ATOL
+            and abs(abs(b) * abs(b) + abs(d) * abs(d) - 1) <= UNITARY_ATOL
+            and abs(a.conjugate() * b + c.conjugate() * d) <= UNITARY_ATOL
+        )
+    else:
+        # np.allclose with rtol=0, written out: several times faster.  An inf
+        # or NaN entry fails the test, so its arithmetic warnings are moot.
+        with np.errstate(invalid="ignore", over="ignore"):
+            unitary = np.all(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1])) <= UNITARY_ATOL)
+    if not unitary:
         raise ValueError(f"gate {name!r} matrix is not unitary")
 
 

@@ -55,6 +55,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
+from itertools import accumulate
 from numbers import Number
 from typing import Iterable
 
@@ -208,9 +209,14 @@ def _prune(keys: np.ndarray, coeffs: np.ndarray):
     below it, so a NaN term survives.  Adding +0.0 turns a -0.0 component
     into +0.0, as summing into a zeroed accumulator does, so a merged and an
     unmerged path give bitwise-equal coefficients."""
-    keep = ~(np.abs(coeffs) < PRUNE_TOL)
-    keep = keep[:, 0] if keep.shape[1] == 1 else np.logical_or.reduce(keep, axis=1)
+    keep = _kept(coeffs)
     return keys[keep], coeffs.compress(keep, axis=0) + 0.0
+
+
+def _kept(coeffs: np.ndarray) -> np.ndarray:
+    """The rows of ``coeffs`` that ``_prune`` keeps."""
+    keep = ~(np.abs(coeffs) < PRUNE_TOL)
+    return keep[:, 0] if keep.shape[1] == 1 else np.logical_or.reduce(keep, axis=1)
 
 
 def _common_batch(*batches) -> int | None:
@@ -235,7 +241,7 @@ def _group_sums(keys: np.ndarray, values: np.ndarray):
     each.  The sort is stable, so equal keys are summed in a fixed order."""
     if len(keys) <= 1:
         return keys, values
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys = keys[order]
     starts = np.empty(len(keys), bool)
     starts[0] = True
@@ -599,17 +605,17 @@ def _pair_pass(width: int, pairs, columns: int):
     rows_a = np.array([len(p[0]) for p in pairs])
     rows_b = np.array([len(p[2]) for p in pairs])
     # per_row[r]: the term pairs that row r of the stacked a rows forms.
-    per_row = np.repeat(rows_b, rows_a)
-    at_a = np.repeat(np.arange(len(per_row)), per_row)
-    first_b = np.repeat(np.cumsum(rows_b) - rows_b, rows_a) - (np.cumsum(per_row) - per_row)
-    at_b = np.arange(len(at_a)) + np.repeat(first_b, per_row)
+    per_row = rows_b.repeat(rows_a)
+    at_a = np.arange(len(per_row)).repeat(per_row)
+    first_b = (rows_b.cumsum() - rows_b).repeat(rows_a) - (per_row.cumsum() - per_row)
+    at_b = np.arange(len(at_a)) + first_b.repeat(per_row)
     keys, exponents = _string_products(
         np.concatenate([p[0] for p in pairs])[at_a], np.concatenate([p[2] for p in pairs])[at_b]
     )
     coeffs = np.concatenate([_broadcast(p[1], columns) for p in pairs])[at_a] * np.concatenate(
         [_broadcast(p[3], columns) for p in pairs]
     )[at_b]
-    tags = np.repeat(np.arange(len(pairs)), rows_a * rows_b)
+    tags = np.arange(len(pairs)).repeat(rows_a * rows_b)
     return _merge_sums(width, tags, len(pairs), keys, coeffs * _I_POWERS[exponents, None])
 
 
@@ -628,9 +634,22 @@ def _merge_sums(width: int, tags: np.ndarray, count: int, keys: np.ndarray, valu
         return [_merge(keys, values)]
     shift = 2 * width
     tagged, values = _merge(keys | tags << shift, values)
-    bounds = np.searchsorted(tagged, [t << shift for t in range(count + 1)]).tolist()
+    bounds = tagged.searchsorted([t << shift for t in range(count + 1)]).tolist()
     keys = tagged & ((1 << shift) - 1)
     return [(keys[start:end], values[start:end]) for start, end in zip(bounds, bounds[1:])]
+
+
+def _prune_sums(lengths, keys: np.ndarray, values: np.ndarray):
+    """``_prune`` of each of several sums whose terms come one sum after
+    another, ``lengths[t]`` of them for sum t, from one keep mask."""
+    keep = _kept(values)
+    ends = list(accumulate(lengths))
+    if np.count_nonzero(keep) < len(keep):
+        # Each sum now ends after the terms kept up to its old end.
+        ends = np.concatenate(([0], np.cumsum(keep)))[ends].tolist()
+        keys, values = keys[keep], values.compress(keep, axis=0)
+    values = values + 0.0
+    return [(keys[start:end], values[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def expectation_in_all_zeros(op: OperatorSum) -> complex:
@@ -646,20 +665,29 @@ def expectation_in_all_zeros(op: OperatorSum) -> complex:
     return _column_sums(op._coeffs * signs[:, None], op._batch)
 
 
-def _reference_images(op: OperatorSum):
-    """op|0..0> and <0..0|op as sparse vectors over one grouping: the
-    distinct x masks of op's strings in ascending order, then the ket rows
-    and the bra rows, one amplitude row per mask each.  A phase-free string
-    maps the reference state to P|0..0> = i**|x z| (-1)**|z| |x>, since
-    Y = i X Z and Z|0> = -|0>; the bra phases are the conjugates.  Both
-    phase rows are reduced together, and each column sums alone."""
-    x, z = _x_z(op._keys)
+def _reference_images(ops):
+    """op|0..0> and <0..0|op for each sum of ``ops``, as sparse vectors over
+    one grouping: each sum's distinct x masks in ascending order, the sum's
+    index in ``ops`` above the key bits (none for a lone sum), then the ket
+    rows and the bra rows, one amplitude row per mask each.  A phase-free
+    string maps the reference state to P|0..0> = i**|x z| (-1)**|z| |x>,
+    since Y = i X Z and Z|0> = -|0>; the bra phases are the conjugates.
+    Both phase rows are reduced together, each column sums alone, and a
+    sum's rows come out as they do when it is grouped alone."""
+    if len(ops) == 1:
+        keys, coeffs = ops[0]._keys, ops[0]._coeffs
+    else:
+        keys = np.concatenate([op._keys for op in ops])
+        coeffs = np.concatenate([op._coeffs for op in ops])
+    x, z = _x_z(keys)
     xz = np.bitwise_count(x & z)
     z2 = 2 * np.bitwise_count(z)
-    columns = op._coeffs.shape[1]
+    columns = coeffs.shape[1]
     phased = np.concatenate(
-        (op._coeffs * _I_POWERS[(xz + z2) & 3, None], op._coeffs * _I_POWERS[(3 * xz + z2) & 3, None]), axis=1
+        (coeffs * _I_POWERS[(xz + z2) & 3, None], coeffs * _I_POWERS[(3 * xz + z2) & 3, None]), axis=1
     )
+    if len(ops) > 1:
+        x |= np.arange(len(ops)).repeat([len(op._keys) for op in ops]) << 2 * ops[0]._width
     masks, rows = _group_sums(x, phased)
     return masks, rows[:, :columns], rows[:, columns:]
 
@@ -676,45 +704,61 @@ def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} != {b.width}")
     batch = _common_batch(a._batch, b._batch)
-    keys_a, _, rows_a = _reference_images(a)
-    keys_b, rows_b, _ = _reference_images(b)
+    keys_a, _, rows_a = _reference_images([a])
+    keys_b, rows_b, _ = _reference_images([b])
     # Both key arrays ascend, so looking each bra mask up among the ket's
     # pairs the shared masks in ascending order.
-    at_b = np.searchsorted(keys_b, keys_a)
+    at_b = keys_b.searchsorted(keys_a)
     hit = at_b < len(keys_b)
     hit[hit] = keys_b[at_b[hit]] == keys_a[hit]
     return _column_sums(rows_a[hit] * rows_b[at_b[hit]], batch)
 
 
-def pair_matrix_in_all_zeros(ops) -> np.ndarray:
-    """<0..0| a b |0..0> for every pair (a, b) of the unbatched sums
-    ``ops``, as one ``(len(ops), len(ops))`` complex matrix ``bra @ ket.T``.
+def pair_matrix_in_all_zeros(groups):
+    """Every <0..0| a |0..0> and every <0..0| a b |0..0> of each group of
+    ``groups``, equal-length lists of unbatched sums of one width: the
+    singles as a ``(groups, n)`` and the pairs as a ``(groups, n, n)``
+    complex array, from one pass.
 
-    Row i of ``bra`` and of ``ket`` holds the bra and the ket image of
-    |0..0> under ``ops[i]`` (``_reference_images``), over the union of all
-    the sums' x masks; entry (i, j) is the dot product that
-    ``pair_expectation_in_all_zeros(ops[i], ops[j])`` takes, summed by one
-    matmul instead of one call per pair.
+    Every sum's bra and ket images of |0..0> (``_reference_images``) come
+    from one grouping tagged by sum.  A second grouping, tagged by group,
+    gives each group the union of its sums' x masks in ascending order, so
+    row i of a group's ``bra`` and ``ket`` holds the images under its sum
+    i over those masks, and one batched matmul ``bra @ ket.T`` takes every
+    pair read of every group: entry (i, j) is the dot product that
+    ``pair_expectation_in_all_zeros(a_i, a_j)`` takes.  A single is the
+    ket image's entry at x mask 0.
     """
-    ops = list(ops)
+    groups = [list(group) for group in groups]
+    ops = [op for group in groups for op in group]
+    if len({len(group) for group in groups}) > 1:
+        raise ValueError(f"group size mismatch: {sorted({len(group) for group in groups})}")
     if len({op.width for op in ops}) > 1:
         raise ValueError(f"width mismatch: {sorted({op.width for op in ops})}")
     if any(op._batch is not None for op in ops):
         raise ValueError("a pair matrix reads unbatched sums; take one column at a time")
-    images = [_reference_images(op) for op in ops]
-    keys = np.concatenate([k for k, _, _ in images])
+    count, n = len(groups), len(ops) // max(len(groups), 1)
+    if not ops:
+        return np.zeros((count, n), complex), np.zeros((count, n, n), complex)
+    shift = 2 * ops[0]._width
+    tagged, ket, bra = _reference_images(ops)
+    sums, masks = tagged >> shift, tagged & ((1 << shift) - 1)
+    union = masks | sums // n << shift
     # The stable argsort that ``_group_sums`` uses: a first np.sort call maps
     # another numpy sort kernel into memory, +0.25 MB of peak RSS.
-    masks = keys[np.argsort(keys, kind="stable")]
-    # Keys are >= 0, so the prepended -1 marks the first mask as new.
-    masks = masks[np.diff(masks, prepend=-1) != 0]
-    rows = np.repeat(np.arange(len(ops)), [len(k) for k, _, _ in images])
-    cols = np.searchsorted(masks, keys)
-    bra = np.zeros((len(ops), len(masks)), complex)
-    ket = np.zeros_like(bra)
-    bra[rows, cols] = np.concatenate([b[:, 0] for _, _, b in images])
-    ket[rows, cols] = np.concatenate([k[:, 0] for _, k, _ in images])
-    return bra @ ket.T
+    distinct = union[union.argsort(kind="stable")]
+    # Tagged masks are >= 0, so the prepended -1 marks the first one as new.
+    distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+    cols = distinct.searchsorted(union) - distinct.searchsorted(union >> shift << shift)
+    at = (sums // n, sums % n, cols)
+    bra_rows = np.zeros((count, n, int(cols.max(initial=-1)) + 1), complex)
+    ket_rows = np.zeros_like(bra_rows)
+    bra_rows[at] = bra[:, 0]
+    ket_rows[at] = ket[:, 0]
+    singles = np.zeros(count * n, complex)
+    zero = masks == 0
+    singles[sums[zero]] = ket[zero, 0]
+    return singles.reshape(count, n), bra_rows @ ket_rows.swapaxes(1, 2)
 
 
 def max_term_deviation(a: OperatorSum, b: OperatorSum) -> float:

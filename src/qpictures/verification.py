@@ -10,13 +10,16 @@ angle pairs simulates the whole grid as one batched ``Run``.  The CLI
 ``verify`` subcommand and the acceptance test suite both run this
 registry.
 
-``compare_pictures``, behind ``picture_equivalence`` and the CLI
-``picture-check``, scores descriptor reads against the statevector: each
-picture reads every <q_z> and <q_z q_z'> in one pass,
-``heisenberg.z_moments`` over the descriptors and ``states.z_moments``
-over the state's probabilities, and one max scores the singles and the
-pairs above the diagonal.  The diagonal <q_z q_z> = 1 compares two
-norms, not two pictures, so it is left out.
+``compare_pictures``, behind the CLI ``picture-check``, scores descriptor
+reads against the statevector for one circuit; it is the one-circuit case
+of ``_compare_many``, behind ``picture_equivalence``, which scores each
+width's circuits as one group.  Each picture reads every <q_z> and
+<q_z q_z'> in one pass, ``heisenberg._z_moments_many`` over the
+descriptor sets of every circuit of the group, evolved in lockstep, and
+``states.z_moments`` over each state's probabilities, and one max per
+circuit scores the singles and the pairs above the diagonal.  The
+diagonal <q_z q_z> = 1 compares two norms, not two pictures, so it is
+left out; the group read holds it to 1 on its own.
 
 ``descriptor_locality`` holds the descriptor engine to the locality rule
 by qubit: a gate rewrites only the descriptors of the qubits it acts on.
@@ -159,27 +162,58 @@ def check_sign_error_audit() -> CheckResult:
 def compare_pictures(gates, width: int) -> float:
     """Max deviation between descriptor-side and statevector-side
     expectations of every q_z and pairwise q_z product; NaN if any read
-    is NaN.  Each side reads all of them from one ``z_moments`` pass."""
-    gates = tuple(gates)
-    dz, dzz = heisenberg.z_moments(evolve_circuit(init_descriptors(width), gates))
-    z, zz = states.z_moments(apply_circuit(new_all_zeros(width), gates))
+    is NaN.  The one-circuit case of ``_compare_many``."""
+    return float(_compare_many([gates], width)[0])
+
+
+def _compare_many(circuits, width: int) -> np.ndarray:
+    """``compare_pictures`` of each circuit of one width.  The descriptor
+    sets advance in lockstep (``heisenberg._evolve_many``) and are read in
+    one pass (``heisenberg._z_moments_many``); a lone circuit steps through
+    the public ``evolve`` instead, the same step body, so a wrapper of
+    ``evolve`` (``perfbench/spans.py``) still sees a one-circuit check step
+    by step.  The state side runs and reads each circuit alone
+    (``states.z_moments``), so its bits are those of a one-circuit check."""
+    circuits = [tuple(gates) for gates in circuits]
+    start = init_descriptors(width)
+    if len(circuits) == 1:
+        sets = [evolve_circuit(start, circuits[0])]
+    else:
+        sets = heisenberg._evolve_many([start] * len(circuits), circuits)
+    dz, dzz = heisenberg._z_moments_many(sets)
     # The pairs above the diagonal, row by row; the diagonal <q_z q_z> = 1
     # compares two norms, not two pictures.
     qubits = np.arange(width)
     pairs = qubits[:, None] < qubits
-    return float(np.max(np.abs(np.concatenate([dz - z, (dzz - zz)[pairs]]))))
+    deviations = np.empty(len(circuits))
+    for i, gates in enumerate(circuits):
+        z, zz = states.z_moments(apply_circuit(new_all_zeros(width), gates))
+        deviations[i] = np.max(np.abs(np.concatenate([dz[i] - z, (dzz[i] - zz)[pairs]])))
+    return deviations
 
 
-def check_picture_equivalence() -> CheckResult:
-    """Both engines agree on 200 seeded random circuits."""
+def _picture_circuits() -> list:
+    """The (width, circuit) pairs of ``picture_equivalence``, drawn in order
+    from ``PICTURE_CHECK_SEED``: widths 2-5 in turn, depths 1-12."""
     rng = np.random.default_rng(PICTURE_CHECK_SEED)
-    deviations = []
+    circuits = []
     for i in range(PICTURE_CHECK_CIRCUITS):
         width = 2 + i % 4
         depth = int(rng.integers(1, 13))
-        deviations.append(compare_pictures(random_circuit(width, depth, rng), width))
+        circuits.append((width, random_circuit(width, depth, rng)))
+    return circuits
+
+
+def check_picture_equivalence() -> CheckResult:
+    """Both engines agree on 200 seeded random circuits, each width's
+    circuits compared as one group."""
+    circuits = _picture_circuits()
+    deviations = [
+        _compare_many([gates for w, gates in circuits if w == width], width)
+        for width in sorted({width for width, _ in circuits})
+    ]
     return _scored(
-        "picture_equivalence", np.max(deviations), PICTURE_CHECK_TOL,
+        "picture_equivalence", np.max(np.concatenate(deviations)), PICTURE_CHECK_TOL,
         f"{PICTURE_CHECK_CIRCUITS} random circuits, widths 2-5, depth <= 12",
     )
 

@@ -13,6 +13,11 @@ that, so the row holds the locality check's own rule to account: by
 the record step all three of Q3's descriptors act on Q2, so a rule that
 skipped descriptors whose support meets the gate's qubits would miss it.
 
+``single_descriptor_read_negated`` negates the single read behind
+``descriptor_expectation``; ``picture_equivalence`` reads its singles off
+the pair pass (``heisenberg._z_moments_many``), so
+``group_single_read_negated`` negates those.
+
 ``fused_run_order_reversed`` multiplies each fused run of
 ``states.apply_circuit`` last gate first.  No other check can see it:
 ``picture_equivalence`` is the only check whose circuits put two
@@ -33,10 +38,12 @@ Faults not tested here, with the reason:
   ``test_pauli.py``, which compares the dense route with the pair route
   through ``a * b``, and the ``descriptors.sha256`` golden output of
   ``tools/golden.sh``, whose width-6 brickwork takes the dense route.
-* ``heisenberg.evolve`` dropping the last factor of a three-factor term
-  fails no registry check: no catalog gate has arity 3.  The 3-qubit
-  Haar-random unitary tests in ``test_heisenberg.py``, which hold every
-  step to ``tests/dense.py``'s ``reference_step``, are its only guard.
+* The descriptor step (``heisenberg._step``, behind both ``evolve`` and
+  the lockstep ``_evolve_many``) dropping the last factor of a
+  three-factor term fails no registry check: no catalog gate has arity 3.
+  The 3-qubit Haar-random unitary tests in ``test_heisenberg.py``, which
+  hold every step of both paths to ``tests/dense.py``'s
+  ``reference_step``, are its only guard.
 """
 import importlib
 import math
@@ -92,8 +99,15 @@ def _bra_rows_as_ket_rows(op):
     return masks, ket, ket
 
 
+def _group_singles_negated(groups):
+    """``pauli.pair_matrix_in_all_zeros`` with every single negated."""
+    singles, pairs = _pair_matrix(groups)
+    return -singles, pairs
+
+
 _evolve = heisenberg.evolve
 _single_read = pauli.expectation_in_all_zeros
+_pair_matrix = pauli.pair_matrix_in_all_zeros
 _reference_images = pauli._reference_images
 _joint_probability = states.joint_probability
 _fused = states._fused
@@ -119,7 +133,11 @@ FAULTS = {
     ),
     "single_descriptor_read_negated": (
         (heisenberg, "expectation_in_all_zeros", lambda op: -_single_read(op)),
-        {"sign_error_audit", "picture_equivalence"},
+        {"sign_error_audit"},
+    ),
+    "group_single_read_negated": (
+        (heisenberg, "pair_matrix_in_all_zeros", _group_singles_negated),
+        {"picture_equivalence"},
     ),
     "pair_read_bra_not_conjugated": (
         (pauli, "_reference_images", _bra_rows_as_ket_rows),

@@ -187,3 +187,25 @@ def test_only_catalog_matrices_are_remembered(monkeypatch):
         if name.startswith("_") and not name.startswith("__") and isinstance(value, (set, frozenset, dict))
     ]
     assert tables == ["_CATALOG"]
+
+
+def _perturbed(matrix, size):
+    """``matrix`` with ``size`` added to its top-left entry."""
+    out = np.array(matrix, dtype=complex)
+    out[0, 0] += size
+    return out
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.7, math.pi / 2, -2.9])
+def test_scalar_and_matmul_unitarity_checks_agree(angle):
+    """A lone 2x2 matrix takes the scalar form of the check and a stack of
+    one the matmul form; both hold every entry of U^dag U to UNITARY_ATOL."""
+    exact = rotation_matrix(angle)
+    for matrix in (exact, _perturbed(exact, 1e-14), random_unitary(np.random.default_rng(5), 2)):
+        gates._check_unitary("ok", matrix)
+        gates._check_unitary("ok", matrix[None])
+    for bad in (_perturbed(exact, 1e-10), _perturbed(exact, -1e-10), _perturbed(exact, math.nan),
+                _perturbed(exact, math.inf), _perturbed(exact, complex(0, math.nan)), np.full((2, 2), 1e200)):
+        for matrix in (bad, bad[None]):
+            with pytest.raises(ValueError, match="unitary"):
+                gates._check_unitary("bad", matrix)

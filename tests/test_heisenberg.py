@@ -501,3 +501,146 @@ def test_chunked_products_match_the_reference_step(monkeypatch, chunk):
     joint pass, and the larger ones are formed in chunks."""
     monkeypatch.setattr(pauli, "_PAIR_CHUNK", chunk)
     _steps_match_the_reference_step(4, brickwork(4, 5, seed=3))
+
+
+def _lockstep_matches_the_reference_step(width, circuits):
+    """Advance every circuit's set one ``_evolve_many`` step at a time, the
+    sets whose circuits have ended dropping out, and hold every descriptor
+    after every step to ``reference_step``'s, bit for bit, and the final
+    sets to ``evolve_circuit``'s."""
+    sets = [init_descriptors(width)] * len(circuits)
+    for step in range(max(map(len, circuits))):
+        live = [i for i, gates in enumerate(circuits) if step < len(gates)]
+        got = heisenberg._evolve_many([sets[i] for i in live], [circuits[i][step : step + 1] for i in live])
+        for i, after in zip(live, got):
+            want = reference_step(sets[i], circuits[i][step])
+            assert after.step == want.step
+            for key, op in want.items():
+                assert after.descriptor(*key).equal_terms(op), (i, step, key)
+            sets[i] = after
+    for ds, gates in zip(sets, circuits):
+        serial = evolve_circuit(init_descriptors(width), gates)
+        assert all(ds.descriptor(*key).equal_terms(op) for key, op in serial.items())
+
+
+@st.composite
+def lockstep_groups(draw):
+    """Two to five seeded random circuits of one width 1-6 and unequal
+    depths, stacked R gates of one batch size spliced in, and Haar-random
+    2- and 3-qubit unitaries, some stacked."""
+    width = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = draw(st.integers(1, 3))
+    circuits = []
+    for _ in range(draw(st.integers(2, 5))):
+        gates = list(random_circuit(width, draw(st.integers(0, 10)), rng))
+        for _ in range(draw(st.integers(0, 2))):
+            gate = analyzer_rotation(draw(st.integers(1, width)), list(rng.uniform(0.0, 2 * math.pi, batch)))
+            gates.insert(draw(st.integers(0, len(gates))), gate)
+        for arity in range(2, min(width, 3) + 1):
+            if draw(st.booleans()):
+                qubits = tuple(int(q) + 1 for q in rng.choice(width, arity, replace=False))
+                stack = [random_unitary(rng, 2**arity) for _ in range(batch)]
+                matrix = np.stack(stack) if draw(st.booleans()) else stack[0]
+                gates.insert(draw(st.integers(0, len(gates))), Gate("U", qubits, matrix))
+        circuits.append(gates)
+    return width, circuits
+
+
+class TestLockstep:
+    @given(lockstep_groups())
+    def test_every_step_matches_the_reference_step(self, group):
+        _lockstep_matches_the_reference_step(*group)
+
+    def test_picture_circuits_match_evolve_circuit(self):
+        """The picture_equivalence circuits, grouped by width, all six gate
+        kinds at depths 1-12, come out as evolve_circuit gives them."""
+        circuits = verification._picture_circuits()
+        for width in range(2, 6):
+            group = [gates for w, gates in circuits if w == width]
+            sets = heisenberg._evolve_many([init_descriptors(width)] * len(group), group)
+            for ds, gates in zip(sets, group):
+                assert ds.step == len(gates)
+                serial = evolve_circuit(init_descriptors(width), gates)
+                assert all(ds.descriptor(*key).equal_terms(op) for key, op in serial.items())
+
+    def test_three_qubit_unitaries_match_the_reference_step(self):
+        """Haar-random 3-qubit unitaries, one per circuit, whose image terms
+        have up to three factors: their products form in two rounds, over
+        every set at once."""
+        rng = np.random.default_rng(17)
+        circuits = [
+            [hadamard(1), cnot(2, 1), Gate("U", (3, 1, 4), random_unitary(rng, 8)), analyzer_rotation(3, 0.4)],
+            [Gate("U", (1, 2, 3), random_unitary(rng, 8)), Gate("U", (4, 2, 1), random_unitary(rng, 8))],
+            [pauli_y(2), Gate("U", (2, 4, 3), np.stack([random_unitary(rng, 8) for _ in range(2)]))],
+        ]
+        _lockstep_matches_the_reference_step(4, circuits)
+
+    def test_dense_and_chunked_products_match_the_reference_step(self, monkeypatch):
+        dense = []
+        real = pauli._dense_product
+        monkeypatch.setattr(pauli, "_dense_product", lambda a, b: dense.append(a.width) or real(a, b))
+        _lockstep_matches_the_reference_step(6, [brickwork(6, 7, seed=1), brickwork(6, 4, seed=2)])
+        assert dense
+        monkeypatch.setattr(pauli, "_PAIR_CHUNK", 64)
+        _lockstep_matches_the_reference_step(4, [brickwork(4, 5, seed=3), brickwork(4, 3, seed=4)])
+
+    def test_empty_and_ended_circuits(self):
+        sets = heisenberg._evolve_many([init_descriptors(2)] * 3, [(), (hadamard(1),), ()])
+        assert [ds.step for ds in sets] == [0, 1, 0]
+        assert heisenberg._evolve_many([], []) == []
+
+    def test_term_growth_error_from_inside_a_group(self, monkeypatch):
+        monkeypatch.setattr("qpictures.heisenberg.TERM_CAP", 1)
+        circuits = [(hadamard(1), pauli_x(2)), (hadamard(2), analyzer_rotation(1, 0.7))]
+        message = "descriptor for qubit 1 axis Y grew to 2 terms at step 2 (cap 1)"
+        with pytest.raises(TermGrowthError, match=re.escape(message)):
+            heisenberg._evolve_many([init_descriptors(2)] * 2, circuits)
+
+    def test_mixed_widths_and_counts_rejected(self):
+        with pytest.raises(ValueError, match="width mismatch"):
+            heisenberg._evolve_many([init_descriptors(2), init_descriptors(3)], [(hadamard(1),)] * 2)
+        with pytest.raises(ValueError, match="2 descriptor sets for 1 circuits"):
+            heisenberg._evolve_many([init_descriptors(2)] * 2, [(hadamard(1),)])
+        with pytest.raises(ValueError, match="outside width 2"):
+            heisenberg._evolve_many([init_descriptors(2)] * 2, [(hadamard(1),), (hadamard(3),)])
+
+    def test_batch_size_mismatch_rejected(self):
+        circuits = [(analyzer_rotation(1, [0.1, 0.2]),), (analyzer_rotation(1, [0.1, 0.2, 0.3]),)]
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            heisenberg._evolve_many([init_descriptors(1)] * 2, circuits)
+
+
+class TestGroupRead:
+    def test_matches_the_one_set_read(self):
+        """Each set of a width group reads as ``z_moments`` of it alone: the
+        singles bit for bit, the pairs up to a matmul's rounding over a
+        group's zero-padded columns."""
+        circuits = verification._picture_circuits()
+        for width in range(2, 6):
+            group = [evolve_circuit(init_descriptors(width), gates) for w, gates in circuits if w == width]
+            z, zz = heisenberg._z_moments_many(group)
+            assert z.shape == (len(group), width) and zz.shape == (len(group), width, width)
+            for j, ds in enumerate(group):
+                alone = z_moments(ds)
+                np.testing.assert_array_equal(z[j], alone[0])
+                np.testing.assert_allclose(zz[j], alone[1], rtol=0, atol=1e-15)
+
+    def test_doctored_norm_names_the_qubit(self):
+        """One coefficient scaled by 1.001 in one set of a group breaks
+        <q_z q_z> = 1 for that qubit alone; the raise is explicit, so this
+        holds under python -O as well."""
+        rngs = [np.random.default_rng(seed) for seed in range(4)]
+        group = [evolve_circuit(init_descriptors(3), random_circuit(3, 8, rng)) for rng in rngs]
+        ds = group[2]
+        op = ds.z(2)
+        coeffs = op._coeffs.copy()
+        coeffs[0] *= 1.001
+        table = dict(ds.items())
+        table[(2, Axis.Z)] = OperatorSum._raw(3, op._keys, coeffs, None)
+        group[2] = DescriptorSet(3, ds.step, MappingProxyType(table))
+        with pytest.raises(AssertionError, match=r"qubit 2 axis Z of set 2 has <q_z q_z> = 1\.00"):
+            heisenberg._z_moments_many(group)
+        with pytest.raises(AssertionError, match="qubit 2 axis Z"):
+            z_moments(group[2])
+        heisenberg._z_moments_many(group[:2] + group[3:])

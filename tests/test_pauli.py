@@ -387,8 +387,8 @@ def test_pair_read_matches_the_intersect1d_form_bit_for_bit(sums, batched):
     a, b = sums
     if batched:
         a = pauli.linear_combination(a.width, [(np.array([1.0, -0.5j, 2.0]), a)])
-    keys_a, _, rows_a = pauli._reference_images(a)
-    keys_b, rows_b, _ = pauli._reference_images(b)
+    keys_a, _, rows_a = pauli._reference_images([a])
+    keys_b, rows_b, _ = pauli._reference_images([b])
     _, at_a, at_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
     expected = pauli._column_sums(rows_a[at_a] * rows_b[at_b], a.batch)
     assert _bits(pair_expectation_in_all_zeros(a, b)).tolist() == _bits(expected).tolist()
@@ -541,27 +541,55 @@ class TestPairExpectationInAllZeros:
 
 
 class TestPairMatrixInAllZeros:
-    """Every <0|a b|0> of a list of sums from one matmul, against the pair read."""
+    """Every <0|a|0> and <0|a b|0> of groups of sums from one pass, against
+    the single and the pair read."""
 
     @given(operator_sums(count=4, max_width=4, max_terms=6))
     def test_entries_match_the_pair_read(self, sums):
         # Arbitrary sums, zero ones included: neither Hermitian nor commuting.
-        got = pair_matrix_in_all_zeros(sums)
-        assert got.shape == (4, 4)
+        singles, pairs = pair_matrix_in_all_zeros([sums])
+        assert singles.shape == (1, 4) and pairs.shape == (1, 4, 4)
         for i, a in enumerate(sums):
+            assert abs(singles[0, i] - expectation_in_all_zeros(a)) <= 1e-12
             for j, b in enumerate(sums):
-                assert abs(got[i, j] - pair_expectation_in_all_zeros(a, b)) <= 1e-12
+                assert abs(pairs[0, i, j] - pair_expectation_in_all_zeros(a, b)) <= 1e-12
+
+    @given(operator_sums(count=6, max_width=4, max_terms=6), st.sampled_from([1, 2, 3, 6]))
+    def test_each_group_reads_as_it_does_alone(self, sums, size):
+        """Each group gets the union of its own x masks, so it reads as a call
+        on it alone does: the singles bit for bit, and the pairs up to the
+        rounding of a matmul over a group's zero-padded columns."""
+        groups = [sums[start : start + size] for start in range(0, len(sums), size)]
+        singles, pairs = pair_matrix_in_all_zeros(groups)
+        assert pairs.shape == (len(groups), size, size)
+        for g, group in enumerate(groups):
+            alone = pair_matrix_in_all_zeros([group])
+            np.testing.assert_array_equal(singles[g], alone[0][0])
+            np.testing.assert_allclose(pairs[g], alone[1][0], rtol=0, atol=1e-12)
 
     def test_one_sum(self):
         x = OperatorSum(1, [("X1", 1.0), ("Z1", 0.5j)])
-        np.testing.assert_array_equal(pair_matrix_in_all_zeros([x]), [[pair_expectation_in_all_zeros(x, x)]])
+        singles, pairs = pair_matrix_in_all_zeros([[x]])
+        np.testing.assert_array_equal(pairs, [[[pair_expectation_in_all_zeros(x, x)]]])
+        np.testing.assert_array_equal(singles, [[-0.5j]])
+
+    def test_empty_sums_read_zero(self):
+        singles, pairs = pair_matrix_in_all_zeros([[OperatorSum.zero(2)] * 2] * 3)
+        assert singles.shape == (3, 2) and pairs.shape == (3, 2, 2)
+        assert not singles.any() and not pairs.any()
 
     def test_width_mismatch_and_batch_rejected(self):
         with pytest.raises(ValueError, match="width"):
-            pair_matrix_in_all_zeros([OperatorSum.identity(2), OperatorSum.identity(3)])
+            pair_matrix_in_all_zeros([[OperatorSum.identity(2), OperatorSum.identity(3)]])
+        with pytest.raises(ValueError, match="width"):
+            pair_matrix_in_all_zeros([[OperatorSum.identity(2)], [OperatorSum.identity(3)]])
         batched = OperatorSum(1, [("Z1", np.array([1.0, 2.0]))])
         with pytest.raises(ValueError, match="unbatched"):
-            pair_matrix_in_all_zeros([OperatorSum.identity(1), batched])
+            pair_matrix_in_all_zeros([[OperatorSum.identity(1), batched]])
+
+    def test_group_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="group size"):
+            pair_matrix_in_all_zeros([[OperatorSum.identity(1)] * 2, [OperatorSum.identity(1)]])
 
 
 @st.composite

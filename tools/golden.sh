@@ -8,7 +8,8 @@
 # command fails or warns.  The largest outputs, the chsh scan CSV and the
 # `sweep 4096` CSV and JSON (a MAX_BATCH table), are stored as their
 # sha256, and so are the descriptors and the amplitudes of fixed circuit
-# sets (the last two entries).  The golden check of a change against its parent is
+# sets and the grouped descriptor reads of picture_equivalence (the last
+# three entries).  The golden check of a change against its parent is
 #
 #   tools/golden.sh PARENT before && tools/golden.sh CHANGE after && diff -r before after
 set -euo pipefail
@@ -145,5 +146,22 @@ for layer in range(4):
         stacked += [analyzer_rotation(q, float(rng.uniform(0.0, 2.0 * math.pi))), pauli_y(q)][: 1 + layer % 2]
     stacked += [cnot(t, t + 1) for t in range(1 + layer % 2, 4, 2)]
 feed(4, stacked)
+print(digest.hexdigest())
+EOF
+# The sha256 of every descriptor-side (z, zz) read of picture_equivalence's
+# circuits, each width's sets evolved in lockstep and read as one group, so
+# the summation order of the group read is pinned.
+python -W error - > "$out/reads.sha256" <<'EOF'
+import hashlib
+
+from qpictures import heisenberg, init_descriptors, verification
+
+digest = hashlib.sha256()
+circuits = verification._picture_circuits()
+for width in sorted({width for width, _ in circuits}):
+    group = [gates for w, gates in circuits if w == width]
+    z, zz = heisenberg._z_moments_many(heisenberg._evolve_many([init_descriptors(width)] * len(group), group))
+    digest.update(z.tobytes())
+    digest.update(zz.tobytes())
 print(digest.hexdigest())
 EOF
