@@ -53,7 +53,6 @@ from .pauli import (
     Axis,
     OperatorSum,
     PauliString,
-    expectation_in_all_zeros,
     max_term_deviation,
 )
 from .states import (
@@ -99,7 +98,6 @@ __all__ = [
     "evolve",
     "evolve_circuit",
     "expectation",
-    "expectation_in_all_zeros",
     "hadamard",
     "init_descriptors",
     "joint_prob_both_one_at_t2",

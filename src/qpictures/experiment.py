@@ -18,10 +18,13 @@ before the comparison step ever runs.
 angle pairs: the analyzer rotations carry one angle per pair, so from t=2
 on states have one row and descriptors one coefficient column per pair,
 while the gate list, the angle-free t=1 step and the Pauli strings are
-shared.  The result is a ``Run``, and every quantity is a function of a
-Run with one value per angle pair.  ``reports(run)`` is the report as a
-table: one array per field, in CSV and JSON order, each holding one value
-per angle pair.  One angle pair is a batch of one:
+shared.  It then reads every <q_z> and <q_z q_z'> of steps 2-4 once, in
+one group read (``heisenberg._z_moments_many``).  The result is a
+``Run``, and every quantity is a function of a Run with one value per
+angle pair: its Heisenberg values are entries of the Run's reads, and its
+statevector values come from the Run's states.  ``reports(run)`` is the
+report as a table: one array per field, in CSV and JSON order, each
+holding one value per angle pair.  One angle pair is a batch of one:
 ``reports(simulate([cfg]))["p_diff_t4"][0]``.
 """
 from __future__ import annotations
@@ -34,12 +37,7 @@ import numpy as np
 
 from . import states
 from .gates import Gate, _catalog_key, analyzer_rotation, cnot, hadamard
-from .heisenberg import (
-    DescriptorSet,
-    descriptor_expectation,
-    evolve_circuit,
-    init_descriptors,
-)
+from .heisenberg import DescriptorSet, _z_moments_many, evolve_circuit, init_descriptors
 from .pauli import OperatorSum
 from .states import StateVector, apply_circuit, joint_probability, new_all_zeros
 
@@ -117,12 +115,16 @@ class Run:
     descriptor set.  From the analyzer step on, a state holds one row of
     amplitudes per config and a descriptor sum one coefficient column per
     config; before it nothing depends on the angles, and neither has a
-    batch axis.
+    batch axis.  ``z[t - 2, q - 1]`` and ``zz[t - 2, q - 1, r - 1]`` are
+    the descriptor-side <q_z> and <q_z r_z> after step t = 2..4, one value
+    per config, from one group read of the three sets.
     """
 
     configs: tuple[ExperimentConfig, ...]
     states: tuple[StateVector, ...]
     descriptors: tuple[DescriptorSet, ...]
+    z: np.ndarray
+    zz: np.ndarray
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -136,7 +138,7 @@ def simulate(configs: Iterable[ExperimentConfig]) -> Run:
     if len(configs) > MAX_BATCH:
         raise ValueError(f"{len(configs)} angle pairs exceed the limit of {MAX_BATCH} per run")
     state_by_step, ds_by_step = _evolution(configs)
-    return Run(configs, state_by_step, ds_by_step)
+    return Run(configs, state_by_step, ds_by_step, *_z_moments_many(ds_by_step[2:]))
 
 
 def _per_config(run: Run, f) -> np.ndarray:
@@ -217,8 +219,7 @@ _ZZ_T2 = OperatorSum(N_QUBITS, [("Z2 Z3", 1.0)])
 
 def correlation_t2(run: Run) -> BothPictures:
     """<q_z2 q_z3> at t=2; closed form cos(theta - phi)."""
-    ds = run.descriptors[2]
-    heis = descriptor_expectation(ds.z(SYSTEM_A), ds.z(SYSTEM_B))
+    heis = run.zz[0, SYSTEM_A - 1, SYSTEM_B - 1]
     schro = states.expectation(run.states[2], _ZZ_T2)
     return BothPictures(_per_config(run, lambda c: math.cos(c.difference)), heis, schro)
 
@@ -229,13 +230,8 @@ def joint_prob_both_one_at_t2(run: Run) -> BothPictures:
     The descriptor route expands the projector product
     (1 + q_z2)(1 + q_z3)/4, whose linear terms vanish.
     """
-    ds = run.descriptors[2]
-    heis = 0.25 * (
-        1.0
-        + descriptor_expectation(ds.z(SYSTEM_A))
-        + descriptor_expectation(ds.z(SYSTEM_B))
-        + descriptor_expectation(ds.z(SYSTEM_A), ds.z(SYSTEM_B))
-    )
+    z, zz = run.z[0], run.zz[0]
+    heis = 0.25 * (1.0 + z[SYSTEM_A - 1] + z[SYSTEM_B - 1] + zz[SYSTEM_A - 1, SYSTEM_B - 1])
     schro = joint_probability(run.states[2], {SYSTEM_A: 1, SYSTEM_B: 1})
     closed = _per_config(run, lambda c: 0.5 * math.cos(c.difference / 2) ** 2)
     return BothPictures(closed, heis, schro)
@@ -243,11 +239,7 @@ def joint_prob_both_one_at_t2(run: Run) -> BothPictures:
 
 def linear_terms_t2(run: Run) -> tuple[np.ndarray, np.ndarray]:
     """(<q_z2>, <q_z3>) at t=2; both vanish for every angle pair."""
-    ds = run.descriptors[2]
-    return (
-        descriptor_expectation(ds.z(SYSTEM_A)),
-        descriptor_expectation(ds.z(SYSTEM_B)),
-    )
+    return run.z[0, SYSTEM_A - 1], run.z[0, SYSTEM_B - 1]
 
 
 def prob_outcomes_differ_at_t4(run: Run) -> BothPictures:
@@ -259,9 +251,8 @@ def prob_outcomes_differ_at_t4(run: Run) -> BothPictures:
     the product q_z1(3) q_z4(3) that ``evolve`` builds for the comparison
     gate, so the two routes share no arithmetic after t=3.
     """
-    ds = run.descriptors[3]
-    heis = 0.5 - 0.5 * descriptor_expectation(ds.z(RECORD_A), ds.z(RECORD_B))
-    direct = 0.5 + 0.5 * descriptor_expectation(run.descriptors[4].z(RECORD_A))
+    heis = 0.5 - 0.5 * run.zz[1, RECORD_A - 1, RECORD_B - 1]
+    direct = 0.5 + 0.5 * run.z[2, RECORD_A - 1]
     if not np.all(abs(heis - direct) <= 1e-12):
         raise AssertionError("record-product and direct descriptor routes split")
     schro = joint_probability(run.states[4], {RECORD_A: 1})
@@ -275,7 +266,7 @@ def record_marginal_t3(run: Run) -> BothPictures:
     Constant 1/2: the local record marginal carries no information about
     the distant analyzer angle (no signaling).
     """
-    heis = 0.5 + 0.5 * descriptor_expectation(run.descriptors[3].z(RECORD_A))
+    heis = 0.5 + 0.5 * run.z[1, RECORD_A - 1]
     schro = joint_probability(run.states[3], {RECORD_A: 1})
     return BothPictures(np.full(len(run), 0.5), heis, schro)
 

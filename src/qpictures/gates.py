@@ -10,9 +10,11 @@ toggles the target ket when the control ket is |1>.
 An analyzer rotation may carry a vector of angles: its matrix is then a
 ``(batch, 2, 2)`` stack, one unitary per batch column, and both engines
 evolve every column at once.  The catalog's fixed matrices (X, Y, Z, H,
-CN) are checked for unitarity once, at import, and any other matrix or
-stack each time a gate is built from it.  Only work on a catalog matrix
-is remembered between calls, keyed by ``_catalog_key``.
+CN) are checked for unitarity once, at import, and kept read-only, so a
+gate built from one of those very arrays shares it; any other matrix or
+stack is copied and checked each time a gate is built from it.  Only work
+on a catalog matrix is remembered between calls, keyed by
+``_catalog_key``.
 """
 from __future__ import annotations
 
@@ -68,7 +70,9 @@ def _check_unitary(name: str, m: np.ndarray) -> None:
         raise ValueError(f"gate {name!r} matrix is not unitary")
 
 
-for _m in (*PAULI_MATRIX.values(), H_MATRIX, CN_MATRIX):
+# The arrays checked here, which a gate shares rather than copies.
+_CHECKED = (*PAULI_MATRIX.values(), H_MATRIX, CN_MATRIX)
+for _m in _CHECKED:
     _check_unitary("catalog", _m)
     _m.setflags(write=False)
 
@@ -124,10 +128,12 @@ class Gate:
         if any(q < 1 for q in qubits):
             raise ValueError(f"qubit indices are 1-based, got {self.qubits}")
         dim = 2 ** len(qubits)
-        m = np.array(self.matrix, dtype=complex)
+        # An array checked at import is shared; a patched constant is not one.
+        shared = any(self.matrix is c for c in _CHECKED)
+        m = self.matrix if shared else np.array(self.matrix, dtype=complex)
         if m.shape[-2:] != (dim, dim) or m.ndim not in (2, 3) or len(m) == 0:
             raise ValueError(f"matrix shape {m.shape} does not fit {len(qubits)} qubit(s)")
-        if m.ndim == 3 or m.tobytes() not in _CATALOG:
+        if not shared and (m.ndim == 3 or m.tobytes() not in _CATALOG):
             _check_unitary(self.name, m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

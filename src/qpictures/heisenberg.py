@@ -41,12 +41,14 @@ angles) has one image coefficient per batch column, so substitution
 yields batched descriptors: the same strings for every column, with a
 ``(terms, batch)`` coefficient array.
 
-Descriptors are read at the reference state: ``descriptor_expectation``
-reads one descriptor or one pair, and ``z_moments`` every <q_z> and
-<q_z q_z'> of a set at once, the twin of ``states.z_moments`` and the
-one-set case of ``_z_moments_many``, which reads many sets of one width
-in one pass.  Both require Hermitian descriptors and a real result, the
-group read also <q_z q_z> = 1 within 1e-12, and each raises explicitly.
+Descriptors are read at the reference state through one kernel,
+``pauli.pair_matrix_in_all_zeros``: ``descriptor_expectation`` reads one
+descriptor or one pair as its one-group case, and ``_z_moments_many``
+every <q_z> and <q_z q_z'> of many sets of one width in one pass, batched
+sets with one value per column; ``z_moments``, the twin of
+``states.z_moments``, is its one-set case.  Both require Hermitian
+descriptors and a real result, the set read also <q_z q_z> = 1 within
+1e-12 in every column, and each raises explicitly.
 """
 from __future__ import annotations
 
@@ -73,8 +75,6 @@ from .pauli import (
     _prune,
     _prune_sums,
     _to_matrices,
-    expectation_in_all_zeros,
-    pair_expectation_in_all_zeros,
     pair_matrix_in_all_zeros,
 )
 
@@ -430,44 +430,47 @@ def evolve_circuit(ds: DescriptorSet, gates: Iterable[Gate]) -> DescriptorSet:
 def descriptor_expectation(expr: OperatorSum, other: OperatorSum | None = None):
     """Reference-state expectation <0|expr|0> of an operator built from
     descriptors, or with ``other`` the pair read <0|expr other|0>, taken
-    as the inner product <expr 0|other 0> without forming the product.
-    One value per column when an operand is batched."""
-    factors = (expr,) if other is None else (expr, other)
-    _check_hermitian(factors)
-    if other is None:
-        value = expectation_in_all_zeros(expr)
-    else:
-        value = pair_expectation_in_all_zeros(expr, other)
-    value = _real(value)
+    as the inner product <expr 0|other 0> without forming the product: the
+    one-group case of ``pauli.pair_matrix_in_all_zeros``.  One value per
+    column when an operand is batched."""
+    group = [expr] if other is None else [expr, other]
+    _check_hermitian(group)
+    singles, pairs = pair_matrix_in_all_zeros([group])
+    value = _real(singles[0, 0] if other is None else pairs[0, 0, 1])
     return value if np.ndim(value) else float(value)
 
 
 def z_moments(ds: DescriptorSet):
     """Every <q_z> and <q_z q_z'> at |0...0>, the descriptor-side twin of
     ``states.z_moments``: ``(z, zz)`` with ``z[q-1] = <q_z>`` and
-    ``zz[q-1, r-1] = <q_z r_z>``, real, for an unbatched set; the one-set
-    case of ``_z_moments_many``."""
+    ``zz[q-1, r-1] = <q_z r_z>``, real, each with a last axis of one value
+    per column for a batched set; the one-set case of ``_z_moments_many``."""
     z, zz = _z_moments_many([ds])
     return z[0], zz[0]
 
 
 def _z_moments_many(sets):
-    """``z_moments`` of each unbatched set of one width, as ``(sets, n)``
-    and ``(sets, n, n)`` arrays from one ``pauli.pair_matrix_in_all_zeros``
-    pass, which rejects a batched set.  The z descriptors commute, so each
+    """``z_moments`` of each set of one width, as ``(sets, n)`` and
+    ``(sets, n, n)`` arrays from one ``pauli.pair_matrix_in_all_zeros``
+    pass; batched sets share one batch size, and then both arrays gain a
+    last axis, one value per column.  The z descriptors commute, so each
     ``zz`` is symmetric, and its diagonal <q_z q_z> = 1 is a norm: a read
-    off it by more than 1e-12 raises, as a gate that drifts a state's norm
-    does.  One Hermitian check covers every descriptor read, and one real
-    check each result; each raise is explicit, so it holds under python -O."""
+    off it by more than 1e-12 in any column raises, as a gate that drifts a
+    state's norm does.  One Hermitian check covers every descriptor read,
+    and one real check each result; each raise is explicit, so it holds
+    under python -O."""
     ops = [[ds.z(q) for q in range(1, ds.width + 1)] for ds in sets]
     _check_hermitian([op for group in ops for op in group])
     z, zz = (_real(value) for value in pair_matrix_in_all_zeros(ops))
+    # Per set, (column,) qubit.
     norms = np.diagonal(zz, axis1=1, axis2=2)
     off = ~(np.abs(norms - 1.0) <= 1e-12)
     if off.any():
-        j, q = np.argwhere(off)[0].tolist()
+        at = tuple(np.argwhere(off)[0].tolist())
+        column = f" column {at[1]}" if len(at) == 3 else ""
         raise AssertionError(
-            f"descriptor for qubit {q + 1} axis Z of set {j} has <q_z q_z> = {float(norms[j, q])!r}, not 1"
+            f"descriptor for qubit {at[-1] + 1} axis Z of set {at[0]}{column} has "
+            f"<q_z q_z> = {float(norms[at])!r}, not 1"
         )
     return z, zz
 

@@ -41,6 +41,13 @@ plus ~40 us of fixed cost (one core), so the two break even near
 at least twice past its crossover.  The small sums of the CLI commands
 (at most 24 pairs) stay on the pair route.
 
+Sums are read at the reference state |0..0> by one function,
+``pair_matrix_in_all_zeros``: every <0..0|a|0..0> and <0..0|a b|0..0> of
+groups of sums, batched or not, from one grouping of every sum's images
+of |0..0> by x mask and one batched matmul, without forming a product.
+Each column of a batched read is computed exactly as the unbatched read
+of that column.
+
 Conventions used throughout the package:
 
 * qubits are numbered 1..n,
@@ -226,14 +233,6 @@ def _common_batch(*batches) -> int | None:
     if len(sizes) > 1:
         raise ValueError(f"batch size mismatch: {sorted(sizes)}")
     return sizes.pop() if sizes else None
-
-
-def _column_sums(values: np.ndarray, batch: int | None):
-    """One sum over axis 0 per column, or a complex scalar when ``batch``
-    is None.  Each column is summed as a contiguous row, so every column
-    rounds alike, whatever the number of columns."""
-    sums = np.ascontiguousarray(values.T).sum(axis=1)
-    return sums if batch is not None else complex(sums[0])
 
 
 def _group_sums(keys: np.ndarray, values: np.ndarray):
@@ -440,9 +439,17 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
     if not parts:
         return OperatorSum.zero(width)
     batch = _common_batch(*sizes)
+    columns = batch or 1
     # The coefficient stays the left operand: the vectorised complex
-    # product rounds differently when the operands are swapped.
-    scaled = np.concatenate([_broadcast(coeff * part._coeffs, batch or 1) for coeff, part in parts])
+    # product rounds differently when the operands are swapped.  An array
+    # coefficient is laid out over the part's terms first, so that the
+    # product runs as one contiguous loop, as the descriptor step's does:
+    # numpy's loop over a broadcast one-element row rounds without FMA.
+    scaled = np.concatenate([
+        _broadcast(coeff * part._coeffs, columns) if isinstance(coeff, Number)
+        else np.ascontiguousarray(np.broadcast_to(coeff, (len(part), columns))) * _broadcast(part._coeffs, columns)
+        for coeff, part in parts
+    ])
     keys = np.concatenate([part._keys for _, part in parts])
     return OperatorSum._raw(width, *_merge(keys, scaled), batch)
 
@@ -652,82 +659,52 @@ def _prune_sums(lengths, keys: np.ndarray, values: np.ndarray):
     return [(keys[start:end], values[start:end]) for start, end in zip([0, *ends], ends)]
 
 
-def expectation_in_all_zeros(op: OperatorSum) -> complex:
-    """<0..0| op |0..0>.
-
-    Off-diagonal axes (X, Y) kill a term; each Z contributes -1 because
-    |0> is the -1 eigenstate of sigma_z in the |1>-first ket ordering.
-    A batched sum gives one complex value per column.
-    """
-    x, z = _x_z(op._keys)
-    z_parity = np.bitwise_count(z) & 1
-    signs = np.where(x != 0, 0.0, np.where(z_parity == 1, -1.0, 1.0))
-    return _column_sums(op._coeffs * signs[:, None], op._batch)
-
-
 def _reference_images(ops):
     """op|0..0> and <0..0|op for each sum of ``ops``, as sparse vectors over
     one grouping: each sum's distinct x masks in ascending order, the sum's
-    index in ``ops`` above the key bits (none for a lone sum), then the ket
-    rows and the bra rows, one amplitude row per mask each.  A phase-free
-    string maps the reference state to P|0..0> = i**|x z| (-1)**|z| |x>,
-    since Y = i X Z and Z|0> = -|0>; the bra phases are the conjugates.
-    Both phase rows are reduced together, each column sums alone, and a
-    sum's rows come out as they do when it is grouped alone."""
-    if len(ops) == 1:
-        keys, coeffs = ops[0]._keys, ops[0]._coeffs
-    else:
-        keys = np.concatenate([op._keys for op in ops])
-        coeffs = np.concatenate([op._coeffs for op in ops])
+    index in ``ops`` above the key bits, then the ket rows and the bra rows,
+    one amplitude row per mask each, with as many columns as the widest sum
+    (an unbatched sum's one column broadcasts).  A phase-free string maps
+    the reference state to P|0..0> = i**|x z| (-1)**|z| |x>, since Y = i X Z
+    and Z|0> = -|0>; the bra phases are the conjugates.  Both phase rows are
+    reduced together, and each column sums alone, in the order the same sum
+    of that column alone takes."""
+    columns = max(op._coeffs.shape[1] for op in ops)
+    keys = np.concatenate([op._keys for op in ops])
+    coeffs = np.concatenate([_broadcast(op._coeffs, columns) for op in ops])
     x, z = _x_z(keys)
     xz = np.bitwise_count(x & z)
     z2 = 2 * np.bitwise_count(z)
-    columns = coeffs.shape[1]
     phased = np.concatenate(
         (coeffs * _I_POWERS[(xz + z2) & 3, None], coeffs * _I_POWERS[(3 * xz + z2) & 3, None]), axis=1
     )
-    if len(ops) > 1:
-        x |= np.arange(len(ops)).repeat([len(op._keys) for op in ops]) << 2 * ops[0]._width
+    x |= np.arange(len(ops)).repeat([len(op._keys) for op in ops]) << 2 * ops[0]._width
     masks, rows = _group_sums(x, phased)
     return masks, rows[:, :columns], rows[:, columns:]
 
 
-def pair_expectation_in_all_zeros(a: OperatorSum, b: OperatorSum):
-    """<0..0| a b |0..0> without forming the product a * b.
-
-    <0..0|a and b|0..0> are sparse vectors keyed by x masks, so the value
-    is one dot product over the masks they share: O(terms) work where the
-    product forms len(a) * len(b) string pairs.  For Hermitian ``a`` it
-    is the inner product <a 0|b 0>.  A batched operand gives one complex
-    value per column, and an operand without a batch axis broadcasts.
-    """
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} != {b.width}")
-    batch = _common_batch(a._batch, b._batch)
-    keys_a, _, rows_a = _reference_images([a])
-    keys_b, rows_b, _ = _reference_images([b])
-    # Both key arrays ascend, so looking each bra mask up among the ket's
-    # pairs the shared masks in ascending order.
-    at_b = keys_b.searchsorted(keys_a)
-    hit = at_b < len(keys_b)
-    hit[hit] = keys_b[at_b[hit]] == keys_a[hit]
-    return _column_sums(rows_a[hit] * rows_b[at_b[hit]], batch)
-
-
 def pair_matrix_in_all_zeros(groups):
     """Every <0..0| a |0..0> and every <0..0| a b |0..0> of each group of
-    ``groups``, equal-length lists of unbatched sums of one width: the
-    singles as a ``(groups, n)`` and the pairs as a ``(groups, n, n)``
-    complex array, from one pass.
+    ``groups``, equal-length lists of sums of one width: the package's one
+    read of Pauli sums at the reference state.  The singles come as a
+    ``(groups, n)`` and the pairs as a ``(groups, n, n)`` complex array, from
+    one pass.  Every batched sum shares one batch size and an unbatched sum
+    broadcasts; when any sum is batched, both arrays gain a last axis, one
+    entry per column, and each column is computed exactly as the unbatched
+    read of that column (each sum's coefficients of that column over the
+    same strings) computes it.
 
     Every sum's bra and ket images of |0..0> (``_reference_images``) come
     from one grouping tagged by sum.  A second grouping, tagged by group,
     gives each group the union of its sums' x masks in ascending order, so
     row i of a group's ``bra`` and ``ket`` holds the images under its sum
-    i over those masks, and one batched matmul ``bra @ ket.T`` takes every
-    pair read of every group: entry (i, j) is the dot product that
-    ``pair_expectation_in_all_zeros(a_i, a_j)`` takes.  A single is the
-    ket image's entry at x mask 0.
+    i over those masks, and one batched matmul ``bra @ ket.T`` per group
+    and column takes every pair read: entry (i, j) is the inner product
+    <a_i 0|a_j 0> for Hermitian a_i, found without forming a_i a_j, so
+    O(terms) work where the product forms len(a_i) * len(a_j) string pairs.
+    A single is the ket image's entry at x mask 0: off-diagonal axes (X, Y)
+    kill a term, and each Z contributes -1, because |0> is the -1
+    eigenstate of sigma_z in the |1>-first ket ordering.
     """
     groups = [list(group) for group in groups]
     ops = [op for group in groups for op in group]
@@ -735,8 +712,7 @@ def pair_matrix_in_all_zeros(groups):
         raise ValueError(f"group size mismatch: {sorted({len(group) for group in groups})}")
     if len({op.width for op in ops}) > 1:
         raise ValueError(f"width mismatch: {sorted({op.width for op in ops})}")
-    if any(op._batch is not None for op in ops):
-        raise ValueError("a pair matrix reads unbatched sums; take one column at a time")
+    batch = _common_batch(*(op._batch for op in ops))
     count, n = len(groups), len(ops) // max(len(groups), 1)
     if not ops:
         return np.zeros((count, n), complex), np.zeros((count, n, n), complex)
@@ -750,15 +726,19 @@ def pair_matrix_in_all_zeros(groups):
     # Tagged masks are >= 0, so the prepended -1 marks the first one as new.
     distinct = distinct[np.diff(distinct, prepend=-1) != 0]
     cols = distinct.searchsorted(union) - distinct.searchsorted(union >> shift << shift)
-    at = (sums // n, sums % n, cols)
-    bra_rows = np.zeros((count, n, int(cols.max(initial=-1)) + 1), complex)
+    # One (n, masks) matrix per group and column, laid out as the unbatched
+    # read lays out its one column's, so the matmul rounds every column alike.
+    columns = ket.shape[1]
+    bra_rows = np.zeros((count, columns, n, int(cols.max(initial=-1)) + 1), complex)
     ket_rows = np.zeros_like(bra_rows)
-    bra_rows[at] = bra[:, 0]
-    ket_rows[at] = ket[:, 0]
-    singles = np.zeros(count * n, complex)
+    at = (sums // n, slice(None), sums % n, cols)
+    bra_rows[at] = bra
+    ket_rows[at] = ket
+    singles = np.zeros((count * n, columns), complex)
     zero = masks == 0
-    singles[sums[zero]] = ket[zero, 0]
-    return singles.reshape(count, n), bra_rows @ ket_rows.swapaxes(1, 2)
+    singles[sums[zero]] = ket[zero]
+    singles, pairs = singles.reshape(count, n, columns), np.moveaxis(bra_rows @ ket_rows.swapaxes(2, 3), 1, -1)
+    return (singles, pairs) if batch is not None else (singles[..., 0], pairs[..., 0])
 
 
 def max_term_deviation(a: OperatorSum, b: OperatorSum) -> float:

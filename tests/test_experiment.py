@@ -21,9 +21,8 @@ from qpictures import (
     sign_error_audit,
     simulate,
 )
-from dense import terms
 from qpictures import gates, heisenberg
-from qpictures.experiment import RECORD_A, BothPictures, correlation_t2
+from qpictures.experiment import RECORD_A, RECORD_B, BothPictures, correlation_t2
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -179,15 +178,18 @@ class TestOutcomesDiffer:
 
     def test_route_split_check_is_live(self, monkeypatch):
         # The record-pair read at t=3 and the direct t=4 descriptor are
-        # independent routes, so a sign error in the pair kernel's record
-        # read, and only there, must trip the cross-check.
-        pair = heisenberg.pair_expectation_in_all_zeros
+        # independent routes, so a sign error in the group read's record-pair
+        # entries, and only there, must trip the cross-check.
+        group_read = heisenberg.pair_matrix_in_all_zeros
 
-        def flipped(a, b):
-            value = pair(a, b)
-            return -value if any(string.axes[RECORD_A - 1] for string, _ in terms(a)) else value
+        def flipped(groups):
+            singles, pairs = group_read(groups)
+            pairs = pairs.copy()
+            for q, r in ((RECORD_A, RECORD_B), (RECORD_B, RECORD_A)):
+                pairs[:, q - 1, r - 1] *= -1
+            return singles, pairs
 
-        monkeypatch.setattr(heisenberg, "pair_expectation_in_all_zeros", flipped)
+        monkeypatch.setattr(heisenberg, "pair_matrix_in_all_zeros", flipped)
         with pytest.raises(AssertionError, match="routes split"):
             reports(simulate([ExperimentConfig(0.7, 0.3)]))
 
@@ -252,6 +254,32 @@ class TestPreVsPostReport:
         lin2, lin3 = linear_terms_t2(simulate(default_grid_configs()))
         assert np.abs(lin2).max() <= 1e-12
         assert np.abs(lin3).max() <= 1e-12
+
+    def test_one_group_read_per_run(self, monkeypatch):
+        """``simulate`` reads the descriptor sets of steps 2-4 in one call
+        of the read kernel, and ``reports`` reads nothing more."""
+        group_read, calls = heisenberg.pair_matrix_in_all_zeros, []
+
+        def counted(groups):
+            calls.append(len(groups))
+            return group_read(groups)
+
+        monkeypatch.setattr(heisenberg, "pair_matrix_in_all_zeros", counted)
+        reports(simulate([ExperimentConfig(0.7, 0.3)]))
+        assert calls == [3]
+
+    def test_run_reads_are_the_steps_descriptor_reads(self):
+        """A Run's (z, zz) of step t hold each <q_z> and <q_z r_z> of that
+        step's descriptors, one value per config."""
+        run = simulate(default_grid_configs())
+        assert run.z.shape == (3, 4, len(run)) and run.zz.shape == (3, 4, 4, len(run))
+        for t in (2, 3, 4):
+            ds = run.descriptors[t]
+            for q in range(1, 5):
+                np.testing.assert_array_equal(run.z[t - 2, q - 1], heisenberg.descriptor_expectation(ds.z(q)))
+                for r in range(1, 5):
+                    pair = heisenberg.descriptor_expectation(ds.z(q), ds.z(r))
+                    np.testing.assert_allclose(run.zz[t - 2, q - 1, r - 1], pair, rtol=0, atol=1e-15)
 
     def test_probabilities_stay_in_unit_interval(self):
         run = simulate(default_grid_configs())

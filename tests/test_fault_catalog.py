@@ -13,10 +13,16 @@ that, so the row holds the locality check's own rule to account: by
 the record step all three of Q3's descriptors act on Q2, so a rule that
 skipped descriptors whose support meets the gate's qubits would miss it.
 
-``single_descriptor_read_negated`` negates the single read behind
-``descriptor_expectation``; ``picture_equivalence`` reads its singles off
-the pair pass (``heisenberg._z_moments_many``), so
-``group_single_read_negated`` negates those.
+Every descriptor read goes through one kernel,
+``pauli.pair_matrix_in_all_zeros``, bound in ``heisenberg``: ``simulate``
+reads steps 2-4 of the timeline through it once
+(``heisenberg._z_moments_many``), and so does ``picture_equivalence`` for
+its circuits.  ``group_single_read_negated`` negates every single it
+returns; only a single that is not 0 shows it, the t=4 record read behind
+``sign_error_audit``'s direct route and the singles of
+``picture_equivalence`` (the t=2 singles and the t=3 record marginal's
+vanish).  ``pair_read_bra_not_conjugated`` breaks the images behind every
+read, so every ``simulate`` call trips the group read's norm check.
 
 ``fused_run_order_reversed`` multiplies each fused run of
 ``states.apply_circuit`` last gate first.  No other check can see it:
@@ -26,11 +32,11 @@ a run, and ``entangled_state``'s circuit is H then CN.
 
 Faults not tested here, with the reason:
 
-* The pair read's operands swapped (``pair_expectation_in_all_zeros(b,
-  a)``), the pair matrix transposed (``pauli.pair_matrix_in_all_zeros``
-  returning ``ket @ bra.T``) and ``states.z_moments``' ``zz`` transposed
-  are equivalent faults: the z descriptors commute, so <0|b a|0> =
-  <0|a b|0>, and both ``zz`` matrices are symmetric.
+* The pair matrix transposed (``pauli.pair_matrix_in_all_zeros``
+  returning ``ket @ bra.T``, which also swaps the operands of
+  ``descriptor_expectation``'s pair read) and ``states.z_moments``' ``zz``
+  transposed are equivalent faults: the z descriptors commute, so
+  <0|b a|0> = <0|a b|0>, and both ``zz`` matrices are symmetric.
 * ``pauli._dense_product`` conjugating its result fails no registry
   check: no CLI command reaches the dense route (CLI products form at
   most 24 term pairs, the route starts at 1024), so ``verify`` cannot
@@ -106,7 +112,6 @@ def _group_singles_negated(groups):
 
 
 _evolve = heisenberg.evolve
-_single_read = pauli.expectation_in_all_zeros
 _pair_matrix = pauli.pair_matrix_in_all_zeros
 _reference_images = pauli._reference_images
 _joint_probability = states.joint_probability
@@ -131,17 +136,14 @@ FAULTS = {
         (pauli, "_string_products", _products_without_cross_term),
         {"sign_error_audit", "picture_equivalence"},
     ),
-    "single_descriptor_read_negated": (
-        (heisenberg, "expectation_in_all_zeros", lambda op: -_single_read(op)),
-        {"sign_error_audit"},
-    ),
     "group_single_read_negated": (
         (heisenberg, "pair_matrix_in_all_zeros", _group_singles_negated),
-        {"picture_equivalence"},
+        {"sign_error_audit", "picture_equivalence"},
     ),
     "pair_read_bra_not_conjugated": (
         (pauli, "_reference_images", _bra_rows_as_ket_rows),
-        {"zz_correlation", "joint_probability", "sign_error_audit", "picture_equivalence", "bell_violation"},
+        {"analyzer_descriptors", "zz_correlation", "joint_probability", "linear_terms_vanish", "sign_error_audit",
+         "no_signaling", "picture_equivalence", "bell_violation"},
     ),
     "experiment_ket_values_swapped": (
         (experiment, "joint_probability",

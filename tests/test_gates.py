@@ -102,6 +102,26 @@ def test_gate_matrices_are_read_only():
         g.matrix[0, 0] = 5.0
 
 
+def test_catalog_gates_share_the_catalog_arrays():
+    assert hadamard(1).matrix is gates.H_MATRIX
+    assert cnot(2, 1).matrix is gates.CN_MATRIX
+    assert pauli_y(3).matrix is gates.PAULI_MATRIX[gates.Axis.Y]
+    # An equal array that is not the catalog's own is copied.
+    copy = H_MATRIX.copy()
+    assert Gate("H", (1,), copy).matrix is not copy
+
+
+def test_gate_keeps_its_matrix_when_the_caller_mutates_theirs():
+    matrix = np.array(H_MATRIX)
+    rotation = rotation_matrix([0.3, 1.2])
+    g, stacked = Gate("H", (1,), matrix), Gate("R", (2,), rotation)
+    matrix[0, 0] = 5.0
+    rotation[1] = np.eye(2)
+    np.testing.assert_array_equal(g.matrix, H_MATRIX)
+    np.testing.assert_array_equal(stacked.matrix, rotation_matrix([0.3, 1.2]))
+    assert matrix.flags.writeable and rotation.flags.writeable
+
+
 def test_random_circuit_is_reproducible():
     a = random_circuit(4, 12, np.random.default_rng(7))
     b = random_circuit(4, 12, np.random.default_rng(7))

@@ -268,10 +268,20 @@ class TestZMoments:
         with pytest.raises(ValueError, match="Hermitian"):
             z_moments(_z_set(init_descriptors(2).z(1), op))
 
-    def test_batched_set_rejected(self):
-        ds = evolve_circuit(init_descriptors(2), (analyzer_rotation(1, [0.1, 0.2]),))
-        with pytest.raises(ValueError, match="unbatched"):
-            z_moments(ds)
+    def test_batched_set_reads_one_value_per_column(self):
+        angles = [0.1, 0.2, 2.5]
+        ds = evolve_circuit(init_descriptors(2), (analyzer_rotation(1, angles), cnot(2, 1)))
+        z, zz = z_moments(ds)
+        assert z.shape == (2, 3) and zz.shape == (2, 2, 3)
+        np.testing.assert_allclose(z, [-np.cos(angles)] * 2, rtol=0, atol=1e-15)
+        # The CN copies qubit 1's z onto qubit 2, so <q_z1 q_z2> = <q_z1 q_z1> = 1.
+        np.testing.assert_allclose(zz, np.ones((2, 2, 3)), rtol=0, atol=1e-15)
+
+    def test_batched_sets_of_different_sizes_rejected(self):
+        rotations = [analyzer_rotation(1, angles) for angles in ([0.1, 0.2], [0.1, 0.2, 0.3])]
+        sets = [evolve(init_descriptors(2), gate) for gate in rotations]
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            heisenberg._z_moments_many(sets)
 
     def test_complex_result_rejected(self):
         # X1 and Y1 are Hermitian but do not commute: <0|X1 Y1|0> = -i.  The
@@ -644,3 +654,23 @@ class TestGroupRead:
         with pytest.raises(AssertionError, match="qubit 2 axis Z"):
             z_moments(group[2])
         heisenberg._z_moments_many(group[:2] + group[3:])
+
+    @given(st.integers(0, 3), st.integers(1, 3), st.sampled_from([1.001, 0.999, 2.0]))
+    def test_doctored_batched_norm_names_the_column(self, column, qubit, scale):
+        """One column of a batched z descriptor scaled breaks <q_z q_z> = 1
+        in that column alone (the descriptors still commute, so every read
+        stays real), and the raise names the set, the qubit and the column;
+        an unbatched set in the group broadcasts."""
+        rng = np.random.default_rng(5)
+        rotation = analyzer_rotation(qubit, rng.uniform(0.0, 6.0, 4))
+        gates = random_circuit(3, 8, rng) + (rotation, cnot(1 + qubit % 3, qubit))
+        ds = evolve_circuit(init_descriptors(3), gates)
+        op = ds.z(qubit)
+        coeffs = op._coeffs.copy()
+        coeffs[:, column] *= scale
+        table = dict(ds.items())
+        table[(qubit, Axis.Z)] = OperatorSum._raw(3, op._keys, coeffs, 4)
+        group = [init_descriptors(3), ds, DescriptorSet(3, ds.step, MappingProxyType(table))]
+        heisenberg._z_moments_many(group[:2])
+        with pytest.raises(AssertionError, match=rf"qubit {qubit} axis Z of set 2 column {column} has <q_z q_z> = "):
+            heisenberg._z_moments_many(group)

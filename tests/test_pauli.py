@@ -12,13 +12,12 @@ from qpictures import (
     OperatorSum,
     PauliString,
     evolve_circuit,
-    expectation_in_all_zeros,
     init_descriptors,
     max_term_deviation,
 )
 from dense import brickwork, operator_matrix, packed_key, string_matrix, terms
 from qpictures import cli, pauli
-from qpictures.pauli import MAX_WIDTH, pair_expectation_in_all_zeros, pair_matrix_in_all_zeros
+from qpictures.pauli import MAX_WIDTH, pair_matrix_in_all_zeros
 from qpictures.verification import ALL_CHECKS
 
 # _PHASE_EXP[a, b] = k such that sigma_a sigma_b = i**k sigma_(a XOR b):
@@ -59,6 +58,24 @@ def _loop_sum_product(a: OperatorSum, b: OperatorSum) -> OperatorSum:
             axes, power = _loop_string_product(sa, sb)
             acc[axes] = acc.get(axes, 0) + ca * cb * 1j**power
     return OperatorSum(a.width, [(PauliString(a.width, packed_key(axes)), c) for axes, c in acc.items()])
+
+
+def _single(op):
+    """<0..0| op |0..0>: the read kernel's one-sum case, one value per
+    column of a batched sum."""
+    return pair_matrix_in_all_zeros([[op]])[0][0, 0]
+
+
+def _pair(a, b):
+    """<0..0| a b |0..0>: the read kernel's one-group case."""
+    return pair_matrix_in_all_zeros([[a, b]])[1][0, 0, 1]
+
+
+def _reference_state(width):
+    """|0..0> as a dense vector: |0> = (0, 1)^T on every qubit."""
+    zeros = np.zeros(2**width, dtype=complex)
+    zeros[-1] = 1.0
+    return zeros
 
 
 @st.composite
@@ -216,7 +233,7 @@ class TestOperatorSum:
         prod = a * b
         assert len(prod) == 4
         # reference-state value of the product is cos(theta - phi)
-        value = expectation_in_all_zeros(prod)
+        value = _single(prod)
         assert value == pytest.approx(math.cos(theta - phi), abs=1e-12)
 
     def test_zero_annihilates(self):
@@ -301,30 +318,31 @@ class TestOperatorSum:
 
 
 class TestExpectationInAllZeros:
+    """<0|op|0>, the read kernel's singles."""
+
     def test_off_diagonal_axis_gives_zero(self):
-        assert expectation_in_all_zeros(OperatorSum(2, [("X2", 1.0)])) == 0
+        assert _single(OperatorSum(2, [("X2", 1.0)])) == 0
 
     def test_single_z_gives_minus_one(self):
         # dense oracle: |0> = (0,1)^T, <0|Z|0> = -1
         ket0 = np.array([0.0, 1.0])
         dense = ket0 @ np.diag([1.0, -1.0]) @ ket0
         assert dense == -1.0
-        assert expectation_in_all_zeros(OperatorSum(1, [("Z1", 1.0)])) == dense
+        assert _single(OperatorSum(1, [("Z1", 1.0)])) == dense
 
     def test_two_term_product_value(self):
         theta, phi = 1.1, 0.4
         a = OperatorSum(2, [("Y1 X2", math.sin(theta)), ("Z1 X2", -math.cos(theta))])
         b = OperatorSum(2, [("X2", math.cos(phi)), ("X1 Y2", math.sin(phi))])
-        value = expectation_in_all_zeros(a * b)
+        value = _single(a * b)
         assert value == pytest.approx(math.cos(theta - phi), abs=1e-12)
 
     @given(operator_sums(count=1, max_width=4, max_terms=6))
     def test_matches_dense_reference_state(self, sums):
         (op,) = sums
-        zeros = np.zeros(2**op.width, dtype=complex)
-        zeros[-1] = 1.0
+        zeros = _reference_state(op.width)
         dense = zeros.conj() @ operator_matrix(op) @ zeros
-        got = expectation_in_all_zeros(op)
+        got = _single(op)
         assert abs(got - dense) <= 1e-12
 
     @given(operator_sums(count=1, max_width=4, max_terms=6))
@@ -333,7 +351,7 @@ class TestExpectationInAllZeros:
         hermitian = OperatorSum(
             op.width, [(s, complex(c.real, 0.0)) for s, c in terms(op)]
         )
-        assert abs(expectation_in_all_zeros(hermitian).imag) <= 1e-12
+        assert abs(_single(hermitian).imag) <= 1e-12
 
 
 def _bits(values) -> np.ndarray:
@@ -351,11 +369,9 @@ def _results(width, terms_a, terms_b, scale, batched):
     )
     sums = [a * b, b * a, a + b, a - b, scale * a, a * scale]
     sums.append(pauli.linear_combination(width, [(scale, a), (0.5, b), (-1j, a)]))
-    reads = [expectation_in_all_zeros(a), pair_expectation_in_all_zeros(a, b), pair_expectation_in_all_zeros(b, a)]
-    if batched:
-        reads = [value[0] for value in reads]
-    else:
-        assert all(isinstance(value, complex) for value in reads)
+    singles, pairs = pair_matrix_in_all_zeros([[a, b]])
+    assert singles.shape == ((1, 2, 1) if batched else (1, 2))
+    reads = np.concatenate([singles.ravel(), pairs.ravel()])
     pairs = [[(s.key, c[0] if batched else c) for s, c in terms(op)] for op in sums]
     bits = [([key for key, _ in t], _bits([c for _, c in t]).tolist()) for t in pairs]
     return a, bits, _bits(reads).tolist()
@@ -364,7 +380,7 @@ def _results(width, terms_a, terms_b, scale, batched):
 @given(data=st.data())
 def test_unbatched_sum_is_the_one_column_case_bit_for_bit(data):
     """An unbatched sum and its batch of one give bitwise-equal results
-    through products, sums, scaling and both reference-state reads."""
+    through products, sums, scaling and the group read of the two."""
     width = data.draw(st.integers(1, 4))
     values = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
     term = st.tuples(_keys(width), st.integers(0, 3), values)
@@ -378,20 +394,6 @@ def test_unbatched_sum_is_the_one_column_case_bit_for_bit(data):
     assert (a.batch, a1.batch) == (None, 1)
     assert not a.equal_terms(a1)
     assert a.equal_terms(a1.column(0))
-
-
-@given(operator_sums(count=2, max_width=4, max_terms=8), st.booleans())
-def test_pair_read_matches_the_intersect1d_form_bit_for_bit(sums, batched):
-    """The pair read equals the earlier form, which paired the shared x masks
-    with np.intersect1d, in every bit."""
-    a, b = sums
-    if batched:
-        a = pauli.linear_combination(a.width, [(np.array([1.0, -0.5j, 2.0]), a)])
-    keys_a, _, rows_a = pauli._reference_images([a])
-    keys_b, rows_b, _ = pauli._reference_images([b])
-    _, at_a, at_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
-    expected = pauli._column_sums(rows_a[at_a] * rows_b[at_b], a.batch)
-    assert _bits(pair_expectation_in_all_zeros(a, b)).tolist() == _bits(expected).tolist()
 
 
 @given(operator_sums(count=2, max_width=4, max_terms=8), st.complex_numbers(max_magnitude=2, allow_nan=False))
@@ -483,66 +485,66 @@ def hermitian_pairs(draw, batched):
 
 
 class TestPairExpectationInAllZeros:
-    """<0|a b|0> from the reference-state images, against the product route."""
+    """<0|a b|0>, the read kernel's one-group case, against the product
+    route."""
 
     @pytest.mark.parametrize("batched", [(True, True), (True, False), (False, True), (False, False)])
     @given(data=st.data())
     def test_matches_product_route(self, batched, data):
         a, b = data.draw(hermitian_pairs(batched))
-        got = pair_expectation_in_all_zeros(a, b)
-        want = expectation_in_all_zeros(a * b)
+        got = _pair(a, b)
+        want = _single(a * b)
         assert np.ndim(got) == (1 if a.batch or b.batch else 0)
         assert np.all(np.abs(got - want) <= 1e-12)
 
     @given(operator_sums(count=2, max_width=4, max_terms=6))
     def test_matches_dense_reference_state(self, sums):
         a, b = sums
-        zeros = np.zeros(2**a.width, dtype=complex)
-        zeros[-1] = 1.0
+        zeros = _reference_state(a.width)
         dense = zeros @ operator_matrix(a) @ operator_matrix(b) @ zeros
-        assert abs(pair_expectation_in_all_zeros(a, b) - dense) <= 1e-12
+        assert abs(_pair(a, b) - dense) <= 1e-12
 
     def test_images_cancelling_in_one_x_group(self):
         # (I + Z1)|0> = |0> - |0> = 0, whatever the other factor
         a = OperatorSum(2, [(PauliString.identity(2), 1.0), ("Z1", 1.0)])
         b = OperatorSum(2, [("Z2", 0.5), ("Z1 Z2", 2.0), ("X1", 1.0)])
-        assert expectation_in_all_zeros(a * b) == 0
-        assert pair_expectation_in_all_zeros(a, b) == 0
-        assert pair_expectation_in_all_zeros(b, a) == 0
+        assert _single(a * b) == 0
+        assert _pair(a, b) == 0
+        assert _pair(b, a) == 0
 
     def test_disjoint_x_masks_give_exact_zero(self):
         a = OperatorSum(2, [("X1", 1.0), ("Y1 Z2", 0.3)])
         b = OperatorSum(2, [("X2", np.array([1.0, -2.0])), ("Z1", np.array([0.5, 0.5]))])
-        assert pair_expectation_in_all_zeros(a, a.column(0)) != 0
-        assert np.array_equal(pair_expectation_in_all_zeros(a, b), np.zeros(2))
-        assert np.array_equal(pair_expectation_in_all_zeros(b, a), np.zeros(2))
+        assert _pair(a, a.column(0)) != 0
+        assert np.array_equal(_pair(a, b), np.zeros(2))
+        assert np.array_equal(_pair(b, a), np.zeros(2))
 
     def test_zero_operator(self):
         zero = OperatorSum.zero(3)
         b = OperatorSum(3, [("Z1", 1.0), ("X2 Y3", np.array([1.0, 2.0, 3.0]))])
-        assert pair_expectation_in_all_zeros(zero, zero) == 0
-        assert pair_expectation_in_all_zeros(zero, OperatorSum.identity(3)) == 0
-        assert np.array_equal(pair_expectation_in_all_zeros(b, zero), np.zeros(3))
+        assert _pair(zero, zero) == 0
+        assert _pair(zero, OperatorSum.identity(3)) == 0
+        assert np.array_equal(_pair(b, zero), np.zeros(3))
 
     def test_non_commuting_factors_give_the_complex_value(self):
         # <0|X Y|0> = <0|i Z|0> = -i
         x = OperatorSum(1, [("X1", 1.0)])
         y = OperatorSum(1, [("Y1", 1.0)])
-        assert pair_expectation_in_all_zeros(x, y) == -1j
-        assert pair_expectation_in_all_zeros(y, x) == 1j
+        assert _pair(x, y) == -1j
+        assert _pair(y, x) == 1j
 
     def test_width_and_batch_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
-            pair_expectation_in_all_zeros(OperatorSum.identity(2), OperatorSum.identity(3))
+            _pair(OperatorSum.identity(2), OperatorSum.identity(3))
         a = OperatorSum(1, [("Z1", np.array([1.0, 2.0]))])
         b = OperatorSum(1, [("Z1", np.array([1.0, 2.0, 3.0]))])
         with pytest.raises(ValueError, match="batch"):
-            pair_expectation_in_all_zeros(a, b)
+            _pair(a, b)
 
 
 class TestPairMatrixInAllZeros:
     """Every <0|a|0> and <0|a b|0> of groups of sums from one pass, against
-    the single and the pair read."""
+    the one-sum and one-pair groups, the product route and dense matrices."""
 
     @given(operator_sums(count=4, max_width=4, max_terms=6))
     def test_entries_match_the_pair_read(self, sums):
@@ -550,9 +552,10 @@ class TestPairMatrixInAllZeros:
         singles, pairs = pair_matrix_in_all_zeros([sums])
         assert singles.shape == (1, 4) and pairs.shape == (1, 4, 4)
         for i, a in enumerate(sums):
-            assert abs(singles[0, i] - expectation_in_all_zeros(a)) <= 1e-12
+            assert abs(singles[0, i] - _single(a)) <= 1e-12
             for j, b in enumerate(sums):
-                assert abs(pairs[0, i, j] - pair_expectation_in_all_zeros(a, b)) <= 1e-12
+                assert abs(pairs[0, i, j] - _pair(a, b)) <= 1e-12
+                assert abs(pairs[0, i, j] - _single(a * b)) <= 1e-12
 
     @given(operator_sums(count=6, max_width=4, max_terms=6), st.sampled_from([1, 2, 3, 6]))
     def test_each_group_reads_as_it_does_alone(self, sums, size):
@@ -570,26 +573,84 @@ class TestPairMatrixInAllZeros:
     def test_one_sum(self):
         x = OperatorSum(1, [("X1", 1.0), ("Z1", 0.5j)])
         singles, pairs = pair_matrix_in_all_zeros([[x]])
-        np.testing.assert_array_equal(pairs, [[[pair_expectation_in_all_zeros(x, x)]]])
+        np.testing.assert_array_equal(pairs, [[[_pair(x, x)]]])
         np.testing.assert_array_equal(singles, [[-0.5j]])
 
     def test_empty_sums_read_zero(self):
         singles, pairs = pair_matrix_in_all_zeros([[OperatorSum.zero(2)] * 2] * 3)
         assert singles.shape == (3, 2) and pairs.shape == (3, 2, 2)
         assert not singles.any() and not pairs.any()
+        empty = pauli.linear_combination(2, [(np.ones(4), OperatorSum.zero(2))])
+        singles, pairs = pair_matrix_in_all_zeros([[empty, OperatorSum.identity(2)]])
+        assert singles.shape == (1, 2, 4) and pairs.shape == (1, 2, 2, 4)
+        assert singles[0, 1].tolist() == [1] * 4 and not singles[0, 0].any() and not pairs[0, 0].any()
 
     def test_width_mismatch_and_batch_rejected(self):
         with pytest.raises(ValueError, match="width"):
             pair_matrix_in_all_zeros([[OperatorSum.identity(2), OperatorSum.identity(3)]])
         with pytest.raises(ValueError, match="width"):
             pair_matrix_in_all_zeros([[OperatorSum.identity(2)], [OperatorSum.identity(3)]])
-        batched = OperatorSum(1, [("Z1", np.array([1.0, 2.0]))])
-        with pytest.raises(ValueError, match="unbatched"):
-            pair_matrix_in_all_zeros([[OperatorSum.identity(1), batched]])
+        two = OperatorSum(1, [("Z1", np.array([1.0, 2.0]))])
+        three = OperatorSum(1, [("Z1", np.array([1.0, 2.0, 3.0]))])
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            pair_matrix_in_all_zeros([[two, three]])
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            pair_matrix_in_all_zeros([[two], [three]])
 
     def test_group_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="group size"):
             pair_matrix_in_all_zeros([[OperatorSum.identity(1)] * 2, [OperatorSum.identity(1)]])
+
+
+@st.composite
+def mixed_groups(draw):
+    """1-3 equal-size groups of 1-4 sums of width 1-4, each sum batched over
+    a shared 1-4 columns or not, at least one of them batched, and each with
+    0-5 terms."""
+    width, columns = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    size, count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    values = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+    batched = [draw(st.booleans()) for _ in range(size * count)]
+    batched[draw(st.integers(0, size * count - 1))] = True
+    sums = []
+    for column_count in (columns if b else None for b in batched):
+        terms = [
+            (PauliString(width, draw(_keys(width))), np.array([draw(values) for _ in range(column_count or 1)]))
+            for _ in range(draw(st.integers(0, 5)))
+        ]
+        keys = np.array([string.key for string, _ in terms], dtype=np.int64)
+        coeffs = np.array([c for _, c in terms], dtype=complex).reshape(len(terms), column_count or 1)
+        sums.append(OperatorSum._raw(width, *pauli._merge(keys, coeffs), column_count))
+    return [sums[g * size : (g + 1) * size] for g in range(count)]
+
+
+@given(mixed_groups())
+def test_each_column_reads_as_that_column_alone_bit_for_bit(groups):
+    """A group read of batched and unbatched sums gives, in column j, the
+    bits of the same read on each sum's column j over the same strings (an
+    unbatched sum standing for every column), and every value is within
+    1e-12 of the dense expectation."""
+    singles, pairs = pair_matrix_in_all_zeros(groups)
+    columns = next(op.batch for group in groups for op in group if op.batch)
+    width = groups[0][0].width
+    assert singles.shape == (len(groups), len(groups[0]), columns)
+    assert pairs.shape == (len(groups), len(groups[0]), len(groups[0]), columns)
+    zeros = _reference_state(width)
+    for j in range(columns):
+        alone = [
+            [OperatorSum._raw(width, op._keys, op._coeffs[:, j : j + 1] if op.batch else op._coeffs, None)
+             for op in group]
+            for group in groups
+        ]
+        one_singles, one_pairs = pair_matrix_in_all_zeros(alone)
+        assert _bits(singles[..., j]).tolist() == _bits(one_singles).tolist()
+        assert _bits(pairs[..., j]).tolist() == _bits(one_pairs).tolist()
+        for g, group in enumerate(alone):
+            kets = [operator_matrix(op) @ zeros for op in group]
+            bras = [zeros @ operator_matrix(op) for op in group]
+            np.testing.assert_allclose(singles[g, :, j], [zeros @ ket for ket in kets], rtol=0, atol=1e-12)
+            dense = [[bra @ ket for ket in kets] for bra in bras]
+            np.testing.assert_allclose(pairs[g, :, :, j], dense, rtol=0, atol=1e-12)
 
 
 @st.composite

@@ -8,8 +8,8 @@
 # command fails or warns.  The largest outputs, the chsh scan CSV and the
 # `sweep 4096` CSV and JSON (a MAX_BATCH table), are stored as their
 # sha256, and so are the descriptors and the amplitudes of fixed circuit
-# sets and the grouped descriptor reads of picture_equivalence (the last
-# three entries).  The golden check of a change against its parent is
+# sets, the grouped descriptor reads of picture_equivalence and the batched
+# descriptor reads of experiment runs (the last four entries).  The golden check of a change against its parent is
 #
 #   tools/golden.sh PARENT before && tools/golden.sh CHANGE after && diff -r before after
 set -euo pipefail
@@ -163,5 +163,24 @@ for width in sorted({width for width, _ in circuits}):
     z, zz = heisenberg._z_moments_many(heisenberg._evolve_many([init_descriptors(width)] * len(group), group))
     digest.update(z.tobytes())
     digest.update(zz.tobytes())
+print(digest.hexdigest())
+EOF
+# The sha256 of the (z, zz) tables that simulate stores, one batched group
+# read of steps 2-4, for seeded runs of 1, 3 and 64 angle pairs, so the bits
+# of the batched read are pinned.
+python -W error - > "$out/run_reads.sha256" <<'EOF'
+import hashlib
+import math
+
+import numpy as np
+
+from qpictures import ExperimentConfig, simulate
+
+digest = hashlib.sha256()
+rng = np.random.default_rng(23)
+for count in (1, 3, 64):
+    run = simulate(ExperimentConfig(*pair) for pair in rng.uniform(-math.pi, math.pi, (count, 2)).tolist())
+    digest.update(run.z.tobytes())
+    digest.update(run.zz.tobytes())
 print(digest.hexdigest())
 EOF
