@@ -17,7 +17,11 @@ Every descriptor read goes through one kernel,
 ``pauli.pair_matrix_in_all_zeros``, bound in ``heisenberg``: ``simulate``
 reads steps 2-4 of the timeline through it once
 (``heisenberg._z_moments_many``), and so does ``picture_equivalence`` for
-its circuits.  ``group_single_read_negated`` negates every single it
+its circuits.  ``single_descriptor_read_negated`` negates the singles
+of a run's one read (the ``z`` table ``simulate`` stores) and no other;
+of those only the t=4 record read behind ``sign_error_audit``'s direct
+route is not 0, so that check alone sees it.
+``group_single_read_negated`` negates every single the kernel
 returns; only a single that is not 0 shows it, the t=4 record read behind
 ``sign_error_audit``'s direct route and the singles of
 ``picture_equivalence`` (the t=2 singles and the t=3 record marginal's
@@ -105,6 +109,13 @@ def _bra_rows_as_ket_rows(op):
     return masks, ket, ket
 
 
+def _run_singles_negated(sets):
+    """``heisenberg._z_moments_many`` as ``simulate`` calls it, with every
+    <q_z> of the run negated."""
+    z, zz = _z_moments_many(sets)
+    return -z, zz
+
+
 def _group_singles_negated(groups):
     """``pauli.pair_matrix_in_all_zeros`` with every single negated."""
     singles, pairs = _pair_matrix(groups)
@@ -113,6 +124,7 @@ def _group_singles_negated(groups):
 
 _evolve = heisenberg.evolve
 _pair_matrix = pauli.pair_matrix_in_all_zeros
+_z_moments_many = heisenberg._z_moments_many
 _reference_images = pauli._reference_images
 _joint_probability = states.joint_probability
 _fused = states._fused
@@ -135,6 +147,10 @@ FAULTS = {
     "string_product_cross_phase_dropped": (
         (pauli, "_string_products", _products_without_cross_term),
         {"sign_error_audit", "picture_equivalence"},
+    ),
+    "single_descriptor_read_negated": (
+        (experiment, "_z_moments_many", _run_singles_negated),
+        {"sign_error_audit"},
     ),
     "group_single_read_negated": (
         (heisenberg, "pair_matrix_in_all_zeros", _group_singles_negated),
