@@ -10,13 +10,26 @@ descriptor engine: expectation values must agree between the two.
 
 A state may carry a leading batch axis, amplitudes of shape
 ``(batch, 2**width)``, and then every function acts on each row.  A gate
-with a stack of matrices applies one matrix per row.  Each row goes
-through the same products and reductions as an unbatched state, so it
-comes out bit for bit the same.
+with a stack of matrices applies one matrix per row.
 
-``apply_gate`` has one kernel: one strided product per nonzero matrix
-entry, exact for X, Y, Z and CN, and a stack's entries broadcast over the
-rows.  Every gate output is held to unit norm within NORM_ATOL.
+``apply_gate`` has two kernels.  The exact kernel (``_per_entry``) makes
+one strided product per nonzero matrix entry: X, Y, Z and CN come out as
+the dense product bit for bit, signed zeros included, and a stack's
+entries broadcast over the rows, so each row of a batched state equals
+that kernel's unbatched run of it bit for bit.  Its strided view leaves
+numpy an inner loop of ``2**(width - q)`` elements for a gate on qubit q,
+so on a wide state a gate near the last qubits costs several whole-state
+adds.  So an unbatched state of width 10 or more takes a single-qubit gate
+whose matrix is not monomial (H, R, a Haar-random unitary, a fused run)
+through one BLAS product laid out by the qubit's position
+(``_blas_single``), the position-dependent kernels of Haener & Steiger
+(arXiv:1704.01127) and QuEST (Jones et al., arXiv:1802.08032); its
+amplitudes agree with the exact kernel's within rounding, not bit for bit.
+Batched states stay on the exact kernel at every width: there the batch
+invariant is that a row equals the exact kernel's run of it, and below
+width 10 that is also ``apply_gate``'s unbatched run.  Every gate output is
+held to unit norm within NORM_ATOL.
+
 ``apply_circuit`` fuses each run of single-qubit gates on one qubit, up to
 the next multi-qubit gate that touches it, into one 2x2 matrix or stack
 and applies it as one gate (the gate clustering of Haener & Steiger,
@@ -153,8 +166,8 @@ def _single_rows(gate: Gate) -> list:
     return rows
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """New state with the gate unitary embedded at its target qubits.
+def _per_entry(state: StateVector, gate: Gate) -> np.ndarray:
+    """The amplitudes of ``apply_gate``'s exact kernel, any gate on any state.
 
     Output slot a of the gate's qubits is ``sum_b m[a, b] * slot_b`` over
     the nonzero entries of row a, one strided product per entry.  A lone
@@ -164,9 +177,6 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     and turns an unbatched state into one row per matrix: entry
     ``m[:, a, b]`` broadcasts over each row's amplitudes, so every row goes
     through the same products as an unbatched run."""
-    for q in gate.qubits:
-        if not 1 <= q <= state.width:
-            raise ValueError(f"gate qubit {q} outside state width {state.width}")
     batch = _common_batch(state.batch, gate.batch)
     lead = [] if batch is None else [batch]
     amps = state.amplitudes if batch is None else np.broadcast_to(state.amplitudes, (batch, 2**state.width))
@@ -189,7 +199,68 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
                 np.add(dst, _ZERO, out=dst)
         for b, entry in row[1:]:
             dst += entry * psi[slots[b]]
-    out = out.reshape(lead + [-1])
+    return out.reshape(lead + [-1])
+
+
+# Unbatched states of this width or more take ``_blas_single`` for a
+# single-qubit gate whose matrix is not monomial.
+_BLAS_WIDTH = 10
+# ``_blas_single`` takes the broadcast matmul when at least this many qubits
+# follow the gate's, and the kron product otherwise.  At fewer, the matmul's
+# one small BLAS call per block costs more than the kron product's
+# 2**(low+1) multiply-adds per amplitude: at width 18 and one BLAS thread,
+# an H four qubits from the end takes 2.1 ms by matmul and 1.5 ms by kron,
+# and five from the end 1.3 ms and 2.7 ms.
+_MATMUL_LOW = 5
+
+
+def _blas_single(amps: np.ndarray, width: int, qubit: int, m: np.ndarray) -> np.ndarray:
+    """The 2x2 matrix ``m`` applied at ``qubit`` of unbatched amplitudes in
+    one BLAS product, laid out by the number ``low = width - qubit`` of
+    qubits after it.  With ``low >= _MATMUL_LOW``, one matmul broadcasts
+    ``m`` over the ``(2, 2**low)`` blocks of the qubit's two halves.
+    Otherwise each row of the ``2**(low+1)`` last amplitudes, whose first
+    bit is the qubit's, is multiplied by ``kron(m, I).T``: a matmul there
+    would make one BLAS call per 2**(low+1) amplitudes, and numpy's
+    strided products of the per-entry kernel an inner loop of 2**low."""
+    low = width - qubit
+    if low >= _MATMUL_LOW:
+        out = np.matmul(m, amps.reshape(2 ** (qubit - 1), 2, 2**low))
+    else:
+        out = amps.reshape(-1, 2 ** (low + 1)) @ np.kron(m, np.eye(2**low)).T
+    return out.reshape(-1)
+
+
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """New state with the gate unitary embedded at its target qubits.
+
+    Two kernels; the qubits are checked first, and every output is held to
+    unit norm within NORM_ATOL, whichever kernel made it.
+
+    * An unbatched state of width ``_BLAS_WIDTH`` (10) or more takes a
+      single-qubit gate whose matrix is not monomial (H, R, a Haar-random
+      unitary, a fused run) through one BLAS product (``_blas_single``).
+      There the exact kernel's strided products cost up to ten
+      whole-state adds near the last qubits, and this one at most about
+      three at any qubit (width 18, one BLAS thread).  Its amplitudes agree with the exact kernel's within
+      rounding, not bit for bit.
+    * Every other gate and state takes the exact kernel (``_per_entry``):
+      every monomial matrix (X, Y, Z, CN), whose dense-product bits it
+      keeps, signed zeros included; every stack and batched state, whose
+      rows each equal the exact kernel's unbatched run of them bit for
+      bit; and every width below 10, where a gate costs microseconds
+      either way and the outputs of the CLI and the registry checks keep
+      their bits."""
+    for q in gate.qubits:
+        if not 1 <= q <= state.width:
+            raise ValueError(f"gate qubit {q} outside state width {state.width}")
+    m = gate.matrix
+    # A unitary's rows each hold a nonzero entry, so a 2x2 one with more
+    # than two is not monomial.
+    if state.batch is None and state.width >= _BLAS_WIDTH and m.shape == (2, 2) and np.count_nonzero(m) > 2:
+        out = _blas_single(state.amplitudes, state.width, gate.qubits[0], m)
+    else:
+        out = _per_entry(state, gate)
     if not _unit_norm(out, NORM_ATOL):
         raise AssertionError("gate application drifted the norm")
     return StateVector._normalized(state.width, out)

@@ -54,6 +54,15 @@ Faults not tested here, with the reason:
   The 3-qubit Haar-random unitary tests in ``test_heisenberg.py``, which
   hold every step of both paths to ``tests/dense.py``'s
   ``reference_step``, are its only guard.
+* ``states._blas_single`` applying ``m.T`` instead of ``m`` (for example
+  the ``kron(m, I)`` product without its ``.T``) fails no registry check:
+  that kernel takes only unbatched states of width 10 or more, and every
+  registry check runs at width 5 or less.  Its guards are tier-1's
+  ``TestBlasKernel`` in ``test_states.py``, which holds the kernel to the
+  per-entry kernel at every qubit of widths 10-13 (H and R are symmetric,
+  so its Haar-random, fused and I~ gates are the ones that see it), and
+  the ``states.sha256`` golden output of ``tools/golden.sh``, whose
+  circuits at widths 10-12 apply fused runs through the kernel.
 """
 import importlib
 import math

@@ -401,7 +401,7 @@ class TestMonomialGates:
 
 
 class TestGeneralGates:
-    """Dense and stacked matrices through the one kernel against the dense
+    """Dense and stacked matrices through the exact kernel against the dense
     embedding ``gate_matrix(gate, width) @ amps``, row by row."""
 
     @pytest.mark.parametrize("batch", [None, 3])
@@ -428,6 +428,64 @@ class TestGeneralGates:
                 matrix = gate.matrix if gate.batch is None else gate.matrix[j]
                 want = gate_matrix(Gate(gate.name, gate.qubits, matrix), width) @ state.row(j).amplitudes
                 np.testing.assert_allclose(got.row(j).amplitudes, want, rtol=0, atol=1e-12, err_msg=f"{gate!r} row {j}")
+
+
+def wide_single_gates(rng, q):
+    """The non-monomial single-qubit gates that take the BLAS kernel on a
+    wide unbatched state: H, R, a Haar-random unitary, a fused run and the
+    near-identity I~ of ``TestGeneralGates``."""
+    angle = float(rng.uniform(0.0, 2.0 * math.pi))
+    unitary = Gate("U", (q,), random_unitary(rng, 2))
+    return (
+        hadamard(q),
+        analyzer_rotation(q, angle),
+        unitary,
+        states._fused([hadamard(q), analyzer_rotation(q, angle), unitary, pauli_y(q)]),
+        Gate("I~", (q,), np.array([[1, 1e-13], [-1e-13, 1]], dtype=complex)),
+    )
+
+
+class TestBlasKernel:
+    """An unbatched state of width ``states._BLAS_WIDTH`` or more takes a
+    non-monomial single-qubit gate through ``_blas_single``; the exact
+    per-entry kernel is its oracle."""
+
+    @given(st.integers(states._BLAS_WIDTH, 13), st.integers(0, 2**32 - 1))
+    def test_matches_the_per_entry_kernel_at_every_qubit(self, width, seed):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, width)
+        for q in range(1, width + 1):
+            for gate in wide_single_gates(rng, q):
+                got = apply_gate(state, gate).amplitudes
+                blas = states._blas_single(state.amplitudes, width, q, gate.matrix)
+                assert got.tobytes() == blas.tobytes(), f"{gate!r} left the BLAS kernel"
+                want = states._per_entry(state, gate)
+                np.testing.assert_allclose(blas, want, rtol=0, atol=1e-15, err_msg=f"{gate!r}")
+
+    @pytest.mark.parametrize("q", [1, states._BLAS_WIDTH], ids=["matmul", "kron"])
+    def test_norm_checked_on_the_blas_path(self, q):
+        state = random_state(np.random.default_rng(6), states._BLAS_WIDTH)
+        state = StateVector(state.width, state.amplitudes * (1 + 1e-10))
+        with pytest.raises(AssertionError, match="drifted the norm"):
+            apply_gate(state, hadamard(q))
+
+    def test_out_of_range_qubit_rejected(self):
+        with pytest.raises(ValueError, match=f"outside state width {states._BLAS_WIDTH}"):
+            apply_gate(new_all_zeros(states._BLAS_WIDTH), hadamard(states._BLAS_WIDTH + 1))
+
+    def test_batched_rows_stay_on_the_per_entry_kernel_bit_for_bit(self):
+        # A batched state never takes the BLAS kernel, so each row equals
+        # the per-entry kernel's run of it, not apply_gate's unbatched run.
+        width = states._BLAS_WIDTH
+        rng = np.random.default_rng(10)
+        batched = random_state(rng, width, 3)
+        rows = [batched.row(j) for j in range(3)]
+        gates = random_circuit(width, 30, rng) + wide_single_gates(rng, 1) + wide_single_gates(rng, width)
+        for gate in gates:
+            batched = apply_gate(batched, gate)
+            rows = [StateVector._normalized(width, states._per_entry(row, gate)) for row in rows]
+            for j, row in enumerate(rows):
+                assert batched.amplitudes[j].tobytes() == row.amplitudes.tobytes(), (gate, j)
 
 
 class TestJointProbability:

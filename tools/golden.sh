@@ -117,7 +117,8 @@ print(digest.hexdigest())
 EOF
 # The sha256 of the amplitudes apply_circuit gives for seeded circuits at
 # widths 2-12 and one circuit of stacked rotations, so the bits of its
-# fused single-qubit runs are pinned.
+# fused single-qubit runs are pinned.  At widths 10-12 the H, R and fused
+# gates take apply_gate's BLAS kernel, so its bits are pinned too.
 python -W error - > "$out/states.sha256" <<'EOF'
 import hashlib
 import math
