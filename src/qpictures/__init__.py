@@ -43,8 +43,6 @@ from .gates import (
     random_circuit,
 )
 from .heisenberg import (
-    conjugation_images,
-    descriptor_expectation,
     evolve,
     evolve_circuit,
     init_descriptors,
@@ -88,11 +86,9 @@ __all__ = [
     "chsh_scan",
     "closed_form_descriptors_t2",
     "cnot",
-    "conjugation_images",
     "correlation",
     "default_difference_grid",
     "default_grid_configs",
-    "descriptor_expectation",
     "descriptors_at_t2",
     "dump_csv",
     "evolve",

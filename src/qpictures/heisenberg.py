@@ -42,13 +42,13 @@ yields batched descriptors: the same strings for every column, with a
 ``(terms, batch)`` coefficient array.
 
 Descriptors are read at the reference state through one kernel,
-``pauli.pair_matrix_in_all_zeros``: ``descriptor_expectation`` reads one
-descriptor or one pair as its one-group case, and ``_z_moments_many``
-every <q_z> and <q_z q_z'> of many sets of one width in one pass, batched
-sets with one value per column; ``z_moments``, the twin of
-``states.z_moments``, is its one-set case.  Both require Hermitian
-descriptors and a real result, the set read also <q_z q_z> = 1 within
-1e-12 in every column, and each raises explicitly.
+``pauli.pair_matrix_in_all_zeros``: ``_z_moments_many`` reads every <q_z>
+and <q_z q_z'> of many sets of one width in one pass, batched sets with
+one value per column, and ``z_moments``, the twin of ``states.z_moments``,
+is its one-set case.  The read requires Hermitian descriptors
+(``pauli._check_hermitian``, the rule ``states.expectation`` applies too),
+a real result and <q_z q_z> = 1 within 1e-12 in every column, and each
+raises explicitly.
 """
 from __future__ import annotations
 
@@ -67,6 +67,7 @@ from .pauli import (
     PauliString,
     _axis_codes,
     _broadcast,
+    _check_hermitian,
     _check_width,
     _common_batch,
     _from_matrices,
@@ -427,19 +428,6 @@ def evolve_circuit(ds: DescriptorSet, gates: Iterable[Gate]) -> DescriptorSet:
     return ds
 
 
-def descriptor_expectation(expr: OperatorSum, other: OperatorSum | None = None):
-    """Reference-state expectation <0|expr|0> of an operator built from
-    descriptors, or with ``other`` the pair read <0|expr other|0>, taken
-    as the inner product <expr 0|other 0> without forming the product: the
-    one-group case of ``pauli.pair_matrix_in_all_zeros``.  One value per
-    column when an operand is batched."""
-    group = [expr] if other is None else [expr, other]
-    _check_hermitian(group)
-    singles, pairs = pair_matrix_in_all_zeros([group])
-    value = _real(singles[0, 0] if other is None else pairs[0, 0, 1])
-    return value if np.ndim(value) else float(value)
-
-
 def z_moments(ds: DescriptorSet):
     """Every <q_z> and <q_z q_z'> at |0...0>, the descriptor-side twin of
     ``states.z_moments``: ``(z, zz)`` with ``z[q-1] = <q_z>`` and
@@ -473,12 +461,6 @@ def _z_moments_many(sets):
             f"<q_z q_z> = {float(norms[at])!r}, not 1"
         )
     return z, zz
-
-
-def _check_hermitian(ops) -> None:
-    """One check over every coefficient of ``ops``; a NaN fails it."""
-    if ops and not np.abs(np.concatenate([op._coeffs.ravel() for op in ops]).imag).max(initial=0.0) <= 1e-12:
-        raise ValueError("descriptor expectation requires Hermitian operators")
 
 
 def _real(value):

@@ -46,7 +46,8 @@ Sums are read at the reference state |0..0> by one function,
 groups of sums, batched or not, from one grouping of every sum's images
 of |0..0> by x mask and one batched matmul, without forming a product.
 Each column of a batched read is computed exactly as the unbatched read
-of that column.
+of that column.  Both pictures' reads hold their operands to one Hermitian
+rule, ``_check_hermitian``.
 
 Conventions used throughout the package:
 
@@ -322,8 +323,8 @@ class OperatorSum:
         return cls(width, [(PauliString.identity(width), 1.0)])
 
     @classmethod
-    def single_axis(cls, width: int, qubit: int, axis: Axis, coeff: complex = 1.0) -> "OperatorSum":
-        return cls(width, [(PauliString.single(width, qubit, axis), coeff)])
+    def single_axis(cls, width: int, qubit: int, axis: Axis) -> "OperatorSum":
+        return cls(width, [(PauliString.single(width, qubit, axis), 1.0)])
 
     @property
     def width(self) -> int:
@@ -350,22 +351,6 @@ class OperatorSum:
     @property
     def is_zero(self) -> bool:
         return len(self._coeffs) == 0
-
-    def coefficient(self, string: PauliString | str) -> complex:
-        """Coefficient of ``string`` (0 if absent); phases are divided out."""
-        if isinstance(string, str):
-            string = PauliString.from_ops(self._width, string)
-        if string.width != self._width:
-            raise ValueError(f"width mismatch: {string.width} != {self._width}")
-        pos = np.searchsorted(self._keys, string.key)
-        found = pos < len(self._keys) and self._keys[pos] == string.key
-        values = self._coeffs[pos] / string.phase if found else np.zeros(self._coeffs.shape[1], complex)
-        return values if self._batch is not None else complex(values[0])
-
-    def is_hermitian(self) -> bool:
-        if self.is_zero:
-            return True
-        return float(np.abs(self._coeffs.imag).max()) <= 1e-12
 
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if not isinstance(other, OperatorSum):
@@ -739,6 +724,14 @@ def pair_matrix_in_all_zeros(groups):
     singles[sums[zero]] = ket[zero]
     singles, pairs = singles.reshape(count, n, columns), np.moveaxis(bra_rows @ ket_rows.swapaxes(2, 3), 1, -1)
     return (singles, pairs) if batch is not None else (singles[..., 0], pairs[..., 0])
+
+
+def _check_hermitian(ops) -> None:
+    """The one Hermitian rule of every expectation: each coefficient of
+    ``ops`` has an imaginary part of at most 1e-12, and a NaN fails it.
+    The raise is explicit, so it holds under python -O."""
+    if ops and not np.abs(np.concatenate([op._coeffs.ravel() for op in ops]).imag).max(initial=0.0) <= 1e-12:
+        raise ValueError("expectation requires Hermitian operators")
 
 
 def max_term_deviation(a: OperatorSum, b: OperatorSum) -> float:

@@ -51,7 +51,7 @@ from .experiment import (
     simulate,
 )
 from .gates import cnot, hadamard, random_circuit
-from .heisenberg import evolve, evolve_circuit, init_descriptors
+from .heisenberg import evolve, init_descriptors
 from .pauli import max_term_deviation
 from .states import StateVector, apply_circuit, apply_gate, new_all_zeros
 
@@ -169,17 +169,11 @@ def compare_pictures(gates, width: int) -> float:
 def _compare_many(circuits, width: int) -> np.ndarray:
     """``compare_pictures`` of each circuit of one width.  The descriptor
     sets advance in lockstep (``heisenberg._evolve_many``) and are read in
-    one pass (``heisenberg._z_moments_many``); a lone circuit steps through
-    the public ``evolve`` instead, the same step body, so a wrapper of
-    ``evolve`` (``perfbench/spans.py``) still sees a one-circuit check step
-    by step.  The state side runs and reads each circuit alone
-    (``states.z_moments``), so its bits are those of a one-circuit check."""
+    one pass (``heisenberg._z_moments_many``).  The state side runs and
+    reads each circuit alone (``states.z_moments``), so its bits are those
+    of a one-circuit check."""
     circuits = [tuple(gates) for gates in circuits]
-    start = init_descriptors(width)
-    if len(circuits) == 1:
-        sets = [evolve_circuit(start, circuits[0])]
-    else:
-        sets = heisenberg._evolve_many([start] * len(circuits), circuits)
+    sets = heisenberg._evolve_many([init_descriptors(width)] * len(circuits), circuits)
     dz, dzz = heisenberg._z_moments_many(sets)
     # The pairs above the diagonal, row by row; the diagonal <q_z q_z> = 1
     # compares two norms, not two pictures.

@@ -37,10 +37,10 @@ a run, and ``entangled_state``'s circuit is H then CN.
 Faults not tested here, with the reason:
 
 * The pair matrix transposed (``pauli.pair_matrix_in_all_zeros``
-  returning ``ket @ bra.T``, which also swaps the operands of
-  ``descriptor_expectation``'s pair read) and ``states.z_moments``' ``zz``
-  transposed are equivalent faults: the z descriptors commute, so
-  <0|b a|0> = <0|a b|0>, and both ``zz`` matrices are symmetric.
+  returning ``ket @ bra.T``, which reads every pair <0|a b|0> as
+  <0|b a|0>) and ``states.z_moments``' ``zz`` transposed are equivalent
+  faults: the z descriptors commute, so <0|b a|0> = <0|a b|0>, and both
+  ``zz`` matrices are symmetric.
 * ``pauli._dense_product`` conjugating its result fails no registry
   check: no CLI command reaches the dense route (CLI products form at
   most 24 term pairs, the route starts at 1024), so ``verify`` cannot

@@ -14,8 +14,6 @@ from qpictures import (
     OperatorSum,
     analyzer_rotation,
     cnot,
-    conjugation_images,
-    descriptor_expectation,
     evolve,
     evolve_circuit,
     hadamard,
@@ -37,8 +35,9 @@ from dense import (
 )
 from qpictures import heisenberg, pauli, verification
 from qpictures.experiment import ExperimentConfig, build_timeline
-from qpictures.heisenberg import DescriptorSet, TermGrowthError, z_moments
-from qpictures.pauli import PRUNE_TOL
+from qpictures.heisenberg import DescriptorSet, TermGrowthError, conjugation_images, z_moments
+from qpictures.pauli import PRUNE_TOL, pair_matrix_in_all_zeros
+from qpictures.states import expectation, new_all_zeros
 
 ENTANGLER = (hadamard(3), cnot(2, 3))  # four-qubit context: H on Q3, CN target Q2
 
@@ -46,9 +45,7 @@ ENTANGLER = (hadamard(3), cnot(2, 3))  # four-qubit context: H on Q3, CN target 
 class TestInitDescriptors:
     def test_initial_z_descriptor(self):
         ds = init_descriptors(4)
-        qz2 = ds.z(2)
-        assert len(qz2) == 1
-        assert qz2.coefficient("Z2") == 1.0
+        assert ds.z(2).equal_terms(OperatorSum(4, [("Z2", 1.0)]))
 
     def test_initial_algebra_on_one_qubit(self):
         ds = init_descriptors(1)
@@ -57,7 +54,7 @@ class TestInitDescriptors:
 
     def test_all_initial_descriptors_hermitian(self):
         ds = init_descriptors(4)
-        assert all(op.is_hermitian() for _, op in ds.items())
+        pauli._check_hermitian([op for _, op in ds.items()])
 
     @pytest.mark.parametrize("width", [0, 21])
     def test_width_out_of_range(self, width):
@@ -88,9 +85,8 @@ class TestConjugationImages:
 
     def test_hadamard_swaps_x_and_z(self):
         images = conjugation_images(hadamard(1))
-        assert images[(0, Axis.Z)].coefficient("X1") == pytest.approx(1.0)
-        assert images[(0, Axis.X)].coefficient("Z1") == pytest.approx(1.0)
-        assert images[(0, Axis.Y)].coefficient("Y1") == pytest.approx(-1.0)
+        for axis, want in ((Axis.Z, ("X1", 1.0)), (Axis.X, ("Z1", 1.0)), (Axis.Y, ("Y1", -1.0))):
+            assert max_term_deviation(images[(0, axis)], OperatorSum(1, [want])) <= 1e-12
 
     def test_clifford_images_are_single_strings(self):
         for gate in (hadamard(1), pauli_x(1), pauli_y(1), pauli_z(1), cnot(1, 2)):
@@ -109,7 +105,7 @@ class TestConjugationImages:
         images = conjugation_images(cnot(1, 2))
         image = images[(0, Axis.Z)]
         assert len(image) == 1
-        assert image.coefficient("Z1 Z2") == pytest.approx(-1.0)
+        assert max_term_deviation(image, OperatorSum(2, [("Z1 Z2", -1.0)])) <= 1e-12
 
 
 class TestOperandPaulis:
@@ -132,21 +128,21 @@ class TestEvolve:
     def test_hadamard_turns_z_into_x(self):
         ds = evolve(init_descriptors(1), hadamard(1))
         assert ds.step == 1
-        assert ds.z(1).coefficient("X1") == pytest.approx(1.0)
+        assert max_term_deviation(ds.z(1), OperatorSum(1, [("X1", 1.0)])) <= 1e-12
         assert len(ds.z(1)) == 1
 
     def test_entangler_q3_descriptor(self):
         ds = evolve_circuit(init_descriptors(4), ENTANGLER)
         qz3 = ds.z(3)
         assert len(qz3) == 1
-        assert qz3.coefficient("X3") == pytest.approx(1.0)
+        assert max_term_deviation(qz3, OperatorSum(4, [("X3", 1.0)])) <= 1e-12
 
     def test_entangler_q2_descriptor(self):
         # frozen from the dense conjugation oracle (also checked below)
         ds = evolve_circuit(init_descriptors(4), ENTANGLER)
         qz2 = ds.z(2)
         assert len(qz2) == 1
-        assert qz2.coefficient("Z2 X3") == pytest.approx(-1.0)
+        assert max_term_deviation(qz2, OperatorSum(4, [("Z2 X3", -1.0)])) <= 1e-12
         dense = heisenberg_descriptor(ENTANGLER, 4, 2, Axis.Z)
         assert max_term_deviation(qz2, dense) <= 1e-12
 
@@ -169,55 +165,80 @@ class TestEvolve:
                 evolve(ds, gates[-1])
 
 
+def _one_group_read(a, b=None):
+    """The real part of <0|a|0>, or with ``b`` of the pair read <0|a b|0>,
+    read as a group of its own operands alone by
+    ``pauli.pair_matrix_in_all_zeros``."""
+    singles, pairs = pair_matrix_in_all_zeros([[a] if b is None else [a, b]])
+    return (singles[0, 0] if b is None else pairs[0, 0, 1]).real
+
+
 class TestDescriptorExpectation:
+    """Descriptor expectations at |0..0>, read through ``z_moments`` or a
+    one-group kernel read."""
+
     @pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2, 2.9])
     def test_linear_terms_vanish(self, theta):
         gates = ENTANGLER + (analyzer_rotation(2, theta), analyzer_rotation(3, 1.1))
-        ds = evolve_circuit(init_descriptors(4), gates)
-        assert descriptor_expectation(ds.z(2)) == pytest.approx(0.0, abs=1e-12)
-        assert descriptor_expectation(ds.z(3)) == pytest.approx(0.0, abs=1e-12)
+        z, _ = z_moments(evolve_circuit(init_descriptors(4), gates))
+        assert z[1] == pytest.approx(0.0, abs=1e-12)
+        assert z[2] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (0.7, 0.3), (2.0, -1.0)])
     def test_zz_product_value(self, theta, phi):
+        """The pair read, which never forms the product, against the read
+        of the product."""
         gates = ENTANGLER + (analyzer_rotation(2, theta), analyzer_rotation(3, phi))
         ds = evolve_circuit(init_descriptors(4), gates)
-        value = descriptor_expectation(ds.z(2) * ds.z(3))
+        value = _one_group_read(ds.z(2) * ds.z(3))
         assert value == pytest.approx(math.cos(theta - phi), abs=1e-12)
-        pair = descriptor_expectation(ds.z(2), ds.z(3))
-        assert isinstance(pair, float)
-        assert pair == pytest.approx(math.cos(theta - phi), abs=1e-12)
+        _, zz = z_moments(ds)
+        assert zz[1, 2] == pytest.approx(math.cos(theta - phi), abs=1e-12)
 
     def test_non_hermitian_rejected(self):
+        # One non-Hermitian column of a batched descriptor is enough.
         with pytest.raises(ValueError, match="Hermitian"):
-            descriptor_expectation(OperatorSum(1, [("X1", 1.0j)]))
+            z_moments(_z_set(OperatorSum(1, [("X1", [1.0, 1.0j])])))
 
     def test_non_hermitian_factor_rejected(self):
         # Explicit raises, so this holds under python -O as well.
-        hermitian = OperatorSum(1, [("Z1", 1.0)])
-        non_hermitian = OperatorSum(1, [("X1", 1.0j)])
+        hermitian = OperatorSum(2, [("Z1", 1.0)])
+        non_hermitian = OperatorSum(2, [("X1", 1.0j)])
         with pytest.raises(ValueError, match="Hermitian"):
-            descriptor_expectation(non_hermitian, hermitian)
+            z_moments(_z_set(non_hermitian, hermitian))
         with pytest.raises(ValueError, match="Hermitian"):
-            descriptor_expectation(hermitian, non_hermitian)
+            z_moments(_z_set(hermitian, non_hermitian))
 
     def test_nan_descriptor_raises(self):
-        # The NaN terms survive pruning, so the read cannot come out 0.0.
+        # The NaN terms survive pruning, so the read cannot come out 0.0; a
+        # NaN in one column of a batched descriptor fails the whole read.
         with pytest.raises(ValueError, match="Hermitian"):
-            descriptor_expectation(init_descriptors(2).z(1) * math.nan)
+            z_moments(_z_set(init_descriptors(1).z(1) * math.nan))
+        with pytest.raises(ValueError, match="Hermitian"):
+            z_moments(_z_set(OperatorSum(1, [("Z1", [1.0, math.nan])])))
 
     def test_complex_pair_value_rejected(self):
-        # X and Y are Hermitian but do not commute: <0|X Y|0> = -i
-        x = OperatorSum(1, [("X1", 1.0)])
-        y = OperatorSum(1, [("Y1", 1.0)])
+        # X and Y are Hermitian but do not commute: <0|X Y|0> = -i, while
+        # <0|X Z|0> = 0.  A batched read raises when one column is complex.
+        x = OperatorSum(2, [("X1", [1.0, 1.0])])
+        z_or_y = OperatorSum(2, [("Z1", [1.0, 0.0]), ("Y1", [0.0, 1.0])])
         with pytest.raises(AssertionError, match="complex"):
-            descriptor_expectation(x, y)
+            z_moments(_z_set(x, z_or_y))
 
     def test_batched_pair_read_gives_one_value_per_column(self):
         angles = np.array([0.0, 0.7, 2.0])
         gates = ENTANGLER + (analyzer_rotation(2, angles), analyzer_rotation(3, 0.3))
-        ds = evolve_circuit(init_descriptors(4), gates)
-        values = descriptor_expectation(ds.z(2), ds.z(3))
-        np.testing.assert_allclose(values, np.cos(angles - 0.3), rtol=0, atol=1e-12)
+        _, zz = z_moments(evolve_circuit(init_descriptors(4), gates))
+        np.testing.assert_allclose(zz[1, 2], np.cos(angles - 0.3), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("coeff", [1.0j, math.nan], ids=["non_hermitian", "nan"])
+    def test_both_pictures_apply_one_hermitian_rule(self, coeff):
+        op = OperatorSum(2, [("Z1", coeff)])
+        with pytest.raises(ValueError, match="Hermitian") as descriptors:
+            z_moments(_z_set(op, init_descriptors(2).z(2)))
+        with pytest.raises(ValueError, match="Hermitian") as statevector:
+            expectation(new_all_zeros(2), op)
+        assert str(descriptors.value) == str(statevector.value)
 
 
 def _z_set(*ops):
@@ -239,9 +260,9 @@ class TestZMoments:
             yield 6, brickwork(6, 7, seed)
 
     def test_matches_one_read_per_moment(self):
-        """Every single and pair read within 2.3e-16 of its own
-        ``descriptor_expectation`` call.  The diagonal <q_z q_z> = 1, which
-        no check scores, sums ~10**3 squares at width 6: within 4 ulps."""
+        """Every single and pair read within 2.3e-16 of its own one-group
+        read.  The diagonal <q_z q_z> = 1, which no check scores, sums ~10**3
+        squares at width 6: within 4 ulps."""
         worst = worst_diagonal = 0.0
         for width, gates in self._circuits():
             ds = evolve_circuit(init_descriptors(width), gates)
@@ -249,9 +270,9 @@ class TestZMoments:
             assert z.shape == (width,) and zz.shape == (width, width)
             assert z.dtype == zz.dtype == np.float64
             for q in range(1, width + 1):
-                worst = max(worst, abs(z[q - 1] - descriptor_expectation(ds.z(q))))
+                worst = max(worst, abs(z[q - 1] - _one_group_read(ds.z(q))))
                 for r in range(1, width + 1):
-                    deviation = abs(zz[q - 1, r - 1] - descriptor_expectation(ds.z(q), ds.z(r)))
+                    deviation = abs(zz[q - 1, r - 1] - _one_group_read(ds.z(q), ds.z(r)))
                     if q == r:
                         worst_diagonal = max(worst_diagonal, deviation)
                     else:
@@ -382,7 +403,7 @@ class TestEvolutionProperties:
         rng = np.random.default_rng(100 + seed)
         width = int(rng.integers(2, 6))
         ds = evolve_circuit(init_descriptors(width), random_circuit(width, 10, rng))
-        assert all(op.is_hermitian() for _, op in ds.items())
+        pauli._check_hermitian([op for _, op in ds.items()])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pauli_algebra_preserved(self, seed):

@@ -63,7 +63,8 @@ def test_nan_in_one_circuit_of_a_width_group_fails_picture_equivalence(monkeypat
 
 def test_a_group_scores_each_circuit_as_compare_pictures_does():
     """Grouped or alone, a circuit's deviation stays tiny; the pair reads of
-    a group may differ from the one-circuit reads in the last bits only."""
+    a group may differ from the one-circuit reads in the last bits only.
+    Alone, a circuit takes the same lockstep route as a group of one."""
     circuits = [gates for width, gates in verification._picture_circuits() if width == 4]
     grouped = verification._compare_many(circuits, 4)
     alone = np.array([compare_pictures(gates, 4) for gates in circuits])
