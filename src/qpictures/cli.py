@@ -121,17 +121,27 @@ def _csv_text(header, rows) -> str:
 
 def _scan_csv_blocks(scan):
     """The scan's CSV, one block of rows per leading angle a.  Each angle
-    label and each (a', b, b') prefix is formatted once, each S once."""
+    label and each (a', b, b') prefix is formatted once, and each distinct
+    S once with its violation flag, keyed by its bits, so -0.0 and a NaN
+    keep their own text.  A block is its rows' [label, prefix, tail]
+    pieces, filled in by slice assignment and joined once.  The distinct
+    values are found by hashing, not by np.unique: its sort kernel, mapped
+    into memory on a first call, adds ~0.4 MB of peak RSS."""
     labels = [f"{x:.12g}" for x in scan.angles]
     prefixes = [f"{ap},{b},{bp}," for ap, b, bp in product(labels, repeat=3)]
-    flags = (",0\n", ",1\n")
+    rows = len(prefixes)
+    pieces = [""] * (3 * rows)
+    pieces[1::3] = prefixes
+    tails = {}
     yield ",".join(_CHSH_CSV_HEADER) + "\n"
     for label, block in zip(labels, scan.values):
-        violations = (np.abs(block) > VIOLATION_BOUND).ravel().tolist()
-        yield "".join([
-            f"{label},{prefix}{s:.12g}{flags[v]}"
-            for prefix, s, v in zip(prefixes, block.ravel().tolist(), violations)
-        ])
+        keys = block.ravel().view(np.int64).tolist()
+        new = np.array(list(set(keys).difference(tails)), dtype=np.int64)
+        for key, s in zip(new.tolist(), new.view(np.float64).tolist()):
+            tails[key] = f"{s:.12g},{int(abs(s) > VIOLATION_BOUND)}\n"
+        pieces[0::3] = [label + ","] * rows
+        pieces[2::3] = map(tails.__getitem__, keys)
+        yield "".join(pieces)
 
 
 def _scale(value: float, degrees: bool) -> float:

@@ -28,13 +28,17 @@ each through or scales it; any other merges them all with one tagged
 ``pauli._merge_sums``.  Either way each descriptor is bit for bit the one
 that substituting one image term at a time gives.
 
-There is one step body, ``_step``, over any number of sets of one width.
-``evolve`` is its one-set case; ``_evolve_many`` advances many sets, each
-through its own circuit, in lockstep, so that a step of tiny sets pays
-numpy's per-call cost once for all of them: one ``_pair_products`` call
-per factor count, one stacked ``_image_coefficients`` call per arity for
-the gates outside the catalog, one ``pauli._prune_sums`` for every scaled
-one-term image and one tagged ``_merge_sums`` for every other image.
+There is one step body, ``_step``, which appends a layer of gates on
+disjoint qubits to each of any number of sets of one width; by the
+locality rule the gates of a layer read nothing the others write.
+``evolve`` is its one-set, one-gate case; ``_evolve_many`` advances many
+sets, each through its own circuit's ASAP layers (``_layers``), in
+lockstep, and ``evolve_circuit`` is its one-set case.  So a step of tiny
+sets pays numpy's per-call cost once for all its gates: one
+``_pair_products`` call per factor count, one stacked
+``_image_coefficients`` call per arity for the gates outside the catalog,
+one ``pauli._prune_sums`` for every scaled one-term image and one tagged
+``_merge_sums`` for every other image.
 
 A gate with a stack of matrices (an analyzer rotation over a batch of
 angles) has one image coefficient per batch column, so substitution
@@ -298,42 +302,72 @@ def init_descriptors(width: int) -> DescriptorSet:
 
 
 def evolve(ds: DescriptorSet, gate: Gate) -> DescriptorSet:
-    """Descriptors after appending ``gate`` to the circuit: the one-set
-    step of ``_evolve_many``."""
-    return _step([ds], [gate])[0]
+    """Descriptors after appending ``gate`` to the circuit: the one-set,
+    one-gate case of ``_step``."""
+    return _step([ds], [((ds.step + 1, gate),)])[0]
+
+
+def _layers(circuit, first: int) -> list[list[tuple[int, Gate]]]:
+    """The circuit's ASAP layers (Cirq's "moments"): each gate goes into
+    the layer after the last one that holds any of its qubits, so the gates
+    of a layer share no qubit and keep their circuit order.  Each gate comes
+    with its step, ``first`` plus its index in the circuit."""
+    layers, after = [], {}
+    for step, gate in enumerate(circuit, first):
+        at = max([after.get(q, 0) for q in gate.qubits])
+        if at == len(layers):
+            layers.append([])
+        layers[at].append((step, gate))
+        for q in gate.qubits:
+            after[q] = at + 1
+    return layers
 
 
 def _evolve_many(sets, circuits) -> list[DescriptorSet]:
     """Each descriptor set of one width evolved through its own circuit,
-    every set one gate a step, in lockstep; a set whose circuit has ended
-    drops out of later steps.  Every set comes out bit for bit as
-    ``evolve_circuit`` gives it; a batched set or gate must share one batch
-    size with every other."""
+    every set one ASAP layer (``_layers``) a step, in lockstep; a set whose
+    circuit has run out of layers drops out of later steps.  A gate rewrites
+    only its own qubits' descriptors, so a layer's gates read nothing the
+    others write, and every set comes out bit for bit as ``evolve`` gives it
+    gate by gate; a batched set or gate must share one batch size with
+    every other."""
     sets, circuits = list(sets), [tuple(circuit) for circuit in circuits]
     if len(sets) != len(circuits):
         raise ValueError(f"{len(sets)} descriptor sets for {len(circuits)} circuits")
     if len({ds.width for ds in sets}) > 1:
         raise ValueError(f"width mismatch: {sorted({ds.width for ds in sets})}")
-    for step in range(max(map(len, circuits), default=0)):
-        live = [i for i, circuit in enumerate(circuits) if step < len(circuit)]
-        for i, ds in zip(live, _step([sets[i] for i in live], [circuits[i][step] for i in live])):
+    layered = [_layers(circuit, ds.step + 1) for ds, circuit in zip(sets, circuits)]
+    for depth in range(max(map(len, layered), default=0)):
+        live = [i for i, layers in enumerate(layered) if depth < len(layers)]
+        for i, ds in zip(live, _step([sets[i] for i in live], [layered[i][depth] for i in live])):
             sets[i] = ds
     return sets
 
 
-def _step(sets, gates) -> list[DescriptorSet]:
-    """One gate appended to each set of one width, by the gates' compiled
-    rules (``_rules``).  Each image term's factors, the operand qubits'
-    current descriptors, multiply out left to right, in one
-    ``_pair_products`` call per factor count over every set.  A set whose
-    images are all one term passes each through (coefficient exactly 1) or
-    scales it, and one ``_prune_sums`` prunes every scaled image; one tagged
-    ``_merge_sums`` sums the scaled terms of every other set's images."""
+def _step(sets, layers) -> list[DescriptorSet]:
+    """One layer of gates appended to each set of one width: ``layers[n]``
+    holds the ``(step, gate)`` pairs of set ``n``, gates that share no
+    qubit, so each reads its operands' descriptors from before the layer.
+    The outputs go by the sets' positions, so one set object may come more
+    than once.  Each gate takes its compiled rule (``_rules``), and each
+    image term's factors, the operand qubits' current descriptors, multiply
+    out left to right, in one ``_pair_products`` call per factor count over
+    every gate.  A gate whose images are all one term passes each through
+    (coefficient exactly 1) or scales it, and one ``_prune_sums`` prunes
+    every scaled image; one tagged ``_merge_sums`` sums the scaled terms of
+    every other gate's images.  A set's step advances by one per gate, and
+    a ``TermGrowthError`` names the step of the gate that grew."""
+    owners, steps, gates = [], [], []
+    for n, layer in enumerate(layers):
+        for step, gate in layer:
+            owners.append(n)
+            steps.append(step)
+            gates.append(gate)
     width = sets[0].width
     rules = _rules(gates)
     runs, depth = [], 0
-    for ds, gate, rule in zip(sets, gates, rules):
-        current, operands = ds._descriptors, gate.qubits
+    for n, gate, rule in zip(owners, gates, rules):
+        current, operands = sets[n]._descriptors, gate.qubits
         for q in operands:
             if not 1 <= q <= width:
                 raise ValueError(f"gate qubit {q} outside width {width}")
@@ -408,24 +442,27 @@ def _step(sets, gates) -> list[DescriptorSet]:
         sums = _merge_sums(width, tags.repeat(lengths), len(merged), keys, values)
         for (ops, i, _), (k, c), own in zip(merged, sums, owns):
             ops[i] = OperatorSum._raw(width, k, c[:, : own or 1], own)
-    out = []
-    for ds, gate, rule, ops in zip(sets, gates, rules, new):
-        table, operands = dict(ds._descriptors), gate.qubits
+    # Each set's table is copied once, whatever the size of its layer.
+    tables = [dict(ds._descriptors) for ds in sets]
+    for n, step, gate, rule, ops in zip(owners, steps, gates, rules, new):
+        table, operands = tables[n], gate.qubits
         for (_, slot, axis), op in zip(rule.leaves, ops):
             if len(op) > TERM_CAP:
                 raise TermGrowthError(
                     f"descriptor for qubit {operands[slot]} axis {axis.name} grew to "
-                    f"{len(op)} terms at step {ds.step + 1} (cap {TERM_CAP})"
+                    f"{len(op)} terms at step {step} (cap {TERM_CAP})"
                 )
             table[(operands[slot], axis)] = op
-        out.append(DescriptorSet(width, ds.step + 1, MappingProxyType(table)))
-    return out
+    return [
+        DescriptorSet(width, ds.step + len(layer), MappingProxyType(table))
+        for ds, layer, table in zip(sets, layers, tables)
+    ]
 
 
 def evolve_circuit(ds: DescriptorSet, gates: Iterable[Gate]) -> DescriptorSet:
-    for gate in gates:
-        ds = evolve(ds, gate)
-    return ds
+    """Descriptors after appending every gate, one ``_step`` per ASAP layer:
+    the one-set case of ``_evolve_many``."""
+    return _evolve_many([ds], [gates])[0]
 
 
 def z_moments(ds: DescriptorSet):

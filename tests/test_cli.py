@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from qpictures import cli
-from qpictures.bell import TSIRELSON
+from qpictures.bell import TSIRELSON, VIOLATION_BOUND, ScanResult, canonical_setting, chsh
 from qpictures.experiment import MAX_ANGLE
 from scan_oracle import loop_scan, loop_scan_csv
 
@@ -287,6 +288,31 @@ class TestChsh:
     def test_scan_csv_matches_the_loop_oracle_at_pi_8(self, capsys):
         _, out = run_cli(capsys, "chsh", "--scan", "pi/8", "--format", "csv")
         assert out == loop_scan_csv(loop_scan(math.pi / 8)[0])
+
+    def test_scan_csv_renders_edge_values_as_a_per_row_f_string(self):
+        """The renderer formats each distinct S once, keyed by its bits: -0.0
+        and 0.0, two values that differ only past 12 digits, the bound itself
+        (no violation) and the next float above it, and NaNs each keep their
+        own row's text and flag."""
+        edges = [
+            -0.0, 0.0, 1.0 + 2e-13, 1.0 + 4e-13, VIOLATION_BOUND, -VIOLATION_BOUND,
+            np.nextafter(VIOLATION_BOUND, 3.0), math.nan, -math.nan, 2.5, -0.0, math.nan,
+            1.0 + 2e-13, 0.0, -2.5, np.nextafter(-VIOLATION_BOUND, -3.0),
+        ]
+        angles = (0.0, 0.1 + 0.2)
+        values = np.array(edges).reshape(2, 2, 2, 2)
+        scan = ScanResult(math.pi, chsh(canonical_setting()), angles, values)
+        rows = [
+            f"{a:.12g},{ap:.12g},{b:.12g},{bp:.12g},{s:.12g},{int(abs(s) > VIOLATION_BOUND)}\n"
+            for (a, ap, b, bp), s in zip(itertools.product(angles, repeat=4), values.ravel().tolist())
+        ]
+        text = "".join(cli._scan_csv_blocks(scan))
+        assert text == "a,a_prime,b,b_prime,S,violation\n" + "".join(rows)
+        # -0.0 and 0.0, and the bound and the float above it, render alike
+        # but for their sign and flag.
+        assert [row.split(",", 4)[4] for row in text.splitlines()[1:9]] == [
+            "-0,0", "0,0", "1,0", "1,0", "2,0", "-2,0", "2,1", "nan,0",
+        ]
 
     def test_scan_json_and_table_match_the_loop_oracle(self, capsys):
         rows, (a, ap, b, bp, s), _ = loop_scan(math.pi / 4)

@@ -628,6 +628,27 @@ class TestLockstep:
         with pytest.raises(TermGrowthError, match=re.escape(message)):
             heisenberg._evolve_many([init_descriptors(2)] * 2, circuits)
 
+    def test_term_growth_error_names_the_gate_of_its_layer(self, monkeypatch):
+        """The growing R is the second gate of its circuit's first layer but
+        the fourth gate of the circuit, which starts after step 1: the raise
+        names the gate's own step, 5, whether the circuit runs alone or in a
+        group, or its gates one at a time."""
+        monkeypatch.setattr("qpictures.heisenberg.TERM_CAP", 1)
+        ds = evolve(init_descriptors(3), hadamard(3))
+        circuit = (hadamard(1), pauli_x(1), hadamard(1), analyzer_rotation(2, 0.7))
+        assert [[step for step, _ in layer] for layer in heisenberg._layers(circuit, ds.step + 1)] == [
+            [2, 5], [3], [4],
+        ]
+        message = "descriptor for qubit 2 axis Y grew to 2 terms at step 5 (cap 1)"
+        with pytest.raises(TermGrowthError, match=re.escape(message)):
+            evolve_circuit(ds, circuit)
+        with pytest.raises(TermGrowthError, match=re.escape(message)):
+            heisenberg._evolve_many([ds] * 2, [circuit[:1], circuit])
+        for gate in circuit[:3]:
+            ds = evolve(ds, gate)
+        with pytest.raises(TermGrowthError, match=re.escape(message)):
+            evolve(ds, circuit[3])
+
     def test_mixed_widths_and_counts_rejected(self):
         with pytest.raises(ValueError, match="width mismatch"):
             heisenberg._evolve_many([init_descriptors(2), init_descriptors(3)], [(hadamard(1),)] * 2)
@@ -640,6 +661,114 @@ class TestLockstep:
         circuits = [(analyzer_rotation(1, [0.1, 0.2]),), (analyzer_rotation(1, [0.1, 0.2, 0.3]),)]
         with pytest.raises(ValueError, match="batch size mismatch"):
             heisenberg._evolve_many([init_descriptors(1)] * 2, circuits)
+
+
+def _gate_by_gate(ds, gates):
+    for gate in gates:
+        ds = evolve(ds, gate)
+    return ds
+
+
+def _assert_same_bits(got, want):
+    """Equal steps and every descriptor equal to the last bit: batch, keys
+    and coefficient bytes, so a -0.0 against a 0.0 counts as a difference."""
+    assert got.width == want.width and got.step == want.step
+    assert [key for key, _ in got.items()] == [key for key, _ in want.items()]
+    for key, op in want.items():
+        other = got.descriptor(*key)
+        assert other._batch == op._batch, key
+        assert other._keys.tobytes() == op._keys.tobytes(), key
+        assert other._coeffs.tobytes() == op._coeffs.tobytes(), key
+
+
+def _layered_families():
+    """The circuit families of the ``descriptors.sha256`` golden output, by
+    width: seeded random circuits at widths 2-8, timelines stacked over 1, 3
+    and 8 angle pairs, and the width-6 brickwork."""
+    rng = np.random.default_rng(21)
+    families = [(width, [random_circuit(width, 16, rng) for _ in range(6)]) for width in range(2, 9)]
+    timelines = []
+    for count in (1, 3, 8):
+        angles = rng.uniform(-math.pi, math.pi, (count, 2))
+        timelines.append([gate for step in build_timeline([ExperimentConfig(*pair) for pair in angles]) for gate in step])
+    families.append((4, timelines))
+    families.append((6, [brickwork(6, 7, seed=1)]))
+    return families
+
+
+class TestLayers:
+    def test_asap_layers(self):
+        """A gate goes one layer past the last gate on any of its qubits;
+        a layer keeps circuit order and holds no qubit twice."""
+        circuit = (hadamard(1), cnot(2, 3), pauli_x(4), hadamard(2), cnot(1, 4), pauli_z(3), hadamard(1))
+        layers = heisenberg._layers(circuit, 1)
+        assert [[step for step, _ in layer] for layer in layers] == [[1, 2, 3], [4, 5, 6], [7]]
+        assert all(gate is circuit[step - 1] for layer in layers for step, gate in layer)
+        assert heisenberg._layers((), 1) == []
+        rng = np.random.default_rng(4)
+        for width in range(1, 7):
+            circuit = random_circuit(width, 20, rng)
+            layers = heisenberg._layers(circuit, 1)
+            assert sorted(step for layer in layers for step, _ in layer) == list(range(1, 21))
+            for layer in layers:
+                qubits = [q for _, gate in layer for q in gate.qubits]
+                assert len(qubits) == len(set(qubits))
+
+    @pytest.mark.parametrize("family", range(9))
+    def test_layered_evolution_equals_gate_by_gate(self, family):
+        """``evolve_circuit`` and a lockstep ``_evolve_many`` group, one step
+        per layer, give every descriptor bit for bit as ``evolve`` gives it
+        gate by gate, over every circuit family ``descriptors.sha256`` pins."""
+        width, circuits = _layered_families()[family]
+        assert any(len(heisenberg._layers(gates, 1)) < len(gates) for gates in circuits)
+        serial = [_gate_by_gate(init_descriptors(width), gates) for gates in circuits]
+        for gates, want in zip(circuits, serial):
+            _assert_same_bits(evolve_circuit(init_descriptors(width), gates), want)
+        # A group shares one batch size, so each timeline runs in a group of
+        # its own, beside two unbatched circuits.
+        batches = [max(gate.batch or 0 for gate in gates) for gates in circuits]
+        for batch in set(batches):
+            rng = np.random.default_rng(batch)
+            plain = [random_circuit(width, depth, rng) for depth in (5, 12)] if batch else []
+            group = [gates for gates, b in zip(circuits, batches) if b == batch] + plain
+            wanted = [want for want, b in zip(serial, batches) if b == batch]
+            wanted += [_gate_by_gate(init_descriptors(width), gates) for gates in plain]
+            for got, want in zip(heisenberg._evolve_many([init_descriptors(width)] * len(group), group), wanted):
+                _assert_same_bits(got, want)
+
+    def test_one_set_object_passed_many_times(self):
+        """One set object, at step 0 and later, stands for every set of a
+        group: each output is its own circuit's, whatever the others do."""
+        rng = np.random.default_rng(8)
+        circuits = [random_circuit(4, depth, rng) for depth in (9, 0, 14, 3, 11)]
+        for start in (init_descriptors(4), evolve_circuit(init_descriptors(4), random_circuit(4, 5, rng))):
+            sets = heisenberg._evolve_many([start] * len(circuits), circuits)
+            for got, gates in zip(sets, circuits):
+                _assert_same_bits(got, _gate_by_gate(start, gates))
+            assert sets[1] is start
+
+    def test_three_qubit_unitary_beside_a_disjoint_gate(self):
+        """A Haar-random 3-qubit unitary, whose image terms multiply out in
+        two rounds, shares a layer with a gate on another qubit, in a group
+        whose other set's layer has one round only: its third factor must
+        not drop out."""
+        rng = np.random.default_rng(19)
+        circuits = [
+            [Gate("U", (3, 1, 4), random_unitary(rng, 8)), analyzer_rotation(2, 0.4), hadamard(5)],
+            [hadamard(1), cnot(4, 2), pauli_y(5), Gate("U", (5, 2, 3), random_unitary(rng, 8)), hadamard(4)],
+            [Gate("U", (2, 1, 3), np.stack([random_unitary(rng, 8) for _ in range(2)])), pauli_x(5)],
+        ]
+        # Every layer ends in a one-round gate, alone and in the group.
+        assert [len(heisenberg._layers(gates, 1)) for gates in circuits] == [1, 2, 1]
+        alone = [evolve_circuit(init_descriptors(5), gates) for gates in circuits]
+        sets = heisenberg._evolve_many([init_descriptors(5)] * len(circuits), circuits)
+        for got, one, gates in zip(sets, alone, circuits):
+            want = init_descriptors(5)
+            for gate in gates:
+                want = reference_step(want, gate)
+            _assert_same_bits(got, _gate_by_gate(init_descriptors(5), gates))
+            _assert_same_bits(one, got)
+            assert all(got.descriptor(*key).equal_terms(op) for key, op in want.items())
 
 
 class TestGroupRead:

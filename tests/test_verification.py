@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from qpictures import random_circuit, verification
+from qpictures.experiment import ExperimentConfig, build_timeline
 from qpictures.verification import compare_pictures
 
 
@@ -71,3 +72,14 @@ def test_a_group_scores_each_circuit_as_compare_pictures_does():
     assert grouped.shape == (len(circuits),)
     assert np.max(grouped) <= 1e-14 and np.max(alone) <= 1e-14
     np.testing.assert_allclose(grouped, alone, rtol=0, atol=1e-15)
+
+
+def test_descriptor_locality_evolves_one_gate_a_call(monkeypatch):
+    """Layered evolution must not reach descriptor_locality: it checks each
+    timeline gate alone, one ``evolve`` call a gate."""
+    evolve, gates = verification.evolve, []
+    monkeypatch.setattr(verification, "evolve", lambda ds, gate: gates.append(gate) or evolve(ds, gate))
+    assert verification.check_descriptor_locality().passed
+    configs = (ExperimentConfig(0.3, 1.0), ExperimentConfig(math.pi / 3, math.pi / 7))
+    timeline = [gate for segment in build_timeline(configs) for gate in segment]
+    assert [(gate.name, gate.qubits) for gate in gates] == [(gate.name, gate.qubits) for gate in timeline]

@@ -5,11 +5,13 @@
 #
 # Every command runs the checkout's own source (PYTHONPATH=CHECKOUT/src)
 # under `python -W error`, and the script exits non-zero as soon as one
-# command fails or warns.  The largest outputs, the chsh scan CSV and the
+# command fails or warns.  It writes 58 files.  The largest outputs, the
+# chsh scan CSVs at pi/8 and at pi/16 (the largest scan, 32**4 rows) and the
 # `sweep 4096` CSV and JSON (a MAX_BATCH table), are stored as their
 # sha256, and so are the descriptors and the amplitudes of fixed circuit
 # sets, the grouped descriptor reads of picture_equivalence and the batched
-# descriptor reads of experiment runs (the last four entries).  The golden check of a change against its parent is
+# descriptor reads of experiment runs (the last four entries).  The golden
+# check of a change against its parent is
 #
 #   tools/golden.sh PARENT before && tools/golden.sh CHANGE after && diff -r before after
 set -euo pipefail
@@ -47,6 +49,7 @@ golden "sweep 24.json" sweep 24 --format json
 python -W error -m qpictures sweep 4096 | sha256sum > "$out/sweep 4096.csv.sha256"
 python -W error -m qpictures sweep 4096 --format json | sha256sum > "$out/sweep 4096.json.sha256"
 python -W error -m qpictures chsh --scan pi/8 --format csv | sha256sum > "$out/chsh scan pi_8.csv.sha256"
+python -W error -m qpictures chsh --scan pi/16 --format csv | sha256sum > "$out/chsh scan pi_16.csv.sha256"
 golden "chsh scan pi_8.json" chsh --scan pi/8 --format json
 golden "chsh setting.txt" chsh 0 pi/2 pi/4 3pi/4
 golden "chsh setting.json" chsh 0 pi/2 pi/4 3pi/4 --format json
