@@ -37,7 +37,8 @@ lockstep, and ``evolve_circuit`` is its one-set case.  So a step of tiny
 sets pays numpy's per-call cost once for all its gates: one
 ``_pair_products`` call per factor count, one stacked
 ``_image_coefficients`` call per arity for the gates outside the catalog,
-one ``pauli._prune_sums`` for every scaled one-term image and one tagged
+one ``pauli._times`` call for the value of every image term, one
+``pauli._prune_sums`` for every scaled one-term image and one tagged
 ``_merge_sums`` for every other image.
 
 A gate with a stack of matrices (an analyzer rotation over a batch of
@@ -79,6 +80,7 @@ from .pauli import (
     _pair_products,
     _prune,
     _prune_sums,
+    _times,
     _to_matrices,
     pair_matrix_in_all_zeros,
 )
@@ -105,8 +107,8 @@ class _Rule(NamedTuple):
     # last factors (``_factor_runs``).
     rounds: tuple
     # When every image is one term: the (image, key) of each image passed
-    # through (its coefficient exactly 1) and the (image, key, coefficient
-    # row) of each image scaled; else None.
+    # through (its coefficient exactly 1) and the (image, key, one-row
+    # coefficient array) of each image scaled; else None.
     single: tuple | None
     # Per image, its basis key, operand slot and axis (``_factor_runs``).
     leaves: tuple
@@ -189,7 +191,7 @@ def _compile(gate: Gate, coeffs: np.ndarray) -> tuple:
         plan = list(zip(range(images), keys[order].tolist(), order.tolist(), unit.tolist()))
         single = (
             tuple((i, s) for i, s, _, one in plan if one),
-            tuple((i, s, coeffs[row]) for i, s, row, one in plan if not one),
+            tuple((i, s, coeffs[row : row + 1]) for i, s, row, one in plan if not one),
         )
     rounds = tuple(r for r in rounds if r[0])
     return _Rule(keys.tolist(), tags, coeffs, rounds, single, _factor_runs(k)[0])
@@ -329,13 +331,16 @@ def _evolve_many(sets, circuits) -> list[DescriptorSet]:
     circuit has run out of layers drops out of later steps.  A gate rewrites
     only its own qubits' descriptors, so a layer's gates read nothing the
     others write, and every set comes out bit for bit as ``evolve`` gives it
-    gate by gate; a batched set or gate must share one batch size with
-    every other."""
+    gate by gate.  A batched set or gate must share one batch size with
+    every other, and each set is checked against its circuit before the
+    first step, so a mismatch raises even where its gates meet in no step."""
     sets, circuits = list(sets), [tuple(circuit) for circuit in circuits]
     if len(sets) != len(circuits):
         raise ValueError(f"{len(sets)} descriptor sets for {len(circuits)} circuits")
     if len({ds.width for ds in sets}) > 1:
         raise ValueError(f"width mismatch: {sorted({ds.width for ds in sets})}")
+    for ds, circuit in zip(sets, circuits):
+        _common_batch(*(op._batch for _, op in ds.items()), *(gate.batch for gate in circuit))
     layered = [_layers(circuit, ds.step + 1) for ds, circuit in zip(sets, circuits)]
     for depth in range(max(map(len, layered), default=0)):
         live = [i for i, layers in enumerate(layered) if depth < len(layers)]
@@ -353,16 +358,12 @@ def _step(sets, layers) -> list[DescriptorSet]:
     image term's factors, the operand qubits' current descriptors, multiply
     out left to right, in one ``_pair_products`` call per factor count over
     every gate.  A gate whose images are all one term passes each through
-    (coefficient exactly 1) or scales it, and one ``_prune_sums`` prunes
-    every scaled image; one tagged ``_merge_sums`` sums the scaled terms of
+    (coefficient exactly 1) or scales it.  One ``_times`` call forms the
+    value of every scaled image term; one ``_prune_sums`` prunes every
+    scaled one-term image, and one tagged ``_merge_sums`` sums the terms of
     every other gate's images.  A set's step advances by one per gate, and
     a ``TermGrowthError`` names the step of the gate that grew."""
-    owners, steps, gates = [], [], []
-    for n, layer in enumerate(layers):
-        for step, gate in layer:
-            owners.append(n)
-            steps.append(step)
-            gates.append(gate)
+    owners, steps, gates = zip(*[(n, step, gate) for n, layer in enumerate(layers) for step, gate in layer])
     width = sets[0].width
     rules = _rules(gates)
     runs, depth = [], 0
@@ -392,11 +393,10 @@ def _step(sets, layers) -> list[DescriptorSet]:
             at += len(formed)
     # Where each new descriptor goes (the new descriptors of its set and its
     # image), with its gate's batch, for the lone scaled images and for the
-    # merged ones; per scaled image its part and its scaled coefficients; per
-    # merged set its parts, its coefficient rows and their images; and every
-    # batch the step meets.
+    # merged ones; per image term, scaled ones first, its part and its
+    # coefficient row; per merged set its images' tags; every batch met.
     new, scaled, merged, batches = [], [], [], []
-    parts, values, rows, tags = [], [], [], []
+    parts, rows, merged_parts, merged_rows, tags = [], [], [], [], []
     for gate, run, rule in zip(gates, runs, rules):
         ops, batch = [None] * len(rule.leaves), gate.batch
         new.append(ops)
@@ -406,40 +406,40 @@ def _step(sets, layers) -> list[DescriptorSet]:
             for i, s in passes:
                 ops[i] = run[s]
             for i, s, c in scales:
-                part = run[s]
-                scaled.append((ops, i, part, batch))
-                # The coefficient stays the left operand, as in every scaled sum.
-                values.append(c * part._coeffs)
-                batches.append(part._batch)
+                scaled.append((ops, i, batch))
+                parts.append(run[s])
+                rows.append(c)
         else:
             tags.append(rule.tags + len(merged) if merged else rule.tags)
-            rows.append(rule.coeffs)
-            for i in range(len(ops)):
-                merged.append((ops, i, batch))
-            for s in rule.keys:
-                parts.append(run[s])
-                batches.append(run[s]._batch)
+            merged_rows.append(rule.coeffs)
+            merged += [(ops, i, batch) for i in range(len(ops))]
+            merged_parts += [run[s] for s in rule.keys]
+    parts, rows = parts + merged_parts, rows + merged_rows
+    batches += [part._batch for part in parts]
     # The step's batched sums share one batch size, and an image is batched
     # when its gate or one of its parts is.
     columns = _common_batch(*batches) or 1
+    if parts:
+        lengths = [len(part._keys) for part in parts]
+        # Every image term's value, its coefficient row laid out over its
+        # part's terms times its part's coefficients, in the step's columns.
+        values = _times(
+            _joined([_broadcast(c, columns) for c in rows]).repeat(lengths, axis=0),
+            _joined([_broadcast(part._coeffs, columns) for part in parts]),
+        )
+        keys = _joined([part._keys for part in parts])
+        cut = sum(lengths[: len(scaled)])
     if scaled:
-        values = [_broadcast(v, columns) for v in values]
-        keys = _joined([part._keys for _, _, part, _ in scaled])
-        pruned = _prune_sums([len(v) for v in values], keys, _joined(values))
-        for (ops, i, part, batch), (k, c) in zip(scaled, pruned):
+        pruned = _prune_sums(lengths[: len(scaled)], keys[:cut], values[:cut])
+        for (ops, i, batch), part, (k, c) in zip(scaled, parts, pruned):
             own = batch or part._batch
             ops[i] = OperatorSum._raw(width, k, c[:, : own or 1], own)
     if merged:
         tags = _joined(tags)
         owns = [batch for _, _, batch in merged]
-        for part, t in zip(parts, tags.tolist()):
+        for part, t in zip(merged_parts, tags.tolist()):
             owns[t] = owns[t] or part._batch
-        lengths = [len(part._keys) for part in parts]
-        # The coefficient rows broadcast over the parts' columns.
-        values = _joined([_broadcast(c, columns) for c in rows]).repeat(lengths, axis=0)
-        values *= np.concatenate([_broadcast(part._coeffs, columns) for part in parts])
-        keys = np.concatenate([part._keys for part in parts])
-        sums = _merge_sums(width, tags.repeat(lengths), len(merged), keys, values)
+        sums = _merge_sums(width, tags.repeat(lengths[len(scaled) :]), len(merged), keys[cut:], values[cut:])
         for (ops, i, _), (k, c), own in zip(merged, sums, owns):
             ops[i] = OperatorSum._raw(width, k, c[:, : own or 1], own)
     # Each set's table is copied once, whatever the size of its layer.

@@ -21,6 +21,15 @@ the same floating-point operations, in the same order, as the unbatched
 sum it stands for.  A term is pruned only when it is below ``PRUNE_TOL``
 in every column.
 
+Every product of complex coefficients goes through ``_times(a, b)``, as
+numpy 2.4 rounds one by the loop it picks: a 1-D one-element operand
+broadcast against a 2-D one skips FMA, so a 1-D row is read as one row;
+swapped operands round differently, so ``a`` stays on the left; and
+``x * y`` with a temporary ``y`` of 256 KiB or more runs in place as
+``y * x``, which a ``np.multiply`` call never does.  So each column of a
+batched product is the unbatched product of that column.  A product by a
+phase i**k is exact and needs no rule.
+
 Every product of two sums, ``a * b`` included, goes through one entry,
 ``_pair_products``, which forms a list of products at once by one of two
 routes, both merged, pruned and canonically ordered.  The pair route
@@ -227,6 +236,12 @@ def _kept(coeffs: np.ndarray) -> np.ndarray:
     return keep[:, 0] if keep.shape[1] == 1 else np.logical_or.reduce(keep, axis=1)
 
 
+def _times(a, b) -> np.ndarray:
+    """``a * b`` of coefficient arrays by the package's one product rule
+    (see the module docstring); ``a`` may also be a number."""
+    return np.multiply(a.reshape(1, -1) if getattr(a, "ndim", 0) == 1 else a, b)
+
+
 def _common_batch(*batches) -> int | None:
     sizes = {b for b in batches if b is not None}
     if 0 in sizes:
@@ -284,10 +299,7 @@ class OperatorSum:
             if string.width != width:
                 raise ValueError(f"width mismatch: {string.width} != {width}")
             keys.append(string.key)
-            if np.ndim(coeff):
-                coeffs.append(np.asarray(coeff, dtype=complex) * string.phase)
-            else:
-                coeffs.append(complex(coeff) * string.phase)
+            coeffs.append((np.asarray(coeff, dtype=complex) if np.ndim(coeff) else complex(coeff)) * string.phase)
         batch = _common_batch(*(len(c) if isinstance(c, np.ndarray) else None for c in coeffs))
         rows = np.empty((len(coeffs), 1 if batch is None else batch), dtype=complex)
         for row, coeff in zip(rows, coeffs):
@@ -370,13 +382,11 @@ class OperatorSum:
             c = complex(other)
             if abs(c) < PRUNE_TOL:
                 return _empty(self._width, self._batch)
-            return OperatorSum._raw(self._width, *_prune(self._keys, self._coeffs * c), self._batch)
+            return OperatorSum._raw(self._width, *_prune(self._keys, _times(c, self._coeffs)), self._batch)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, Number):
-            return self.__mul__(other)
-        return NotImplemented
+    # Reached only with a number on the left: ``__mul__`` takes sum * sum.
+    __rmul__ = __mul__
 
     def equal_terms(self, other: "OperatorSum") -> bool:
         """Exact termwise equality (same strings, bitwise-equal coefficients,
@@ -417,24 +427,11 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
     for coeff, part in parts:
         if part._width != width:
             raise ValueError(f"width mismatch: {part._width} != {width}")
-        # Numbers, the common coefficients, skip the slow array test.
-        sizes.append(part._batch)
-        if not isinstance(coeff, Number) and np.ndim(coeff):
-            sizes.append(len(coeff))
+        sizes += [part._batch, len(coeff) if getattr(coeff, "ndim", 0) else None]
     if not parts:
         return OperatorSum.zero(width)
     batch = _common_batch(*sizes)
-    columns = batch or 1
-    # The coefficient stays the left operand: the vectorised complex
-    # product rounds differently when the operands are swapped.  An array
-    # coefficient is laid out over the part's terms first, so that the
-    # product runs as one contiguous loop, as the descriptor step's does:
-    # numpy's loop over a broadcast one-element row rounds without FMA.
-    scaled = np.concatenate([
-        _broadcast(coeff * part._coeffs, columns) if isinstance(coeff, Number)
-        else np.ascontiguousarray(np.broadcast_to(coeff, (len(part), columns))) * _broadcast(part._coeffs, columns)
-        for coeff, part in parts
-    ])
+    scaled = np.concatenate([_broadcast(_times(coeff, part._coeffs), batch or 1) for coeff, part in parts])
     keys = np.concatenate([part._keys for _, part in parts])
     return OperatorSum._raw(width, *_merge(keys, scaled), batch)
 
@@ -604,9 +601,8 @@ def _pair_pass(width: int, pairs, columns: int):
     keys, exponents = _string_products(
         np.concatenate([p[0] for p in pairs])[at_a], np.concatenate([p[2] for p in pairs])[at_b]
     )
-    coeffs = np.concatenate([_broadcast(p[1], columns) for p in pairs])[at_a] * np.concatenate(
-        [_broadcast(p[3], columns) for p in pairs]
-    )[at_b]
+    left, right = (np.concatenate([_broadcast(p[i], columns) for p in pairs]) for i in (1, 3))
+    coeffs = _times(left[at_a], right[at_b])
     tags = np.arange(len(pairs)).repeat(rows_a * rows_b)
     return _merge_sums(width, tags, len(pairs), keys, coeffs * _I_POWERS[exponents, None])
 

@@ -16,7 +16,11 @@ with a stack of matrices applies one matrix per row.
 one strided product per nonzero matrix entry: X, Y, Z and CN come out as
 the dense product bit for bit, signed zeros included, and a stack's
 entries broadcast over the rows, so each row of a batched state equals
-that kernel's unbatched run of it bit for bit.  Its strided view leaves
+that kernel's unbatched run of it bit for bit.  Its products keep
+``pauli._times``'s rounding rule by their shapes: the entry, a number or a
+stack entry with one axis per amplitude axis, never a 1-D row, is the left
+operand, and the slot it multiplies is a view, which numpy never
+multiplies in place.  Its strided view leaves
 numpy an inner loop of ``2**(width - q)`` elements for a gate on qubit q,
 so on a wide state a gate near the last qubits costs several whole-state
 adds.  So an unbatched state of width 10 or more takes a single-qubit gate

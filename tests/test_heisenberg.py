@@ -5,7 +5,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpictures import (
@@ -40,6 +40,11 @@ from qpictures.pauli import PRUNE_TOL, pair_matrix_in_all_zeros
 from qpictures.states import expectation, new_all_zeros
 
 ENTANGLER = (hadamard(3), cnot(2, 3))  # four-qubit context: H on Q3, CN target Q2
+
+# Batches of one: a Haar-random 3-qubit unitary stacked alone, and a
+# rotation at one angle, whose products on a width-1 set are all (1, 1).
+HAAR_OF_ONE = Gate("U", (3, 1, 2), random_unitary(np.random.default_rng(13), 8)[None])
+ROTATION_OF_ONE = analyzer_rotation(1, [0.3])
 
 
 class TestInitDescriptors:
@@ -486,6 +491,8 @@ def oracle_circuits(draw):
 
 
 @given(oracle_circuits())
+@example((1, [ROTATION_OF_ONE, hadamard(1), analyzer_rotation(1, [1.1])]))
+@example((3, [hadamard(1), HAAR_OF_ONE, HAAR_OF_ONE]))
 def test_evolve_matches_the_reference_step(circuit):
     _steps_match_the_reference_step(*circuit)
 
@@ -580,6 +587,8 @@ def lockstep_groups(draw):
 
 class TestLockstep:
     @given(lockstep_groups())
+    @example((1, [[ROTATION_OF_ONE], [hadamard(1), ROTATION_OF_ONE, analyzer_rotation(1, [1.1])]]))
+    @example((3, [[HAAR_OF_ONE], [hadamard(2), HAAR_OF_ONE, HAAR_OF_ONE]]))
     def test_every_step_matches_the_reference_step(self, group):
         _lockstep_matches_the_reference_step(*group)
 
@@ -661,6 +670,17 @@ class TestLockstep:
         circuits = [(analyzer_rotation(1, [0.1, 0.2]),), (analyzer_rotation(1, [0.1, 0.2, 0.3]),)]
         with pytest.raises(ValueError, match="batch size mismatch"):
             heisenberg._evolve_many([init_descriptors(1)] * 2, circuits)
+
+    def test_batch_size_mismatch_in_one_circuit_rejected_before_the_first_step(self):
+        """Batches 2 and 3 on disjoint qubits raise whether their gates share
+        a layer or not, and so does a batched set against a gate of another
+        batch size on other qubits."""
+        two, three = analyzer_rotation(1, [0.1, 0.2]), analyzer_rotation(2, [0.1, 0.2, 0.3])
+        for circuit in ([two, three], [hadamard(2), two, hadamard(2), three]):
+            with pytest.raises(ValueError, match="batch size mismatch"):
+                evolve_circuit(init_descriptors(2), circuit)
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            evolve_circuit(evolve(init_descriptors(2), two), [three])
 
 
 def _gate_by_gate(ds, gates):

@@ -1,10 +1,12 @@
 """Pauli-string and operator-sum algebra, checked against dense matrices."""
+import ast
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qpictures import (
@@ -16,7 +18,7 @@ from qpictures import (
     max_term_deviation,
 )
 from dense import brickwork, operator_matrix, packed_key, string_matrix, terms
-from qpictures import cli, pauli
+from qpictures import cli, heisenberg, pauli
 from qpictures.pauli import MAX_WIDTH, pair_matrix_in_all_zeros
 from qpictures.verification import ALL_CHECKS
 
@@ -376,16 +378,26 @@ def _results(width, terms_a, terms_b, scale, batched):
     return a, bits, _bits(reads).tolist()
 
 
-@given(data=st.data())
-def test_unbatched_sum_is_the_one_column_case_bit_for_bit(data):
-    """An unbatched sum and its batch of one give bitwise-equal results
-    through products, sums, scaling and the group read of the two."""
-    width = data.draw(st.integers(1, 4))
+@st.composite
+def one_column_cases(draw):
+    """A width 1-4, the (key, phase power, coefficient) terms of two sums
+    and a scale."""
+    width = draw(st.integers(1, 4))
     values = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
     term = st.tuples(_keys(width), st.integers(0, 3), values)
     # One term at least, or the batch of one has no array to read its batch from.
-    terms_a, terms_b = (data.draw(st.lists(term, min_size=1, max_size=8)) for _ in range(2))
-    scale = data.draw(values)
+    terms_a, terms_b = (draw(st.lists(term, min_size=1, max_size=8)) for _ in range(2))
+    return width, terms_a, terms_b, draw(values)
+
+
+@given(one_column_cases())
+# One term a sum, so every product has T = C = 1.
+@example((1, [(3, 0, 0.1 + 0.7j)], [(1, 1, -1.3 + 0.2j)], 0.9 - 0.3j))
+@example((1, [(2, 1, 0.3 - 0.1j)], [(2, 3, 0.7 + 0.6j)], 1.1 + 0.1j))
+def test_unbatched_sum_is_the_one_column_case_bit_for_bit(case):
+    """An unbatched sum and its batch of one give bitwise-equal results
+    through products, sums, scaling and the group read of the two."""
+    width, terms_a, terms_b, scale = case
     a, sums, reads = _results(width, terms_a, terms_b, scale, batched=False)
     a1, sums1, reads1 = _results(width, terms_a, terms_b, scale, batched=True)
     assert sums == sums1
@@ -558,6 +570,9 @@ class TestPairMatrixInAllZeros:
                 assert abs(pairs[0, i, j] - _single(a * b)) <= 1e-12
 
     @given(operator_sums(count=6, max_width=4, max_terms=6), st.sampled_from([1, 2, 3, 6]))
+    # One-term sums: every coefficient array is (1, 1).
+    @example([OperatorSum(1, [(f"{axis}1", 0.1 * k + 0.3j)]) for k, axis in enumerate("ZYZXZY")], 1)
+    @example([OperatorSum(1, [(f"{axis}1", 0.1 * k + 0.3j)]) for k, axis in enumerate("ZYZXZY")], 3)
     def test_each_group_reads_as_it_does_alone(self, sums, size):
         """Each group gets the union of its own x masks, so it reads as a call
         on it alone does: the singles bit for bit, and the pairs up to the
@@ -625,6 +640,9 @@ def mixed_groups(draw):
 
 
 @given(mixed_groups())
+# A batch of one beside an unbatched sum, each one term: (1, 1) coefficients.
+@example([[OperatorSum(1, [("Z1", np.array([0.3 - 0.7j]))]), OperatorSum(1, [("Y1", 0.2 + 0.1j)])]])
+@example([[OperatorSum(1, [("Z1", np.array([0.6 + 0.1j]))])]])
 def test_each_column_reads_as_that_column_alone_bit_for_bit(groups):
     """A group read of batched and unbatched sums gives, in column j, the
     bits of the same read on each sum's column j over the same strings (an
@@ -790,3 +808,92 @@ class TestDenseRoute:
             pauli._dense_product(batched, a)
         keys, coeffs = pauli._dense_product(a, a)
         assert keys.tolist() == [0] and coeffs.tolist() == [[1.0]]
+
+
+def _random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_times_keeps_its_left_operand_against_a_large_temporary():
+    """numpy runs ``x * y`` with a temporary ``y`` of 256 KiB or more in
+    place as ``y * x``; ``_times`` gives the product of the two arrays held
+    in named variables, whatever its right operand is."""
+    rng = np.random.default_rng(3)
+    a, b = (_random_complex(rng, (1 << 14, 2)) for _ in range(2))
+    assert b.nbytes >= 256 * 1024
+    named = np.multiply(a, b)
+    assert _bits(pauli._times(a, b + 0.0)).tolist() == _bits(named).tolist()
+    assert _bits(pauli._times(a, b[::-1][::-1])).tolist() == _bits(named).tolist()
+
+
+def test_times_reads_a_row_as_one_row():
+    """A 1-D row times a ``(terms, columns)`` array gives, in each column,
+    the bits of that column's number times that column: numpy rounds a 1-D
+    one-element operand broadcast against a 2-D one without FMA."""
+    rng = np.random.default_rng(4)
+    for terms, columns in [(1, 1)] * 32 + [(1, 3), (5, 1), (5, 3)]:
+        row, part = _random_complex(rng, columns), _random_complex(rng, (terms, columns))
+        got = pauli._times(row, part)
+        assert got.shape == (terms, columns)
+        for j in range(columns):
+            assert _bits(got[:, j]).tolist() == _bits(complex(row[j]) * part[:, j]).tolist()
+        number = complex(row[0])
+        assert _bits(pauli._times(number, part)).tolist() == _bits(number * part).tolist()
+
+
+# Products in ``pauli`` and ``heisenberg`` that are not coefficient products:
+# by an integer or sequence literal, by an exact phase i**k, and these
+# integer and index products.
+_EXACT_FACTOR = re.compile(r"\b(_I_POWERS|phases|unphases|string\.phase)\b")
+_INTEGER_PRODUCTS = {
+    "columns * 4 ** width",
+    "pairs * _DENSE_PAIR_DIVISOR",
+    "cz * n",
+    "c[None, :] * n",
+    "flipped * n",
+    "n * n",
+    "len(a._keys) * len(b._keys)",
+    "count * columns",
+    "len(b) * columns",
+    "rows_a * rows_b",
+    "count * n",
+    "images * 4 ** k",
+    "np.arange(2 ** k)[None, :, None] * 2 ** k",
+}
+
+
+def _coefficient_products(source: str) -> list[str]:
+    """Every product in ``source`` outside ``_times`` that is none of the
+    allowed ones above: a ``*`` or ``*=``, or a call of ``multiply``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_times"
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("multiply"):
+            found.append(ast.unparse(node))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
+            literal = any(
+                isinstance(side, (ast.Tuple, ast.List)) or isinstance(side, ast.Constant) and type(side.value) in (int, str)
+                for side in sides
+            )
+            text = ast.unparse(node)
+            if not (literal or any(_EXACT_FACTOR.search(ast.unparse(side)) for side in sides) or text in _INTEGER_PRODUCTS):
+                found.append(text)
+    return found
+
+
+def test_every_coefficient_product_goes_through_times():
+    """Inside ``pauli`` and ``heisenberg`` only ``_times`` multiplies
+    coefficient arrays, so the product rule lives in one function."""
+    for module in (pauli, heisenberg):
+        assert _coefficient_products(inspect.getsource(module)) == [], module.__name__
+    planted = "def f(c, part, values):\n    values *= part\n    return c * part._coeffs + np.multiply(c, values)\n"
+    assert _coefficient_products(planted) == ["values *= part", "c * part._coeffs", "np.multiply(c, values)"]

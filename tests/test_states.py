@@ -97,6 +97,18 @@ class TestApplyGate:
             for j, row in enumerate(rows):
                 assert batched.amplitudes[j].tobytes() == row.amplitudes.tobytes(), (gate, j)
 
+    def test_width_one_batch_of_one_stack_row_is_the_unbatched_run(self):
+        """The smallest stack entry, ``(1, 1)`` against a ``(1, 1)`` slot,
+        keeps the rounding of the unbatched run's number against a ``(1,)``
+        slot: numpy rounds a 1-D one-element operand broadcast against a 2-D
+        one without FMA, so a 1-D entry would move the last bits here."""
+        rng = np.random.default_rng(29)
+        for _ in range(32):
+            state, matrix = random_state(rng, 1), random_unitary(rng, 2)
+            got = apply_gate(state, Gate("U", (1,), matrix[None])).amplitudes
+            want = apply_gate(state, Gate("U", (1,), matrix)).amplitudes
+            assert got.shape == (1, 2) and got[0].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("width,seed", [(2, 0), (3, 1), (4, 2), (4, 3)])
     def test_matches_dense_circuit_unitary(self, width, seed):
         gates = random_circuit(width, 10, np.random.default_rng(seed))
