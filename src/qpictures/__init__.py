@@ -58,7 +58,6 @@ from .states import (
     apply_circuit,
     apply_gate,
     basis_label,
-    dump_csv,
     expectation,
     joint_probability,
     new_all_zeros,
@@ -90,7 +89,6 @@ __all__ = [
     "default_difference_grid",
     "default_grid_configs",
     "descriptors_at_t2",
-    "dump_csv",
     "evolve",
     "evolve_circuit",
     "expectation",

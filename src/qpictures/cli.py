@@ -39,7 +39,7 @@ from .experiment import (
     reports,
     simulate,
 )
-from .states import dump_csv
+from .states import basis_label
 from .verification import PICTURE_CHECK_TOL, compare_pictures, run_all_checks
 from .gates import random_circuit
 
@@ -117,6 +117,12 @@ def _csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
+
+
+def _state_csv(state) -> str:
+    """The amplitudes of an unbatched state as CSV: index, basis label, re, im."""
+    rows = [(k, basis_label(k, state.width), a.real, a.imag) for k, a in enumerate(state.amplitudes.tolist())]
+    return _csv_text(["index", "basis", "re", "im"], rows)
 
 
 def _scan_csv_blocks(scan):
@@ -207,7 +213,7 @@ def cmd_epr(args) -> int:
         text = "\n".join(lines)
     if args.dump_state is not None:
         # The report ends in one newline, as _emit would end it, then the dump.
-        text = [text, "" if text.endswith("\n") else "\n", dump_csv(run.states[args.dump_state].row(0))]
+        text = [text, "" if text.endswith("\n") else "\n", _state_csv(run.states[args.dump_state].row(0))]
     _emit(text, args.out)
     return 0
 

@@ -256,7 +256,7 @@ def prob_outcomes_differ_at_t4(run: Run) -> BothPictures:
     if not np.all(abs(heis - direct) <= 1e-12):
         raise AssertionError("record-product and direct descriptor routes split")
     schro = joint_probability(run.states[4], {RECORD_A: 1})
-    closed = _per_config(run, lambda c: math.sin(c.difference / 2) ** 2)
+    closed = _per_config(run, lambda c: CANDIDATE_FORMULAS["sin2_half_diff"](c.theta, c.phi))
     return BothPictures(closed, heis, schro)
 
 

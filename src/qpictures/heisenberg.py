@@ -28,18 +28,19 @@ each through or scales it; any other merges them all with one tagged
 ``pauli._merge_sums``.  Either way each descriptor is bit for bit the one
 that substituting one image term at a time gives.
 
-There is one step body, ``_step``, which appends a layer of gates on
-disjoint qubits to each of any number of sets of one width; by the
-locality rule the gates of a layer read nothing the others write.
-``evolve`` is its one-set, one-gate case; ``_evolve_many`` advances many
-sets, each through its own circuit's ASAP layers (``_layers``), in
-lockstep, and ``evolve_circuit`` is its one-set case.  So a step of tiny
-sets pays numpy's per-call cost once for all its gates: one
-``_pair_products`` call per factor count, one stacked
-``_image_coefficients`` call per arity for the gates outside the catalog,
-one ``pauli._times`` call for the value of every image term, one
-``pauli._prune_sums`` for every scaled one-term image and one tagged
-``_merge_sums`` for every other image.
+There is one entry, ``_evolve_many``, which checks every input by
+``pauli``'s shared rules (``_common_width``, ``_check_qubit``,
+``_common_batch``) and advances many sets of one width, each through its
+own circuit's ASAP layers (``_layers``), in lockstep; ``evolve`` is its
+one-set, one-gate case and ``evolve_circuit`` its one-set case.  Its one
+step body, ``_step``, appends a layer of gates on disjoint qubits to each
+set and validates nothing; by the locality rule the gates of a layer read
+nothing the others write.  So a step of tiny sets pays numpy's per-call
+cost once for all its gates: one ``_pair_products`` call per factor
+count, one stacked ``_image_coefficients`` call per arity for the gates
+outside the catalog, one ``pauli._times`` call for the value of every
+image term, one ``pauli._prune_sums`` for every scaled one-term image and
+one tagged ``_merge_sums`` for every other image.
 
 A gate with a stack of matrices (an analyzer rotation over a batch of
 angles) has one image coefficient per batch column, so substitution
@@ -50,10 +51,10 @@ Descriptors are read at the reference state through one kernel,
 ``pauli.pair_matrix_in_all_zeros``: ``_z_moments_many`` reads every <q_z>
 and <q_z q_z'> of many sets of one width in one pass, batched sets with
 one value per column, and ``z_moments``, the twin of ``states.z_moments``,
-is its one-set case.  The read requires Hermitian descriptors
-(``pauli._check_hermitian``, the rule ``states.expectation`` applies too),
-a real result and <q_z q_z> = 1 within 1e-12 in every column, and each
-raises explicitly.
+is its one-set case.  The read holds its descriptors and its result to
+``pauli``'s rules, the ones ``states.expectation`` applies too: Hermitian
+operands (``_check_hermitian``) and a real result (``_check_real``); and
+<q_z q_z> = 1 within 1e-12 in every column.  Each raises explicitly.
 """
 from __future__ import annotations
 
@@ -73,8 +74,11 @@ from .pauli import (
     _axis_codes,
     _broadcast,
     _check_hermitian,
+    _check_qubit,
+    _check_real,
     _check_width,
     _common_batch,
+    _common_width,
     _from_matrices,
     _merge_sums,
     _pair_products,
@@ -268,8 +272,7 @@ class DescriptorSet:
     _descriptors: Mapping[tuple[int, Axis], OperatorSum]
 
     def descriptor(self, qubit: int, axis: Axis) -> OperatorSum:
-        if not 1 <= qubit <= self.width:
-            raise ValueError(f"qubit {qubit} outside width {self.width}")
+        _check_qubit(qubit, self.width)
         axis = Axis(axis)
         try:
             return self._descriptors[(qubit, axis)]
@@ -305,8 +308,8 @@ def init_descriptors(width: int) -> DescriptorSet:
 
 def evolve(ds: DescriptorSet, gate: Gate) -> DescriptorSet:
     """Descriptors after appending ``gate`` to the circuit: the one-set,
-    one-gate case of ``_step``."""
-    return _step([ds], [((ds.step + 1, gate),)])[0]
+    one-gate case of ``_evolve_many``."""
+    return _evolve_many([ds], [(gate,)])[0]
 
 
 def _layers(circuit, first: int) -> list[list[tuple[int, Gate]]]:
@@ -331,16 +334,20 @@ def _evolve_many(sets, circuits) -> list[DescriptorSet]:
     circuit has run out of layers drops out of later steps.  A gate rewrites
     only its own qubits' descriptors, so a layer's gates read nothing the
     others write, and every set comes out bit for bit as ``evolve`` gives it
-    gate by gate.  A batched set or gate must share one batch size with
-    every other, and each set is checked against its circuit before the
-    first step, so a mismatch raises even where its gates meet in no step."""
+    gate by gate.  Every input is checked before the first step, so a
+    mistake raises even where its gates meet in no step and ``_step``
+    validates nothing: the sets share one width (``pauli._common_width``),
+    each gate's qubits lie in it (``pauli._check_qubit``), and every
+    batched set and gate shares one batch size (``pauli._common_batch``)."""
     sets, circuits = list(sets), [tuple(circuit) for circuit in circuits]
     if len(sets) != len(circuits):
         raise ValueError(f"{len(sets)} descriptor sets for {len(circuits)} circuits")
-    if len({ds.width for ds in sets}) > 1:
-        raise ValueError(f"width mismatch: {sorted({ds.width for ds in sets})}")
-    for ds, circuit in zip(sets, circuits):
-        _common_batch(*(op._batch for _, op in ds.items()), *(gate.batch for gate in circuit))
+    width = _common_width(*(ds.width for ds in sets))
+    gates = [gate for circuit in circuits for gate in circuit]
+    _common_batch(*(op._batch for ds in sets for _, op in ds.items()), *(gate.batch for gate in gates))
+    for gate in gates:
+        for q in gate.qubits:
+            _check_qubit(q, width)
     layered = [_layers(circuit, ds.step + 1) for ds, circuit in zip(sets, circuits)]
     for depth in range(max(map(len, layered), default=0)):
         live = [i for i, layers in enumerate(layered) if depth < len(layers)]
@@ -362,16 +369,14 @@ def _step(sets, layers) -> list[DescriptorSet]:
     value of every scaled image term; one ``_prune_sums`` prunes every
     scaled one-term image, and one tagged ``_merge_sums`` sums the terms of
     every other gate's images.  A set's step advances by one per gate, and
-    a ``TermGrowthError`` names the step of the gate that grew."""
+    a ``TermGrowthError`` names the step of the gate that grew.  Its one
+    caller, ``_evolve_many``, has checked every input."""
     owners, steps, gates = zip(*[(n, step, gate) for n, layer in enumerate(layers) for step, gate in layer])
     width = sets[0].width
     rules = _rules(gates)
     runs, depth = [], 0
     for n, gate, rule in zip(owners, gates, rules):
         current, operands = sets[n]._descriptors, gate.qubits
-        for q in operands:
-            if not 1 <= q <= width:
-                raise ValueError(f"gate qubit {q} outside width {width}")
         run = {s: current[operands[slot], axis] for s, slot, axis in rule.leaves}
         # Rows ascend by basis key, so an identity term comes first.
         if rule.keys[0] == 0:
@@ -486,7 +491,7 @@ def _z_moments_many(sets):
     under python -O."""
     ops = [[ds.z(q) for q in range(1, ds.width + 1)] for ds in sets]
     _check_hermitian([op for group in ops for op in group])
-    z, zz = (_real(value) for value in pair_matrix_in_all_zeros(ops))
+    z, zz = (_check_real(value) for value in pair_matrix_in_all_zeros(ops))
     # Per set, (column,) qubit.
     norms = np.diagonal(zz, axis1=1, axis2=2)
     off = ~(np.abs(norms - 1.0) <= 1e-12)
@@ -498,12 +503,3 @@ def _z_moments_many(sets):
             f"<q_z q_z> = {float(norms[at])!r}, not 1"
         )
     return z, zz
-
-
-def _real(value):
-    """The real part of a read of Hermitian descriptors, which must be real.
-    The raise is explicit, so it holds under python -O."""
-    if not np.all(np.abs(np.imag(value)) <= 1e-12):
-        raise AssertionError("Hermitian descriptor expectation came out complex")
-    return np.real(value)
-

@@ -55,8 +55,9 @@ Sums are read at the reference state |0..0> by one function,
 groups of sums, batched or not, from one grouping of every sum's images
 of |0..0> by x mask and one batched matmul, without forming a product.
 Each column of a batched read is computed exactly as the unbatched read
-of that column.  Both pictures' reads hold their operands to one Hermitian
-rule, ``_check_hermitian``.
+of that column.  Each rule both pictures check is written once, here:
+the qubit range ``_check_qubit``, width agreement ``_common_width``,
+Hermitian operands ``_check_hermitian`` and a real read ``_check_real``.
 
 Conventions used throughout the package:
 
@@ -115,8 +116,9 @@ def _check_width(width: int) -> None:
 
 
 def _check_qubit(qubit: int, width: int) -> None:
+    """The one qubit-range rule: qubits are numbered 1..width."""
     if not 1 <= qubit <= width:
-        raise ValueError(f"qubit index {qubit} out of range 1..{width}")
+        raise ValueError(f"qubit {qubit} outside width {width}")
 
 
 def _axis_codes(key: int, width: int) -> tuple[int, ...]:
@@ -242,6 +244,14 @@ def _times(a, b) -> np.ndarray:
     return np.multiply(a.reshape(1, -1) if getattr(a, "ndim", 0) == 1 else a, b)
 
 
+def _common_width(*widths) -> int | None:
+    """The one width all operands share, or None: ``_common_batch``'s twin."""
+    sizes = set(widths)
+    if len(sizes) > 1:
+        raise ValueError(f"width mismatch: {sorted(sizes)}")
+    return sizes.pop() if sizes else None
+
+
 def _common_batch(*batches) -> int | None:
     sizes = {b for b in batches if b is not None}
     if 0 in sizes:
@@ -291,13 +301,11 @@ class OperatorSum:
         """``terms`` pairs a string with a coefficient, or with a 1-D array
         of per-column coefficients for a batched sum."""
         _check_width(width)
-        keys = []
-        coeffs = []
+        keys, coeffs = [], []
         for string, coeff in terms:
             if isinstance(string, str):
                 string = PauliString.from_ops(width, string)
-            if string.width != width:
-                raise ValueError(f"width mismatch: {string.width} != {width}")
+            _common_width(string.width, width)
             keys.append(string.key)
             coeffs.append((np.asarray(coeff, dtype=complex) if np.ndim(coeff) else complex(coeff)) * string.phase)
         batch = _common_batch(*(len(c) if isinstance(c, np.ndarray) else None for c in coeffs))
@@ -423,14 +431,11 @@ def linear_combination(width: int, parts: Iterable[tuple[complex, OperatorSum]])
     the result is batched if any coefficient or part is.
     """
     parts = list(parts)
-    sizes = []
-    for coeff, part in parts:
-        if part._width != width:
-            raise ValueError(f"width mismatch: {part._width} != {width}")
-        sizes += [part._batch, len(coeff) if getattr(coeff, "ndim", 0) else None]
+    _common_width(width, *(part._width for _, part in parts))
     if not parts:
         return OperatorSum.zero(width)
-    batch = _common_batch(*sizes)
+    sizes = [len(coeff) if getattr(coeff, "ndim", 0) else None for coeff, _ in parts]
+    batch = _common_batch(*sizes, *(part._batch for _, part in parts))
     scaled = np.concatenate([_broadcast(_times(coeff, part._coeffs), batch or 1) for coeff, part in parts])
     keys = np.concatenate([part._keys for _, part in parts])
     return OperatorSum._raw(width, *_merge(keys, scaled), batch)
@@ -554,10 +559,8 @@ def _pair_products(pairs) -> list[OperatorSum]:
     others are formed by one ``_pair_pass``, in the column count of the
     widest, when all their term pairs fit one chunk; otherwise each alone,
     in chunks of rows of a whose partial products are merged."""
-    widths = {op._width for pair in pairs for op in pair}
-    if len(widths) > 1:
-        raise ValueError(f"width mismatch: {sorted(widths)}")
-    width, batch = widths.pop(), _common_batch(*(op._batch for pair in pairs for op in pair))
+    width = _common_width(*(op._width for pair in pairs for op in pair))
+    batch = _common_batch(*(op._batch for pair in pairs for op in pair))
     products, rest, count, columns = [], [], 0, 1
     for i, (a, b) in enumerate(pairs):
         own = None if a._batch is None and b._batch is None else batch
@@ -691,8 +694,7 @@ def pair_matrix_in_all_zeros(groups):
     ops = [op for group in groups for op in group]
     if len({len(group) for group in groups}) > 1:
         raise ValueError(f"group size mismatch: {sorted({len(group) for group in groups})}")
-    if len({op.width for op in ops}) > 1:
-        raise ValueError(f"width mismatch: {sorted({op.width for op in ops})}")
+    _common_width(*(op._width for op in ops))
     batch = _common_batch(*(op._batch for op in ops))
     count, n = len(groups), len(ops) // max(len(groups), 1)
     if not ops:
@@ -730,10 +732,18 @@ def _check_hermitian(ops) -> None:
         raise ValueError("expectation requires Hermitian operators")
 
 
+def _check_real(value):
+    """The real part of a read of Hermitian operators, whose imaginary part
+    is at most 1e-12 in every entry: ``_check_hermitian``'s twin.  A NaN
+    fails it, and the raise is explicit, so it holds under python -O."""
+    if not np.all(np.abs(np.imag(value)) <= 1e-12):
+        raise AssertionError("expectation of Hermitian operators came out complex")
+    return np.real(value)
+
+
 def max_term_deviation(a: OperatorSum, b: OperatorSum) -> float:
     """Largest coefficient difference over the union of term strings."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} != {b.width}")
+    _common_width(a.width, b.width)
     diff = a - b
     if diff.is_zero:
         return 0.0

@@ -44,13 +44,12 @@ half its gates.  A fused run moves only the last bits of the amplitudes.
 |psi|^2.  ``expectation`` is the general kernel: it applies each Pauli
 term from its per-qubit axis codes, as one copy of the amplitudes with
 every X/Y qubit's axis reversed, in-place signs for Z/Y and one exact
-i**k phase.  It holds its operator to the Hermitian rule the descriptor
-read applies, ``pauli._check_hermitian``.
+i**k phase.  Every input and result check is one of ``pauli``'s rules,
+shared with the descriptor side: ``_check_qubit``, ``_common_width``,
+``_check_hermitian`` and ``_check_real``.
 """
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -58,7 +57,10 @@ from typing import Mapping
 import numpy as np
 
 from .gates import Gate, _catalog_key
-from .pauli import _I_POWERS, MAX_WIDTH, Axis, OperatorSum, _axis_codes, _check_hermitian, _check_width, _common_batch
+from .pauli import (
+    _I_POWERS, MAX_WIDTH, Axis, OperatorSum, _axis_codes, _check_hermitian, _check_qubit, _check_real, _check_width,
+    _common_batch, _common_width,
+)
 
 NORM_ATOL = 1e-12
 
@@ -260,8 +262,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
       either way and the outputs of the CLI and the registry checks keep
       their bits."""
     for q in gate.qubits:
-        if not 1 <= q <= state.width:
-            raise ValueError(f"gate qubit {q} outside state width {state.width}")
+        _check_qubit(q, state.width)
     m = gate.matrix
     # A unitary's rows each hold a nonzero entry, so a 2x2 one with more
     # than two is not monomial.
@@ -322,8 +323,7 @@ def expectation(state: StateVector, op: OperatorSum):
     one value per row of a batched state.  A term is P = i**(#Y) X^x Z^z,
     with X on its X and Y qubits and Z on its Y and Z qubits, since
     Y = i X Z."""
-    if op.width != state.width:
-        raise ValueError(f"width mismatch: state {state.width}, operator {op.width}")
+    _common_width(state.width, op.width)
     if op.batch is not None:
         raise ValueError("expectation takes an operator without a batch axis")
     _check_hermitian([op])
@@ -342,9 +342,8 @@ def expectation(state: StateVector, op: OperatorSum):
             v *= _I_POWERS[phase]
         # vecdot conjugates its first operand, as vdot does, row by row.
         value += coeff * np.vecdot(amps, v.reshape(amps.shape))
-    if not np.all(np.abs(np.imag(value)) <= 1e-10):
-        raise AssertionError("Hermitian expectation came out complex")
-    return np.real(value) if state.batch is not None else float(value.real)
+    value = _check_real(value)
+    return value if state.batch is not None else float(value)
 
 
 @lru_cache(maxsize=MAX_WIDTH + 1)
@@ -395,8 +394,7 @@ def joint_probability(state: StateVector, outcome: Mapping[int, int]) -> float:
     lead = [] if state.batch is None else [state.batch]
     index: list = [slice(None)] * (len(lead) + state.width)
     for qubit, value in outcome.items():
-        if not 1 <= qubit <= state.width:
-            raise ValueError(f"qubit {qubit} outside state width {state.width}")
+        _check_qubit(qubit, state.width)
         if value not in (0, 1):
             raise ValueError(f"ket value for qubit {qubit} must be 0 or 1, got {value}")
         index[qubit - 1 + len(lead)] = 1 - value  # bit 0 encodes ket |1>
@@ -412,14 +410,3 @@ def basis_label(index: int, width: int) -> str:
     values = [1 - ((index >> (width - q)) & 1) for q in range(1, width + 1)]
     return "|" + ",".join(str(v) for v in values) + ">"
 
-
-def dump_csv(state: StateVector) -> str:
-    """CSV dump (index, basis label, re, im) used by the CLI debug flag."""
-    if state.batch is not None:
-        raise ValueError("dump one row of a batched state at a time")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "basis", "re", "im"])
-    for k, amp in enumerate(state.amplitudes):
-        writer.writerow([k, basis_label(k, state.width), f"{amp.real:.12g}", f"{amp.imag:.12g}"])
-    return buf.getvalue()

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from qpictures import cli
+from qpictures import cli, new_all_zeros
 from qpictures.bell import TSIRELSON, VIOLATION_BOUND, ScanResult, canonical_setting, chsh
 from qpictures.experiment import MAX_ANGLE
 from scan_oracle import loop_scan, loop_scan_csv
@@ -204,6 +204,14 @@ class TestEpr:
         assert code == 0
         assert "index,basis,re,im" in out
         assert "|1,1,1,1>" in out
+
+
+def test_dump_csv_layout():
+    text = cli._state_csv(new_all_zeros(1))
+    lines = text.strip().split("\n")
+    assert lines[0] == "index,basis,re,im"
+    assert lines[1] == "0,|1>,0,0"
+    assert lines[2] == "1,|0>,1,0"
 
 
 class TestSweep:

@@ -13,14 +13,21 @@ from qpictures import (
     Axis,
     OperatorSum,
     PauliString,
+    apply_circuit,
+    apply_gate,
+    evolve,
     evolve_circuit,
+    expectation,
+    hadamard,
     init_descriptors,
+    joint_probability,
     max_term_deviation,
+    new_all_zeros,
 )
 from dense import brickwork, operator_matrix, packed_key, string_matrix, terms
-from qpictures import cli, heisenberg, pauli
+from qpictures import cli, heisenberg, pauli, states
 from qpictures.pauli import MAX_WIDTH, pair_matrix_in_all_zeros
-from qpictures.verification import ALL_CHECKS
+from qpictures.verification import ALL_CHECKS, compare_pictures
 
 # _PHASE_EXP[a, b] = k such that sigma_a sigma_b = i**k sigma_(a XOR b):
 # the per-qubit table the packed kernel is checked against.
@@ -446,6 +453,39 @@ def test_pauli_string_validation():
         PauliString.from_ops(2, "X1 Z1")
     with pytest.raises(ValueError, match="qubit 1"):
         OperatorSum(2, [("X1 Z1", 1.0)])
+
+
+_QUBIT_3 = "qubit 3 outside width 2"
+_WIDTHS_2_3 = "width mismatch: [2, 3]"
+_Z2, _Z3 = OperatorSum(2, [("Z2", 1.0)]), OperatorSum(3, [("Z3", 1.0)])
+
+
+@pytest.mark.parametrize(
+    ("message", "call"),
+    [
+        (_QUBIT_3, lambda: evolve(init_descriptors(2), hadamard(3))),
+        (_QUBIT_3, lambda: evolve_circuit(init_descriptors(2), [hadamard(1), hadamard(3)])),
+        (_QUBIT_3, lambda: apply_gate(new_all_zeros(2), hadamard(3))),
+        (_QUBIT_3, lambda: apply_circuit(new_all_zeros(2), [hadamard(1), hadamard(3)])),
+        (_QUBIT_3, lambda: compare_pictures([hadamard(1), hadamard(3)], 2)),
+        (_QUBIT_3, lambda: init_descriptors(2).z(3)),
+        (_QUBIT_3, lambda: joint_probability(new_all_zeros(2), {3: 1})),
+        (_WIDTHS_2_3, lambda: expectation(new_all_zeros(2), _Z3)),
+        (_WIDTHS_2_3, lambda: pair_matrix_in_all_zeros([[_Z2, _Z3]])),
+        (_WIDTHS_2_3, lambda: _Z2 * _Z3),
+    ],
+    ids=[
+        "evolve", "evolve_circuit", "apply_gate", "apply_circuit", "compare_pictures",
+        "DescriptorSet.z", "joint_probability", "expectation", "pair_matrix_in_all_zeros", "product",
+    ],
+)
+def test_both_pictures_reject_each_mistake_by_one_rule(message, call):
+    """The qubit range (``pauli._check_qubit``) and width agreement
+    (``pauli._common_width``) are each one rule, so the descriptor and the
+    statevector side word a mistake alike."""
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 @given(st.data())
@@ -890,10 +930,30 @@ def _coefficient_products(source: str) -> list[str]:
     return found
 
 
+# The products of ``states``, each audited against the product rule: the
+# per-entry kernel's entry (the left operand) by a strided view, never a
+# temporary; the expectation's coefficient by one vecdot value; the kron
+# build of ``_blas_single``; and the real sign-matrix products of
+# ``z_moments``.
+_STATES_PRODUCTS = [
+    "coeff * np.vecdot(amps, v.reshape(amps.shape))",
+    "2.0 * (index >> shifts & 1)",
+    "sh.T * rows[..., None, :]",
+    "sl.T * cols[..., None, :]",
+    "np.multiply(entry, src, out=dst)",
+    "entry * psi[slots[b]]",
+    "m[:, None, :, None] * np.eye(k)[None, :, None, :]",
+]
+
+
 def test_every_coefficient_product_goes_through_times():
     """Inside ``pauli`` and ``heisenberg`` only ``_times`` multiplies
-    coefficient arrays, so the product rule lives in one function."""
+    coefficient arrays, so the product rule lives in one function, and
+    ``states`` makes only its audited products, so a new complex
+    ``named * <temporary>`` product there fails.  ``bell`` and
+    ``experiment`` multiply only real floats, which commute bit for bit."""
     for module in (pauli, heisenberg):
         assert _coefficient_products(inspect.getsource(module)) == [], module.__name__
+    assert _coefficient_products(inspect.getsource(states)) == _STATES_PRODUCTS
     planted = "def f(c, part, values):\n    values *= part\n    return c * part._coeffs + np.multiply(c, values)\n"
     assert _coefficient_products(planted) == ["values *= part", "c * part._coeffs", "np.multiply(c, values)"]

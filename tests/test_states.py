@@ -16,7 +16,6 @@ from qpictures import (
     apply_gate,
     basis_label,
     cnot,
-    dump_csv,
     expectation,
     hadamard,
     joint_probability,
@@ -213,7 +212,7 @@ class TestFusedCircuit:
     def test_qubit_outside_the_width_raises_as_the_loop_does(self, gates):
         message = raised(apply_circuit, new_all_zeros(2), gates)
         assert message == raised(gate_by_gate, new_all_zeros(2), gates)
-        assert "outside state width 2" in message
+        assert "outside width 2" in message
 
 
 class TestExpectation:
@@ -482,7 +481,7 @@ class TestBlasKernel:
             apply_gate(state, hadamard(q))
 
     def test_out_of_range_qubit_rejected(self):
-        with pytest.raises(ValueError, match=f"outside state width {states._BLAS_WIDTH}"):
+        with pytest.raises(ValueError, match=f"outside width {states._BLAS_WIDTH}"):
             apply_gate(new_all_zeros(states._BLAS_WIDTH), hadamard(states._BLAS_WIDTH + 1))
 
     def test_batched_rows_stay_on_the_per_entry_kernel_bit_for_bit(self):
@@ -551,14 +550,6 @@ def test_to_conventional_reverses_index_order():
     conventional = state.amplitudes[..., ::-1]
     # |0,0> amplitude moves to index 0, |1,1> to the last index
     np.testing.assert_allclose(conventional, [-INV_SQRT2, 0.0, 0.0, INV_SQRT2], atol=1e-12)
-
-
-def test_dump_csv_layout():
-    text = dump_csv(new_all_zeros(1))
-    lines = text.strip().split("\n")
-    assert lines[0] == "index,basis,re,im"
-    assert lines[1] == "0,|1>,0,0"
-    assert lines[2] == "1,|0>,1,0"
 
 
 def test_state_vector_requires_normalization():
