@@ -16,9 +16,11 @@ gate to.
 Images are operator sums of the gate's arity over the local Pauli basis,
 whose packed keys are simply 0..4**k - 1 in canonical order, derived
 through ``pauli``'s Walsh-Hadamard pair for the gate's whole matrix stack
-at once; the operand Paulis they conjugate are built once per arity.  A
-gate's images are compiled into one array-shaped rule (``_compiled``),
-kept for a catalog gate only (``gates._catalog_key``).  A basis key's factors,
+at once; the operand Paulis they conjugate, and their (key, slot, axis)
+leaves, are built once per arity (``_operand_paulis``).  A gate's images
+are compiled into one read-only, array-shaped rule (``_rules``), kept for
+a catalog gate only (``gates._catalog_key``), and every image coefficient
+below ``pauli.PRUNE_TOL`` is zeroed.  A basis key's factors,
 the operand qubits' current descriptors, multiply out left to right, and
 without its last factor it is another basis key (``_factor_runs``, read
 through ``pauli._axis_codes``, so this module never touches the key
@@ -68,6 +70,7 @@ import numpy as np
 from .gates import Gate, _catalog_key
 from .pauli import (
     MAX_WIDTH,
+    PRUNE_TOL,
     Axis,
     OperatorSum,
     PauliString,
@@ -100,11 +103,12 @@ class TermGrowthError(RuntimeError):
 
 
 class _Rule(NamedTuple):
-    """A gate's images compiled for the step (``_compiled``)."""
+    """A gate's images compiled for the step (``_rules``), read-only.
+    Image i conjugates the gate's leaf i (``_operand_paulis``)."""
 
     # Per row (image term), in ascending basis key: its basis key, its image
     # and its coefficient row, one column per matrix of the gate's stack.
-    keys: list
+    keys: tuple
     tags: np.ndarray
     coeffs: np.ndarray
     # The rounds of products to form, each its runs with their prefixes and
@@ -114,17 +118,12 @@ class _Rule(NamedTuple):
     # through (its coefficient exactly 1) and the (image, key, one-row
     # coefficient array) of each image scaled; else None.
     single: tuple | None
-    # Per image, its basis key, operand slot and axis (``_factor_runs``).
-    leaves: tuple
 
 
-# Compiled rules (``_compiled``) of catalog gates, by ``_catalog_key`` (a
+# Compiled rules (``_rules``) of catalog gates, by ``_catalog_key`` (a
 # complex128 matrix's byte count fixes the arity).  Every other gate is
 # compiled at each step.
 _IMAGE_CACHE: dict[bytes, _Rule] = {}
-
-# Image coefficients at or below this magnitude are dropped.
-_IMAGE_TOL = 1e-13
 
 
 def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
@@ -133,22 +132,16 @@ def conjugation_images(gate: Gate) -> Mapping[tuple[int, Axis], OperatorSum]:
     Keys are (operand slot, axis); values are operator sums of width
     ``gate.arity``, batched when the gate holds a stack of matrices.
     """
-    rule = _compiled(gate)
+    rule = _rules([gate])[0]
     keys = np.array(rule.keys)
     return MappingProxyType({
         (slot, axis): OperatorSum._raw(gate.arity, keys[rule.tags == i], rule.coeffs[rule.tags == i], gate.batch)
-        for i, (_, slot, axis) in enumerate(rule.leaves)
+        for i, (_, slot, axis) in enumerate(_operand_paulis(gate.arity)[0])
     })
 
 
-def _compiled(gate: Gate) -> _Rule:
-    """The gate's images compiled for the step (``_Rule``), cached for a
-    catalog gate."""
-    return _rules([gate])[0]
-
-
 def _rules(gates) -> list[_Rule]:
-    """The compiled rule (``_compiled``) of each gate.  A catalog gate's
+    """The compiled rule (``_Rule``) of each gate.  A catalog gate's
     comes from the cache; every other gate's images come from one stacked
     ``_image_coefficients`` call per arity, each gate compiled from its own
     columns, which equal its one-gate coefficients bit for bit."""
@@ -174,19 +167,20 @@ def _joined(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _compile(gate: Gate, coeffs: np.ndarray) -> tuple:
-    """The rule of ``_compiled`` from the gate's image coefficients."""
+def _compile(gate: Gate, coeffs: np.ndarray) -> _Rule:
+    """The gate's rule (``_Rule``) from its image coefficients."""
     k, images = gate.arity, 3 * gate.arity
-    _, count, prefix, last = _factor_runs(k)
-    # Row images * s + i holds the coefficient of basis key s in image i;
-    # only the zeroed coefficients fall below PRUNE_TOL.
+    count, prefix, last = _factor_runs(k)
+    # Row images * s + i holds the coefficient of basis key s in image i.
     rows, coeffs = _prune(np.arange(images * 4**k), coeffs.reshape(images * 4**k, -1))
     keys, tags = np.divmod(rows, images)
+    for table in (tags, coeffs):
+        table.setflags(write=False)
     need, rounds, single = np.bincount(keys, minlength=4**k) > 0, [], None
     for factors in range(k, 1, -1):
         runs = np.flatnonzero(need & (count == factors))
         need[prefix[runs]] = True
-        rounds.insert(0, (runs.tolist(), prefix[runs].tolist(), last[runs].tolist()))
+        rounds.insert(0, (tuple(runs.tolist()), tuple(prefix[runs].tolist()), tuple(last[runs].tolist())))
     # Every image of a unitary holds a term, so one row per image is one
     # term each.
     if len(rows) == images:
@@ -198,15 +192,14 @@ def _compile(gate: Gate, coeffs: np.ndarray) -> tuple:
             tuple((i, s, coeffs[row : row + 1]) for i, s, row, one in plan if not one),
         )
     rounds = tuple(r for r in rounds if r[0])
-    return _Rule(keys.tolist(), tags, coeffs, rounds, single, _factor_runs(k)[0])
+    return _Rule(tuple(keys.tolist()), tags, coeffs, rounds, single)
 
 
 # The factor runs depend only on the arity, so they are read once per arity.
 @lru_cache(maxsize=MAX_WIDTH)
 def _factor_runs(k: int):
-    """Per image (slot, axis) of a k-operand gate, the basis key of its
-    one factor; and per basis key s its factor count, its prefix (the key
-    of its factors but the last) and the key of its last factor, so that
+    """Per basis key s of a k-operand gate its factor count, its prefix (the
+    key of its factors but the last) and the key of its last factor, so that
     s's factors multiply out left to right as prefix's times last's."""
     codes = [_axis_codes(s, k) for s in range(4**k)]
     index = {c: s for s, c in enumerate(codes)}
@@ -218,30 +211,31 @@ def _factor_runs(k: int):
     )
     for table in tables:
         table.setflags(write=False)
-    leaves = tuple((PauliString.single(k, slot + 1, axis).key, slot, axis) for slot, axis in _operand_paulis(k)[0])
-    return (leaves, *tables)
+    return tables
 
 
 # The operand Paulis depend only on the arity, so they are built once per
 # arity, read-only, as the step-0 descriptors are built once per width.
 @lru_cache(maxsize=MAX_WIDTH)
 def _operand_paulis(k: int):
-    """The (slot, axis) pairs of a k-operand gate, the ``(3k, 2**k, 2**k)``
-    stack of their Pauli matrices P_i (one column each of an
-    identity-coefficient sum put through ``pauli``'s transform), and
-    ``gather`` and ``phases`` with
+    """The leaves of a k-operand gate, the (basis key, slot, axis) of each
+    operand Pauli P_i, the ``(3k, 2**k, 2**k)`` stack of their matrices (one
+    column each of an identity-coefficient sum put through ``pauli``'s
+    transform), and ``gather`` and ``phases`` with
     (A @ P_i)[r, c] = A.ravel()[gather[i, r, c]] * phases[i, 0, 0, c]:
     column c of P_i holds one entry, a phase."""
-    images_of = tuple((slot, axis) for slot in range(k) for axis in _NONTRIVIAL_AXES)
-    singles = np.array([PauliString.single(k, slot + 1, axis).key for slot, axis in images_of], dtype=np.int64)
+    leaves = tuple(
+        (PauliString.single(k, slot + 1, axis).key, slot, axis) for slot in range(k) for axis in _NONTRIVIAL_AXES
+    )
     # The transform reads keys in any order, so they need no sorting.
+    singles = np.array([key for key, _, _ in leaves], dtype=np.int64)
     paulis = _to_matrices(OperatorSum._raw(k, singles, np.eye(len(singles)), len(singles)))
     rows = np.abs(paulis).argmax(axis=1)
     gather = np.arange(2**k)[None, :, None] * 2**k + rows[:, None, :]
     phases = np.take_along_axis(paulis, rows[:, None], axis=1)[:, None]
     for table in (paulis, gather, phases):
         table.setflags(write=False)
-    return images_of, paulis, gather, phases
+    return leaves, paulis, gather, phases
 
 
 def _image_coefficients(k: int, stack: np.ndarray) -> np.ndarray:
@@ -250,16 +244,17 @@ def _image_coefficients(k: int, stack: np.ndarray) -> np.ndarray:
     each U^dag P U goes back through the inverse of ``pauli``'s transform
     in one call: ``coeffs[s, i, b]`` over basis keys s, operand Paulis i and
     matrices b.  Each conjugation is the matmul a single matrix takes, so a
-    stacked coefficient equals the unstacked one bit for bit."""
-    images_of, _, gather, phases = _operand_paulis(k)
+    stacked coefficient equals the unstacked one bit for bit.  Every
+    coefficient below ``PRUNE_TOL`` is zeroed."""
+    leaves, _, gather, phases = _operand_paulis(k)
     adjoint = stack.conj().swapaxes(-1, -2)
     # U_b^dag P_i by one gather and one phase per entry: exact, as the matmul
     # by P_i's one-entry columns is, up to signs of zeros, which the pruning
     # resets.  conjugated[i, b] = U_b^dag P_i U_b.
     left = np.ascontiguousarray(adjoint.reshape(len(stack), -1)[:, gather].swapaxes(0, 1) * phases)
     conjugated = left @ stack[None]
-    coeffs = _from_matrices(k, conjugated).reshape(4**k, len(images_of), len(stack))
-    coeffs[np.abs(coeffs) <= _IMAGE_TOL] = 0.0
+    coeffs = _from_matrices(k, conjugated).reshape(4**k, len(leaves), len(stack))
+    coeffs[np.abs(coeffs) < PRUNE_TOL] = 0.0
     return coeffs
 
 
@@ -361,23 +356,25 @@ def _step(sets, layers) -> list[DescriptorSet]:
     holds the ``(step, gate)`` pairs of set ``n``, gates that share no
     qubit, so each reads its operands' descriptors from before the layer.
     The outputs go by the sets' positions, so one set object may come more
-    than once.  Each gate takes its compiled rule (``_rules``), and each
-    image term's factors, the operand qubits' current descriptors, multiply
-    out left to right, in one ``_pair_products`` call per factor count over
-    every gate.  A gate whose images are all one term passes each through
-    (coefficient exactly 1) or scales it.  One ``_times`` call forms the
-    value of every scaled image term; one ``_prune_sums`` prunes every
-    scaled one-term image, and one tagged ``_merge_sums`` sums the terms of
-    every other gate's images.  A set's step advances by one per gate, and
-    a ``TermGrowthError`` names the step of the gate that grew.  Its one
-    caller, ``_evolve_many``, has checked every input."""
+    than once.  Each gate takes its compiled rule (``_rules``) and its
+    leaves (``_operand_paulis``), and each image term's factors, the
+    operand qubits' current descriptors, multiply out left to right, in one
+    ``_pair_products`` call per factor count over every gate.  A gate whose
+    images are all one term passes each through (coefficient exactly 1) or
+    scales it.  One ``_times`` call forms the value of every scaled image
+    term; one ``_prune_sums`` prunes every scaled one-term image, and one
+    tagged ``_merge_sums`` sums the terms of every other gate's images.  A
+    set's step advances by one per gate, and a ``TermGrowthError`` names the
+    step of the gate that grew.  Its one caller, ``_evolve_many``, has
+    checked every input."""
     owners, steps, gates = zip(*[(n, step, gate) for n, layer in enumerate(layers) for step, gate in layer])
     width = sets[0].width
     rules = _rules(gates)
+    leaves = [_operand_paulis(gate.arity)[0] for gate in gates]
     runs, depth = [], 0
-    for n, gate, rule in zip(owners, gates, rules):
+    for n, gate, rule, gate_leaves in zip(owners, gates, rules, leaves):
         current, operands = sets[n]._descriptors, gate.qubits
-        run = {s: current[operands[slot], axis] for s, slot, axis in rule.leaves}
+        run = {s: current[operands[slot], axis] for s, slot, axis in gate_leaves}
         # Rows ascend by basis key, so an identity term comes first.
         if rule.keys[0] == 0:
             run[0] = OperatorSum.identity(width)
@@ -403,7 +400,7 @@ def _step(sets, layers) -> list[DescriptorSet]:
     new, scaled, merged, batches = [], [], [], []
     parts, rows, merged_parts, merged_rows, tags = [], [], [], [], []
     for gate, run, rule in zip(gates, runs, rules):
-        ops, batch = [None] * len(rule.leaves), gate.batch
+        ops, batch = [None] * (3 * gate.arity), gate.batch
         new.append(ops)
         batches.append(batch)
         if rule.single is not None:
@@ -449,9 +446,9 @@ def _step(sets, layers) -> list[DescriptorSet]:
             ops[i] = OperatorSum._raw(width, k, c[:, : own or 1], own)
     # Each set's table is copied once, whatever the size of its layer.
     tables = [dict(ds._descriptors) for ds in sets]
-    for n, step, gate, rule, ops in zip(owners, steps, gates, rules, new):
+    for n, step, gate, gate_leaves, ops in zip(owners, steps, gates, leaves, new):
         table, operands = tables[n], gate.qubits
-        for (_, slot, axis), op in zip(rule.leaves, ops):
+        for (_, slot, axis), op in zip(gate_leaves, ops):
             if len(op) > TERM_CAP:
                 raise TermGrowthError(
                     f"descriptor for qubit {operands[slot]} axis {axis.name} grew to "

@@ -6,7 +6,9 @@ significant pair) and a phase; an operator sum stores one such key per
 term.  A string product is an XOR of keys and its phase comes from
 popcounts of the keys' x and z bit masks (the symplectic form of
 Aaronson and Gottesman).  Sums merge duplicate strings and drop
-coefficients below ``PRUNE_TOL``.  Only this module knows the key
+coefficients below ``PRUNE_TOL``, the package's one zero threshold: a
+coefficient below it is dropped wherever it arises, ``heisenberg``'s
+conjugation-image coefficients included.  Only this module knows the key
 layout: other modules read per-qubit axis codes through ``_axis_codes``
 and build keys through ``PauliString``.
 
@@ -387,10 +389,7 @@ class OperatorSum:
         if isinstance(other, OperatorSum):
             return _pair_products([(self, other)])[0]
         if isinstance(other, Number):
-            c = complex(other)
-            if abs(c) < PRUNE_TOL:
-                return _empty(self._width, self._batch)
-            return OperatorSum._raw(self._width, *_prune(self._keys, _times(c, self._coeffs)), self._batch)
+            return OperatorSum._raw(self._width, *_prune(self._keys, _times(complex(other), self._coeffs)), self._batch)
         return NotImplemented
 
     # Reached only with a number on the left: ``__mul__`` takes sum * sum.
@@ -620,9 +619,7 @@ def _merge_sums(width: int, tags: np.ndarray, count: int, keys: np.ndarray, valu
     ``count`` sums at once, sum t holding the terms tagged t.  Each key
     carries its tag above the key bits, so one stable sort and one
     reduceat serve every sum, and each sum's terms are summed in the order
-    a merge of that sum alone takes; a single sum needs no tags."""
-    if count == 1:
-        return [_merge(keys, values)]
+    a merge of that sum alone takes."""
     shift = 2 * width
     tagged, values = _merge(keys | tags << shift, values)
     bounds = tagged.searchsorted([t << shift for t in range(count + 1)]).tolist()

@@ -152,22 +152,24 @@ def _slots(qubits: tuple[int, ...], lead: int, ndim: int) -> tuple:
 
 
 # The rows of catalog gates (``_single_rows``), by ``_catalog_key``.
-_SINGLE_ROWS: dict[bytes, list] = {}
+_SINGLE_ROWS: dict[bytes, tuple] = {}
 
 
-def _single_rows(gate: Gate) -> list:
+def _single_rows(gate: Gate) -> tuple:
     """Each row of the gate's single matrix as its nonzero entries
     (b, m[a, b]), kept for a catalog gate.  A lone entry of exactly 1 or -1
     is the ufunc that applies it to zero, ``np.add`` or ``np.subtract``; any
-    other entry is a 0-d array, which ufuncs take faster than a scalar."""
+    other entry is a 0-d view of the read-only matrix, which ufuncs take
+    faster than a scalar."""
     key = _catalog_key(gate)
     rows = _SINGLE_ROWS.get(key)
     if rows is None:
         rows = []
-        for row in gate.matrix.tolist():
+        for a, row in enumerate(gate.matrix.tolist()):
             entries = [(b, e) for b, e in enumerate(row) if e != 0]
             unit = len(entries) == 1 and {1: np.add, -1: np.subtract}.get(entries[0][1])
-            rows.append(((entries[0][0], unit),) if unit else tuple((b, np.array(e)) for b, e in entries))
+            rows.append(((entries[0][0], unit),) if unit else tuple((b, gate.matrix[a, b, ...]) for b, _ in entries))
+        rows = tuple(rows)
         if key is not None:
             _SINGLE_ROWS[key] = rows
     return rows

@@ -176,7 +176,7 @@ FAULTS = {
         {"sign_error_audit"},
     ),
     "image_tolerance_loosened": (
-        (heisenberg, "_IMAGE_TOL", 2e-2),
+        (heisenberg, "PRUNE_TOL", 2e-2),
         {"picture_equivalence"},
     ),
     "prune_tolerance_loosened": (

@@ -6,7 +6,7 @@ import pytest
 
 from dense import random_unitary
 from qpictures import Gate, analyzer_rotation, cnot, hadamard, pauli_x, pauli_y, pauli_z, random_circuit
-from qpictures import experiment, gates, heisenberg, states
+from qpictures import experiment, gates, heisenberg, states, verification
 from qpictures.gates import CN_MATRIX, H_MATRIX, rotation_matrix
 
 
@@ -207,6 +207,35 @@ def test_only_catalog_matrices_are_remembered(monkeypatch):
         if name.startswith("_") and not name.startswith("__") and isinstance(value, (set, frozenset, dict))
     ]
     assert tables == ["_CATALOG"]
+
+
+def _arrays(entry):
+    """Every array in a memo entry, a nest of tuples: a list, dict or set
+    could be changed in place, so none may appear."""
+    assert not isinstance(entry, (list, dict, set)), entry
+    if isinstance(entry, tuple):
+        for item in entry:
+            yield from _arrays(item)
+    elif isinstance(entry, np.ndarray):
+        yield entry
+
+
+def test_remembered_entries_are_read_only():
+    """Each memo entry is filled once and never changed: after ``verify``,
+    a write to any array that a compiled rule or a gate's single rows hold
+    raises."""
+    verification.run_all_checks()
+    arrays = [
+        array
+        for memo in (heisenberg._IMAGE_CACHE, states._SINGLE_ROWS)
+        for entry in memo.values()
+        for array in _arrays(entry)
+    ]
+    # The rules' tags and coefficient rows, and H's 0-d row entries.
+    assert any(array.ndim == 2 for array in arrays) and any(array.ndim == 0 for array in arrays)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
 
 
 def _perturbed(matrix, size):

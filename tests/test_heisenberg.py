@@ -116,10 +116,11 @@ class TestConjugationImages:
 class TestOperandPaulis:
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_cached_per_arity_and_read_only(self, arity):
-        images_of, paulis, gather, phases = heisenberg._operand_paulis(arity)
+        leaves, paulis, gather, phases = heisenberg._operand_paulis(arity)
         assert heisenberg._operand_paulis(arity)[1] is paulis
-        for (slot, axis), matrix in zip(images_of, paulis, strict=True):
+        for (key, slot, axis), matrix in zip(leaves, paulis, strict=True):
             local = OperatorSum.single_axis(arity, slot + 1, axis)
+            assert local._keys.tolist() == [key]
             np.testing.assert_array_equal(matrix, operator_matrix(local))
         # The gathered product is the matmul's, bit for bit.
         a = random_unitary(np.random.default_rng(arity), 2**arity)

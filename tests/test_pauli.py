@@ -275,6 +275,15 @@ class TestOperatorSum:
         keys, _ = pauli._prune(np.array([1, 2]), np.array([[0.0, math.nan], [0.0, 1e-15]]))
         assert keys.tolist() == [1]
 
+    def test_scaling_prunes_the_product_not_the_number(self):
+        # A factor below PRUNE_TOL keeps a product above it, and a factor of
+        # zero keeps a NaN.
+        op = OperatorSum(1, [("X1", 1e3)])
+        for scaled in (op * 1e-15, 1e-15 * op):
+            assert [abs(c) for _, c in terms(scaled)] == [pytest.approx(1e-12)]
+        scaled = OperatorSum(1, [("X1", math.nan)]) * 0
+        assert len(scaled) == 1 and np.isnan(terms(scaled)[0][1])
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
             OperatorSum.zero(2) + OperatorSum.zero(3)
@@ -879,6 +888,21 @@ def test_times_reads_a_row_as_one_row():
             assert _bits(got[:, j]).tolist() == _bits(complex(row[j]) * part[:, j]).tolist()
         number = complex(row[0])
         assert _bits(pauli._times(number, part)).tolist() == _bits(number * part).tolist()
+
+
+def test_a_batch_of_one_combination_is_the_unbatched_one_bit_for_bit():
+    """A one-term part scaled by a complex coefficient gives the same bits
+    as a batch of one as unbatched: the product whose FMA split the 1-D row
+    would change, and one that a step's real image coefficients (``(c + 0i)
+    * p`` rounds alike either way) never exercise."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        coeff, value = _random_complex(rng, 2)
+        part = OperatorSum._raw(2, np.array([7]), np.array([[value]]), None)
+        want = pauli.linear_combination(2, [(complex(coeff), part)])
+        got = pauli.linear_combination(2, [(np.array([coeff]), part)])
+        assert got.batch == 1 and got._keys.tolist() == want._keys.tolist() == [7]
+        assert _bits(got._coeffs).tolist() == _bits(want._coeffs).tolist()
 
 
 # Products in ``pauli`` and ``heisenberg`` that are not coefficient products:
